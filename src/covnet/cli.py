@@ -271,7 +271,7 @@ def _train_config(cfg: Config) -> TrainConfig:
             default=TrainConfig.center_mode,
             choices=("pre_center", "joint_mean"),
         ),
-        batch=cfg.int_("batch", minimum=1),
+        batch=cfg.int_("batch", minimum=2),
     )
 
 

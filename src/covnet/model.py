@@ -22,11 +22,11 @@ of the coefficient columns, which makes it PSD by construction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ModelFormatError
 from .fields import FieldMatrix, Grid
@@ -164,6 +164,26 @@ def init_params(arch: Architecture, n: int, seed: int) -> tuple[ModelParams, np.
     return params, xi
 
 
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    """Logistic 1 / (1 + exp(-t)), computed in place on t and returned.
+
+    exp(-t) overflows to inf for t below about -709; the reciprocal then
+    gives exactly 0, so the overflow is expected and silenced.
+    """
+    np.negative(t, out=t)
+    with np.errstate(over="ignore"):
+        np.exp(t, out=t)
+    t += 1.0
+    return np.reciprocal(t, out=t)
+
+
+def _layer(a: np.ndarray, w: np.ndarray, b) -> np.ndarray:
+    """sigmoid(a W^T + b) for a hidden or output layer, in one fresh array."""
+    h = a @ w.T
+    h += b
+    return _sigmoid(h)
+
+
 def forward_constituents(params: ModelParams, arch: Architecture, points: np.ndarray):
     """Constituent values Z (M x R) plus the activation cache for backprop."""
     u = np.atleast_2d(np.asarray(points, dtype=float))
@@ -172,7 +192,7 @@ def forward_constituents(params: ModelParams, arch: Architecture, points: np.nda
     if not np.all(np.isfinite(u)):
         raise ValueError("evaluation points must be finite")
     if isinstance(params, ShallowParams):
-        z = expit(u @ params.w.T + params.b)
+        z = _layer(u, params.w, params.b)
         return z, (u, z)
     if isinstance(params, DeepParams):
         caches = []
@@ -180,58 +200,65 @@ def forward_constituents(params: ModelParams, arch: Architecture, points: np.nda
         for net in params.nets:
             acts = [u]
             for w, b in zip(net.weights, net.biases):
-                acts.append(expit(acts[-1] @ w.T + b))
-            zr = expit(acts[-1] @ net.w_out + net.b_out)
+                acts.append(_layer(acts[-1], w, b))
+            zr = _layer(acts[-1], net.w_out, net.b_out)
             caches.append((acts, zr))
             cols.append(zr)
         return np.stack(cols, axis=1), caches
     acts = [u]
     for w, b in zip(params.weights, params.biases):
-        acts.append(expit(acts[-1] @ w.T + b))
-    z = expit(acts[-1] @ params.w_out.T + params.b_out)
+        acts.append(_layer(acts[-1], w, b))
+    z = _layer(acts[-1], params.w_out, params.b_out)
     return z, (acts, z)
+
+
+def _backward_trunk(weights, acts, da, ones):
+    """Gradients of the hidden layers given dloss/d(last hidden activation).
+
+    The input layer's activation gradient is never needed, so the loop stops
+    one product short.  Bias gradients are column sums taken as ones @ dpre.
+    """
+    dws: list[np.ndarray] = []
+    dbs: list[np.ndarray] = []
+    for l in range(len(weights) - 1, -1, -1):
+        a = acts[l + 1]
+        dpre = a * (1.0 - a)
+        dpre *= da
+        dws.append(dpre.T @ acts[l])
+        dbs.append(ones @ dpre)
+        if l:
+            da = dpre @ weights[l]
+    return dws[::-1], dbs[::-1]
 
 
 def backward_constituents(
     params: ModelParams, arch: Architecture, cache, dz: np.ndarray
 ) -> ModelParams:
     """Pull a gradient dZ (M x R) back onto the network parameters."""
+    ones = np.ones(dz.shape[0])
     if isinstance(params, ShallowParams):
         u, z = cache
-        dpre = dz * z * (1.0 - z)
-        return ShallowParams(w=dpre.T @ u, b=dpre.sum(axis=0))
+        dpre = z * (1.0 - z)
+        dpre *= dz
+        return ShallowParams(w=dpre.T @ u, b=ones @ dpre)
     if isinstance(params, DeepParams):
         nets = []
         for r, net in enumerate(params.nets):
             acts, zr = cache[r]
-            dout = dz[:, r] * zr * (1.0 - zr)
+            dout = zr * (1.0 - zr)
+            dout *= dz[:, r]
             dw_out = acts[-1].T @ dout
-            db_out = np.asarray(dout.sum())
-            da = np.outer(dout, net.w_out)
-            dws: list[np.ndarray] = []
-            dbs: list[np.ndarray] = []
-            for l in range(arch.depth - 1, -1, -1):
-                a = acts[l + 1]
-                dpre = da * a * (1.0 - a)
-                dws.append(dpre.T @ acts[l])
-                dbs.append(dpre.sum(axis=0))
-                da = dpre @ net.weights[l]
-            nets.append(DeepNet(dws[::-1], dbs[::-1], dw_out, db_out))
+            db_out = np.asarray(ones @ dout)
+            dws, dbs = _backward_trunk(
+                net.weights, acts, dout[:, None] * net.w_out, ones
+            )
+            nets.append(DeepNet(dws, dbs, dw_out, db_out))
         return DeepParams(nets)
     acts, z = cache
-    dpre_out = dz * z * (1.0 - z)
-    dw_out = dpre_out.T @ acts[-1]
-    db_out = dpre_out.sum(axis=0)
-    da = dpre_out @ params.w_out
-    dws = []
-    dbs = []
-    for l in range(arch.depth - 1, -1, -1):
-        a = acts[l + 1]
-        dpre = da * a * (1.0 - a)
-        dws.append(dpre.T @ acts[l])
-        dbs.append(dpre.sum(axis=0))
-        da = dpre @ params.weights[l]
-    return DeepSharedParams(dws[::-1], dbs[::-1], dw_out, db_out)
+    dpre_out = z * (1.0 - z)
+    dpre_out *= dz
+    dws, dbs = _backward_trunk(params.weights, acts, dpre_out @ params.w_out, ones)
+    return DeepSharedParams(dws, dbs, dpre_out.T @ acts[-1], ones @ dpre_out)
 
 
 def eval_constituents(params: ModelParams, arch: Architecture, points: np.ndarray) -> np.ndarray:
@@ -300,27 +327,18 @@ def _param_arrays(params: ModelParams) -> list[np.ndarray]:
     return out + [params.w_out, params.b_out]
 
 
-def _param_template(arch: Architecture) -> ModelParams:
+def _param_shapes(arch: Architecture) -> list[tuple[int, ...]]:
+    """Shapes of the parameter arrays in canonical (pack) order.
+
+    Shallow has the deepshared layout with no hidden layers.
+    """
     dims = _layer_dims(arch)
-    if arch.variant == SHALLOW:
-        return ShallowParams(np.zeros((arch.r, arch.d)), np.zeros(arch.r))
+    trunk = []
+    for l in range(arch.depth):
+        trunk += [(dims[l + 1], dims[l]), (dims[l + 1],)]
     if arch.variant == DEEP:
-        nets = [
-            DeepNet(
-                [np.zeros((dims[l + 1], dims[l])) for l in range(arch.depth)],
-                [np.zeros(dims[l + 1]) for l in range(arch.depth)],
-                np.zeros(dims[-1]),
-                np.zeros(()),
-            )
-            for _ in range(arch.r)
-        ]
-        return DeepParams(nets)
-    return DeepSharedParams(
-        [np.zeros((dims[l + 1], dims[l])) for l in range(arch.depth)],
-        [np.zeros(dims[l + 1]) for l in range(arch.depth)],
-        np.zeros((arch.r, dims[-1])),
-        np.zeros(arch.r),
-    )
+        return (trunk + [(dims[-1],), ()]) * arch.r
+    return trunk + [(arch.r, dims[-1]), (arch.r,)]
 
 
 def pack_params(params: ModelParams) -> np.ndarray:
@@ -330,16 +348,31 @@ def pack_params(params: ModelParams) -> np.ndarray:
 
 
 def unpack_params(vec: np.ndarray, arch: Architecture) -> ModelParams:
-    """Inverse of pack_params for the given architecture."""
-    template = _param_template(arch)
-    arrays = _param_arrays(template)
+    """Inverse of pack_params for the given architecture.
+
+    The returned arrays are views into `vec` (no copy): writing to either
+    changes both.
+    """
+    vec = np.asarray(vec, dtype=float)
+    shapes = _param_shapes(arch)
+    sizes = [math.prod(shape) for shape in shapes]
+    if sum(sizes) != vec.size:
+        raise ValueError(f"vector length {vec.size} does not match architecture")
+    arrays = []
     offset = 0
-    for a in arrays:
-        a[...] = np.asarray(vec[offset : offset + a.size]).reshape(a.shape)
-        offset += a.size
-    if offset != len(vec):
-        raise ValueError(f"vector length {len(vec)} does not match architecture")
-    return template
+    for shape, size in zip(shapes, sizes):
+        arrays.append(vec[offset : offset + size].reshape(shape))
+        offset += size
+    if arch.variant == SHALLOW:
+        return ShallowParams(*arrays)
+    k = 2 * arch.depth
+    if arch.variant == DEEP:
+        nets = []
+        for r in range(arch.r):
+            net = arrays[r * (k + 2) : (r + 1) * (k + 2)]
+            nets.append(DeepNet(net[0:k:2], net[1:k:2], net[k], net[k + 1]))
+        return DeepParams(nets)
+    return DeepSharedParams(arrays[0:k:2], arrays[1:k:2], arrays[k], arrays[k + 1])
 
 
 def _check_lambda(lam: np.ndarray, r: int) -> np.ndarray:
@@ -468,6 +501,12 @@ def load_model(path) -> FittedCovariance:
         pos += 1
         return line
 
+    def ints(parts: list[str], what: str) -> tuple[int, ...]:
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError as exc:
+            raise ModelFormatError(f"{what}: {exc}") from exc
+
     def floats(line: str, count: int, what: str) -> np.ndarray:
         parts = line.split()
         if len(parts) != count:
@@ -489,27 +528,24 @@ def load_model(path) -> FittedCovariance:
             raise ModelFormatError(f"expected '{key} <value>' line")
         fields_[key] = line[1]
     variant = fields_["arch"]
-    try:
-        r, d = int(fields_["R"]), int(fields_["d"])
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from exc
+    r, d = ints([fields_["R"], fields_["d"]], "R and d")
     widths: tuple[int, ...] = ()
     if variant != SHALLOW:
         line = take("widths").split()
         if not line or line[0] != "widths":
             raise ModelFormatError("expected 'widths ...' line for deep variants")
-        widths = tuple(int(p) for p in line[1:])
+        widths = ints(line[1:], "widths")
     try:
         arch = Architecture(variant, r, d, widths)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
 
-    template = _param_template(arch)
+    template = unpack_params(np.zeros(count_parameters(arch, include_lambda=False)), arch)
     for name, array in _named_arrays(template):
         head = take(f"layer {name}").split()
         if len(head) < 2 or head[0] != "layer" or head[1] != name:
             raise ModelFormatError(f"expected 'layer {name} ...' block")
-        declared = tuple(int(s) for s in head[2:] if s != "scalar")
+        declared = ints([s for s in head[2:] if s != "scalar"], f"layer {name} shape")
         if declared != array.shape:
             raise ModelFormatError(
                 f"layer {name}: declared shape {declared} != expected {array.shape}"
@@ -517,7 +553,7 @@ def load_model(path) -> FittedCovariance:
         array[...] = floats(take(f"{name} values"), array.size, name).reshape(array.shape)
 
     head = take("lambda").split()
-    if head[:1] != ["lambda"] or len(head) != 2 or int(head[1]) != r:
+    if head[:1] != ["lambda"] or len(head) != 2 or ints(head[1:], "lambda R") != (r,):
         raise ModelFormatError("expected 'lambda R' block")
     lam = np.zeros((r, r))
     for i in range(r):

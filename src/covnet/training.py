@@ -87,14 +87,18 @@ class TrainConfig:
             raise ValueError("bad eps / rel_tol / epochs")
         if self.center_mode not in (PRE_CENTER, JOINT_MEAN):
             raise ValueError(f"unknown center_mode {self.center_mode!r}")
-        if self.batch is not None and self.batch < 1:
-            raise ValueError("batch size must be positive when given")
+        if self.batch is not None and self.batch < 2:
+            raise ValueError("batch size must be at least 2 when given")
 
 
 def data_self_term(f: FieldMatrix) -> float:
     """The parameter-free term N^-2 sum <X_n, X_m>^2 (compute once per fit)."""
-    g = cross_gram(f).values
-    return float((g * g).sum()) / f.n**2
+    return _gram_self_term(cross_gram(f).values)
+
+
+def _gram_self_term(g: np.ndarray) -> float:
+    """N^-2 sum g_nm^2 for an N x N data Gram g."""
+    return float((g * g).sum()) / g.shape[0] ** 2
 
 
 def _core(
@@ -244,7 +248,9 @@ def fit(
     x = f.values - f.values.mean(axis=0) if cfg.center_mode == PRE_CENTER else f.values
     include_mean = cfg.center_mode == JOINT_MEAN
     points = f.grid.coordinates()
-    term_xx = data_self_term(FieldMatrix(f.grid, x))
+    # one data Gram per fit: each minibatch's self-term is its B x B block
+    gram = cross_gram(FieldMatrix(f.grid, x)).values
+    term_xx = _gram_self_term(gram)
 
     params, xi = init_params(arch, f.n, cfg.seed)
     theta = np.concatenate([pack_params(params), xi.ravel()])
@@ -280,7 +286,7 @@ def fit(
                 params = unpack_params(theta[:n_net], arch)
                 xi = theta[n_net:].reshape(f.n, arch.r)
                 xb = x[idx]
-                sub_xx = data_self_term(FieldMatrix(f.grid, xb))
+                sub_xx = _gram_self_term(gram[np.ix_(idx, idx)])
                 breakdown, dparams, dxi_b = _core(
                     xb, points, params, arch, xi[idx], sub_xx, include_mean, True
                 )

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from covnet.cli import main, parse_config_text
-from covnet.errors import ConfigError
+from covnet.errors import ConfigError, ModelFormatError
 from covnet.fields import read_fields
-from covnet.model import load_model
+from covnet.model import (
+    Architecture,
+    FittedCovariance,
+    init_params,
+    lambda_from_coefficients,
+    load_model,
+    save_model,
+)
 
 
 def run(tmp_path, command, cfg_text, extra=None, out=None):
@@ -99,6 +106,50 @@ def test_fit_deep_requires_depth(tmp_path):
         tmp_path, "fit", f"fields = {out / 'fields.cvnf'}\narch = deep\nR = 2\n"
     )
     assert code == 2
+
+
+def test_fit_rejects_batch_of_one(tmp_path, capsys):
+    code, out = run(
+        tmp_path,
+        "simulate",
+        "kernel = brownian\nd = 2\nK = 4\nN = 6\nseed = 1\n",
+        out=tmp_path / "d",
+    )
+    assert code == 0
+    code, _ = run(
+        tmp_path,
+        "fit",
+        f"fields = {out / 'fields.cvnf'}\narch = shallow\nR = 2\nbatch = 1\n",
+    )
+    assert code == 2
+    assert "batch must be >= 2" in capsys.readouterr().err
+
+
+def saved_model_text(tmp_path):
+    arch = Architecture.deep(2, 2, 2)
+    params, xi = init_params(arch, 5, seed=3)
+    path = tmp_path / "m.cvn"
+    save_model(path, FittedCovariance(arch, params, lambda_from_coefficients(xi)))
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "prefix, bad",
+    [
+        ("widths ", "widths 2 two"),
+        ("layer net0.W1 ", "layer net0.W1 2 x"),
+        ("lambda ", "lambda R"),
+    ],
+)
+def test_load_model_non_integer_header_is_format_error(tmp_path, prefix, bad):
+    path, lines = saved_model_text(tmp_path)
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    lines[i] = bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+    code, _ = run(tmp_path, "eigen", f"model = {path}\nM = 100\n")
+    assert code == 3
 
 
 def test_eval_zero_estimator_is_one(tmp_path):

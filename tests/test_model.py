@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from covnet.errors import ModelFormatError
 from covnet.fields import make_grid
 from covnet.model import (
+    _param_arrays,
+    _sigmoid,
     Architecture,
     DeepSharedParams,
     FittedCovariance,
@@ -76,6 +79,44 @@ def test_shallow_zero_params_give_half():
     params = ShallowParams(np.zeros((3, 2)), np.zeros(3))
     z = eval_constituents(params, arch, np.array([[0.2, 0.9], [0.5, 0.5]]))
     np.testing.assert_array_equal(z, 0.5)
+
+
+def reference_sigmoid(t):
+    """1 / (1 + exp(-t)) in IEEE arithmetic: exp(-t) overflowing gives 0."""
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:
+        return 0.0
+
+
+def test_sigmoid_matches_scalar_reference():
+    t = np.linspace(-745.0, 745.0, 20_001)
+    got = _sigmoid(t.copy())
+    want = [reference_sigmoid(x) for x in t]
+    # relative to 1e-15 where the result is a normal float, absolutely tight
+    # (smallest normal) in the subnormal tail below t = -708
+    assert got.tolist() == pytest.approx(want, rel=1e-15, abs=np.finfo(float).tiny)
+
+
+def test_sigmoid_saturates_exactly_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = _sigmoid(np.array([-1e6, 1e6, -np.inf, np.inf]))
+    assert z.tolist() == [0.0, 1.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("variant", ["shallow", "deep", "deepshared"])
+def test_forward_leaves_points_unmodified(variant):
+    arch = {
+        "shallow": Architecture.shallow(3, 2),
+        "deep": Architecture.deep(2, 2, 2),
+        "deepshared": Architecture.deepshared(3, 2, 2),
+    }[variant]
+    params, _ = init_params(arch, 2, seed=4)
+    points = make_rng(5).random((50, 2))
+    before = points.copy()
+    eval_constituents(params, arch, points)
+    np.testing.assert_array_equal(points, before)
 
 
 def test_deepshared_zero_params_match_scalar_recursion():
@@ -260,6 +301,22 @@ def test_pack_unpack_roundtrip():
         vec = pack_params(params)
         back = pack_params(unpack_params(vec, arch))
         assert np.array_equal(vec, back)
+
+
+def test_unpack_returns_views_into_vector():
+    for arch in (
+        Architecture.shallow(3, 2),
+        Architecture.deep(2, 2, 2),
+        Architecture.deepshared(4, 3, 2),
+    ):
+        params, _ = init_params(arch, 2, seed=13)
+        vec = pack_params(params)
+        unpacked = unpack_params(vec, arch)
+        for array in _param_arrays(unpacked):
+            assert np.shares_memory(array, vec)
+        assert np.array_equal(pack_params(unpacked), vec)
+        with pytest.raises(ValueError):
+            unpack_params(vec[:-1], arch)
 
 
 def test_fitted_covariance_rejects_non_psd():

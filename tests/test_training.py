@@ -327,6 +327,32 @@ def test_fit_minibatch_runs_and_is_deterministic():
     assert np.array_equal(m1.lam, m2.lam)
 
 
+def test_fit_minibatch_self_term_matches_per_batch_data_term():
+    grid = make_grid(1, [10])
+    f = sample_gaussian_fields(BrownianSheet(1), grid, 17, seed=8)
+    cfg = TrainConfig(epochs=6, seed=4, batch=5, rel_tol=0.0)
+    _, trace = fit(f, Architecture.shallow(2, 1), cfg)
+    x = f.values - f.values.mean(axis=0)
+    # the batches of fit: one permutation per epoch from stream 1, 1-row
+    # remainders skipped
+    batch_rng = make_rng(cfg.seed, stream=1)
+    for epoch in range(cfg.epochs):
+        perm = batch_rng.permutation(f.n)
+        terms = [
+            data_self_term(FieldMatrix(grid, x[idx]))
+            for idx in (perm[s : s + cfg.batch] for s in range(0, f.n, cfg.batch))
+            if idx.size >= 2
+        ]
+        assert trace[epoch, 1] == pytest.approx(np.mean(terms), rel=1e-12)
+    assert trace[-1, 1] == pytest.approx(data_self_term(FieldMatrix(grid, x)), rel=1e-12)
+
+
+def test_train_config_rejects_batch_of_one():
+    with pytest.raises(ValueError, match="at least 2"):
+        TrainConfig(batch=1)
+    assert TrainConfig(batch=2).batch == 2
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_divergence_guard():
     # an absurd step size makes the coefficient magnitudes outrun the data
