@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import CovnetError, TrainingDivergedError
 from .fields import FieldMatrix, cross_gram
 from .model import Architecture, FittedCovariance, count_parameters
-from .training import TrainConfig, fit, fit_config_with_seed
+from .training import TrainConfig, fit
 
 
 def cv_loss(model: FittedCovariance, f_va: FieldMatrix) -> float:
@@ -109,7 +109,7 @@ def cross_validate(
         train_rows = np.setdiff1d(all_rows, folds[fold])
         f_tr = FieldMatrix(f.grid, f.values[train_rows])
         f_va = FieldMatrix(f.grid, f.values[folds[fold]]).centered()
-        cell_cfg = fit_config_with_seed(cfg, _cell_seed(seed, cfg.seed, fold))
+        cell_cfg = replace(cfg, seed=_cell_seed(seed, cfg.seed, fold))
         try:
             model, _ = fit(f_tr, arch, cell_cfg)
         except TrainingDivergedError:

@@ -198,10 +198,13 @@ def read_fields(path) -> FieldMatrix:
     (n,) = struct.unpack("<Q", _read_exact(buf, offset, 8, "sample count"))
     offset += 8
     n_points = int(np.prod(sizes, dtype=np.int64))
-    payload = _read_exact(buf, offset, 8 * n * n_points, "field values")
-    if len(buf) != offset + 8 * n * n_points:
-        raise FieldFormatError("trailing bytes after field values", offset + 8 * n * n_points)
-    values = np.frombuffer(payload, dtype="<f8").reshape(n, n_points)
+    end = offset + 8 * n * n_points
+    if end > len(buf):
+        raise FieldFormatError("truncated file while reading field values", len(buf))
+    if len(buf) != end:
+        raise FieldFormatError("trailing bytes after field values", end)
+    # a read-only view of the file bytes; astype makes the one owned copy
+    values = np.frombuffer(buf, "<f8", n * n_points, offset).reshape(n, n_points)
     bad = ~np.isfinite(values)
     if bad.any():
         first = int(np.flatnonzero(bad.ravel())[0])

@@ -14,6 +14,11 @@ constituents g_r.  Three constituent families are supported:
 * deepshared  -- one shared multilayer trunk; constituents differ only in
                  their final scalar layer.
 
+All three share one engine on one flat parameter vector whose layout comes
+from the architecture alone (see `_layer_shapes`): shallow is deepshared with
+no hidden layers, and deep is deepshared with a per-constituent leading axis
+on every hidden layer.
+
 During fitting the kernel is represented through an N x R coefficient matrix
 Xi: the fitted fields are Xi Z^T with Z the constituents evaluated on the
 grid, and Lambda is recovered at freeze time as the (centered) second moment
@@ -71,6 +76,11 @@ class Architecture:
     def depth(self) -> int:
         return len(self.widths)
 
+    @property
+    def groups(self) -> int:
+        """Number of hidden-layer stacks: R independent nets for deep, else 1."""
+        return self.r if self.variant == DEEP else 1
+
     @staticmethod
     def shallow(r: int, d: int) -> "Architecture":
         return Architecture(SHALLOW, r, d)
@@ -85,48 +95,48 @@ class Architecture:
         return Architecture(DEEPSHARED, r, d, (width or r,) * depth)
 
 
-@dataclass
-class ShallowParams:
-    w: np.ndarray  # (R, d)
-    b: np.ndarray  # (R,)
+def _layer_shapes(arch: Architecture) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(W, b) shapes of every layer in vector order: hidden layers, then output.
+
+    Hidden layer l holds W (G, p_l, p_{l-1}) and b (G, p_l), with G = R
+    independent nets for deep and G = 1 shared trunk otherwise; the output
+    layer holds W (R, p_L) and b (R,).  Shallow has no hidden layers.
+    """
+    dims = [arch.d, *arch.widths]
+    g = arch.groups
+    hidden = [((g, dims[l + 1], dims[l]), (g, dims[l + 1])) for l in range(arch.depth)]
+    return hidden + [((arch.r, dims[-1]), (arch.r,))]
 
 
-@dataclass
-class DeepNet:
-    """One constituent's stack: hidden layers then a scalar output layer."""
+def _param_views(vec: np.ndarray, arch: Architecture) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views of every layer into the flat parameter vector, output last.
 
-    weights: list[np.ndarray]  # W_l of shape (p_l, p_{l-1}), p_0 = d
-    biases: list[np.ndarray]  # (p_l,)
-    w_out: np.ndarray  # (p_L,)
-    b_out: np.ndarray  # ()
-
-
-@dataclass
-class DeepParams:
-    nets: list[DeepNet]  # one per constituent
-
-
-@dataclass
-class DeepSharedParams:
-    weights: list[np.ndarray]  # shared trunk W_l
-    biases: list[np.ndarray]
-    w_out: np.ndarray  # (R, p_L)
-    b_out: np.ndarray  # (R,)
+    The views share memory with `vec`: writing to either changes both.
+    """
+    vec = np.asarray(vec, dtype=float)
+    shapes = [shape for layer in _layer_shapes(arch) for shape in layer]
+    sizes = [math.prod(shape) for shape in shapes]
+    if vec.ndim != 1 or vec.size != sum(sizes):
+        raise ValueError(
+            f"parameter vector of shape {vec.shape} does not match the "
+            f"architecture's {sum(sizes)} parameters"
+        )
+    arrays = []
+    offset = 0
+    for shape, size in zip(shapes, sizes):
+        arrays.append(vec[offset : offset + size].reshape(shape))
+        offset += size
+    return list(zip(arrays[0::2], arrays[1::2]))
 
 
-ModelParams = ShallowParams | DeepParams | DeepSharedParams
-
-
-def _layer_dims(arch: Architecture) -> list[int]:
-    return [arch.d, *arch.widths]
-
-
-def init_params(arch: Architecture, n: int, seed: int) -> tuple[ModelParams, np.ndarray]:
-    """Seeded initial parameters and coefficients.
+def init_params(arch: Architecture, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded initial parameter vector and coefficients.
 
     Weights are Glorot-uniform per layer, Uniform(-a, a) with
-    a = sqrt(6 / (fan_in + fan_out)); biases start at zero.  Coefficients
-    Xi are N(0, 1/R), so initial fitted fields have O(1) scale.
+    a = sqrt(6 / (fan_in + fan_out)); biases start at zero.  Each trunk is
+    drawn layer by layer followed by the output rows it feeds (one row per
+    deep net, all R rows for a shared trunk).  Coefficients Xi are N(0, 1/R),
+    so initial fitted fields have O(1) scale.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -136,30 +146,16 @@ def init_params(arch: Architecture, n: int, seed: int) -> tuple[ModelParams, np.
         a = np.sqrt(6.0 / (fan_in + fan_out))
         return a * (2.0 * uniform(rng, shape) - 1.0)
 
-    dims = _layer_dims(arch)
-    if arch.variant == SHALLOW:
-        params: ModelParams = ShallowParams(
-            w=glorot((arch.r, arch.d), arch.d, arch.r), b=np.zeros(arch.r)
+    params = np.zeros(count_parameters(arch, include_lambda=False))
+    *hidden, (w_out, _) = _param_views(params, arch)
+    rows = arch.r // arch.groups
+    for g in range(arch.groups):
+        for w, _ in hidden:
+            fan_out, fan_in = w.shape[1:]
+            w[g] = glorot(w.shape[1:], fan_in, fan_out)
+        w_out[g * rows : (g + 1) * rows] = glorot(
+            (rows, w_out.shape[1]), w_out.shape[1], rows
         )
-    elif arch.variant == DEEP:
-        nets = []
-        for _ in range(arch.r):
-            ws = [
-                glorot((dims[l + 1], dims[l]), dims[l], dims[l + 1])
-                for l in range(arch.depth)
-            ]
-            bs = [np.zeros(dims[l + 1]) for l in range(arch.depth)]
-            w_out = glorot((dims[-1],), dims[-1], 1)
-            nets.append(DeepNet(ws, bs, w_out, np.zeros(())))
-        params = DeepParams(nets)
-    else:
-        ws = [
-            glorot((dims[l + 1], dims[l]), dims[l], dims[l + 1])
-            for l in range(arch.depth)
-        ]
-        bs = [np.zeros(dims[l + 1]) for l in range(arch.depth)]
-        w_out = glorot((arch.r, dims[-1]), dims[-1], arch.r)
-        params = DeepSharedParams(ws, bs, w_out, np.zeros(arch.r))
     xi = gaussian(rng, (n, arch.r)) / np.sqrt(arch.r)
     return params, xi
 
@@ -184,91 +180,81 @@ def _layer(a: np.ndarray, w: np.ndarray, b) -> np.ndarray:
     return _sigmoid(h)
 
 
-def forward_constituents(params: ModelParams, arch: Architecture, points: np.ndarray):
+def forward_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray):
     """Constituent values Z (M x R) plus the activation cache for backprop."""
     u = np.atleast_2d(np.asarray(points, dtype=float))
     if u.shape[1] != arch.d:
         raise ValueError(f"points must be (M, {arch.d}), got {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("evaluation points must be finite")
-    if isinstance(params, ShallowParams):
-        z = _layer(u, params.w, params.b)
-        return z, (u, z)
-    if isinstance(params, DeepParams):
-        caches = []
-        cols = []
-        for net in params.nets:
-            acts = [u]
-            for w, b in zip(net.weights, net.biases):
-                acts.append(_layer(acts[-1], w, b))
-            zr = _layer(acts[-1], net.w_out, net.b_out)
-            caches.append((acts, zr))
-            cols.append(zr)
-        return np.stack(cols, axis=1), caches
-    acts = [u]
-    for w, b in zip(params.weights, params.biases):
-        acts.append(_layer(acts[-1], w, b))
-    z = _layer(acts[-1], params.w_out, params.b_out)
-    return z, (acts, z)
+    layers = _param_views(params, arch)
+    *hidden, (w_out, b_out) = layers
+    trunks = []
+    for g in range(arch.groups):
+        acts = [u]
+        for w, b in hidden:
+            acts.append(_layer(acts[-1], w[g], b[g]))
+        trunks.append(acts)
+    if arch.variant == DEEP:
+        # each independent net ends in its own scalar output unit
+        cols = [_layer(acts[-1], w_out[r], b_out[r]) for r, acts in enumerate(trunks)]
+        z = np.stack(cols, axis=1)
+    else:
+        z = _layer(trunks[0][-1], w_out, b_out)
+    return z, (layers, trunks, z)
 
 
-def _backward_trunk(weights, acts, da, ones):
-    """Gradients of the hidden layers given dloss/d(last hidden activation).
+def _backward_trunk(hidden, grads, g, acts, da, ones) -> None:
+    """Write the gradients of trunk g's hidden layers into their views.
 
-    The input layer's activation gradient is never needed, so the loop stops
-    one product short.  Bias gradients are column sums taken as ones @ dpre.
+    `da` is dloss/d(last hidden activation).  The input layer's activation
+    gradient is never needed, so the loop stops one product short.  Bias
+    gradients are column sums taken as ones @ dpre.
     """
-    dws: list[np.ndarray] = []
-    dbs: list[np.ndarray] = []
-    for l in range(len(weights) - 1, -1, -1):
+    for l in range(len(hidden) - 1, -1, -1):
         a = acts[l + 1]
         dpre = a * (1.0 - a)
         dpre *= da
-        dws.append(dpre.T @ acts[l])
-        dbs.append(ones @ dpre)
+        dw, db = grads[l]
+        np.matmul(dpre.T, acts[l], out=dw[g])
+        np.matmul(ones, dpre, out=db[g])
         if l:
-            da = dpre @ weights[l]
-    return dws[::-1], dbs[::-1]
+            da = dpre @ hidden[l][0][g]
 
 
 def backward_constituents(
-    params: ModelParams, arch: Architecture, cache, dz: np.ndarray
-) -> ModelParams:
-    """Pull a gradient dZ (M x R) back onto the network parameters."""
+    params: np.ndarray, arch: Architecture, cache, dz: np.ndarray
+) -> np.ndarray:
+    """Pull a gradient dZ (M x R) back onto the flat parameter vector."""
+    (*hidden, (w_out, _)), trunks, z = cache
+    grad = np.empty(np.size(params))
+    *grads, (dw_out, db_out) = _param_views(grad, arch)
     ones = np.ones(dz.shape[0])
-    if isinstance(params, ShallowParams):
-        u, z = cache
+    if arch.variant == DEEP:
+        for r, acts in enumerate(trunks):
+            dout = z[:, r] * (1.0 - z[:, r])
+            dout *= dz[:, r]
+            np.matmul(acts[-1].T, dout, out=dw_out[r])
+            db_out[r] = ones @ dout
+            _backward_trunk(hidden, grads, r, acts, dout[:, None] * w_out[r], ones)
+    else:
         dpre = z * (1.0 - z)
         dpre *= dz
-        return ShallowParams(w=dpre.T @ u, b=ones @ dpre)
-    if isinstance(params, DeepParams):
-        nets = []
-        for r, net in enumerate(params.nets):
-            acts, zr = cache[r]
-            dout = zr * (1.0 - zr)
-            dout *= dz[:, r]
-            dw_out = acts[-1].T @ dout
-            db_out = np.asarray(ones @ dout)
-            dws, dbs = _backward_trunk(
-                net.weights, acts, dout[:, None] * net.w_out, ones
-            )
-            nets.append(DeepNet(dws, dbs, dw_out, db_out))
-        return DeepParams(nets)
-    acts, z = cache
-    dpre_out = z * (1.0 - z)
-    dpre_out *= dz
-    dws, dbs = _backward_trunk(params.weights, acts, dpre_out @ params.w_out, ones)
-    return DeepSharedParams(dws, dbs, dpre_out.T @ acts[-1], ones @ dpre_out)
+        np.matmul(dpre.T, trunks[0][-1], out=dw_out)
+        np.matmul(ones, dpre, out=db_out)
+        if hidden:
+            _backward_trunk(hidden, grads, 0, trunks[0], dpre @ w_out, ones)
+    return grad
 
 
-def eval_constituents(params: ModelParams, arch: Architecture, points: np.ndarray) -> np.ndarray:
+def eval_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray) -> np.ndarray:
     """Constituent values g_r(point_i) as an (M, R) matrix."""
     z, _ = forward_constituents(params, arch, points)
     return z
 
 
 def fitted_fields(
-    params: ModelParams, arch: Architecture, xi: np.ndarray, grid: Grid
+    params: np.ndarray, arch: Architecture, xi: np.ndarray, grid: Grid
 ) -> FieldMatrix:
     """The N fitted fields Xi Z^T evaluated on the grid."""
     xi = np.asarray(xi, dtype=float)
@@ -292,87 +278,10 @@ def lambda_from_coefficients(xi: np.ndarray, center: bool = True) -> np.ndarray:
 
 def count_parameters(arch: Architecture, include_lambda: bool = True) -> int:
     """Free-parameter count of the architecture (optionally plus Lambda)."""
-    dims = _layer_dims(arch)
-    if arch.variant == SHALLOW:
-        n = arch.r * (arch.d + 1)
-    elif arch.variant == DEEP:
-        full = [*dims, 1]
-        n = arch.r * sum((full[l] + 1) * full[l + 1] for l in range(len(full) - 1))
-    else:
-        n = sum((dims[l] + 1) * dims[l + 1] for l in range(len(dims) - 1))
-        n += arch.r * (dims[-1] + 1)
+    n = sum(math.prod(w) + math.prod(b) for w, b in _layer_shapes(arch))
     if include_lambda:
         n += arch.r * (arch.r + 1) // 2
     return n
-
-
-def census(params: ModelParams) -> int:
-    """Number of scalar entries actually stored in a parameter set."""
-    return sum(int(a.size) for a in _param_arrays(params))
-
-
-def _param_arrays(params: ModelParams) -> list[np.ndarray]:
-    if isinstance(params, ShallowParams):
-        return [params.w, params.b]
-    if isinstance(params, DeepParams):
-        out = []
-        for net in params.nets:
-            for w, b in zip(net.weights, net.biases):
-                out += [w, b]
-            out += [net.w_out, net.b_out]
-        return out
-    out = []
-    for w, b in zip(params.weights, params.biases):
-        out += [w, b]
-    return out + [params.w_out, params.b_out]
-
-
-def _param_shapes(arch: Architecture) -> list[tuple[int, ...]]:
-    """Shapes of the parameter arrays in canonical (pack) order.
-
-    Shallow has the deepshared layout with no hidden layers.
-    """
-    dims = _layer_dims(arch)
-    trunk = []
-    for l in range(arch.depth):
-        trunk += [(dims[l + 1], dims[l]), (dims[l + 1],)]
-    if arch.variant == DEEP:
-        return (trunk + [(dims[-1],), ()]) * arch.r
-    return trunk + [(arch.r, dims[-1]), (arch.r,)]
-
-
-def pack_params(params: ModelParams) -> np.ndarray:
-    """Flatten all parameter arrays into one vector (canonical order)."""
-    arrays = _param_arrays(params)
-    return np.concatenate([a.ravel() for a in arrays]) if arrays else np.empty(0)
-
-
-def unpack_params(vec: np.ndarray, arch: Architecture) -> ModelParams:
-    """Inverse of pack_params for the given architecture.
-
-    The returned arrays are views into `vec` (no copy): writing to either
-    changes both.
-    """
-    vec = np.asarray(vec, dtype=float)
-    shapes = _param_shapes(arch)
-    sizes = [math.prod(shape) for shape in shapes]
-    if sum(sizes) != vec.size:
-        raise ValueError(f"vector length {vec.size} does not match architecture")
-    arrays = []
-    offset = 0
-    for shape, size in zip(shapes, sizes):
-        arrays.append(vec[offset : offset + size].reshape(shape))
-        offset += size
-    if arch.variant == SHALLOW:
-        return ShallowParams(*arrays)
-    k = 2 * arch.depth
-    if arch.variant == DEEP:
-        nets = []
-        for r in range(arch.r):
-            net = arrays[r * (k + 2) : (r + 1) * (k + 2)]
-            nets.append(DeepNet(net[0:k:2], net[1:k:2], net[k], net[k + 1]))
-        return DeepParams(nets)
-    return DeepSharedParams(arrays[0:k:2], arrays[1:k:2], arrays[k], arrays[k + 1])
 
 
 def _check_lambda(lam: np.ndarray, r: int) -> np.ndarray:
@@ -402,11 +311,14 @@ class FittedCovariance:
     """
 
     arch: Architecture
-    params: ModelParams = field(repr=False)
+    params: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
     mean_coeffs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        params = np.asarray(self.params, dtype=float)
+        _param_views(params, self.arch)  # rejects a vector of the wrong length
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "lam", _check_lambda(self.lam, self.arch.r))
         if self.mean_coeffs is not None:
             mc = np.asarray(self.mean_coeffs, dtype=float)
@@ -456,7 +368,7 @@ def save_model(path, model: FittedCovariance) -> None:
     lines = [MODEL_HEADER, f"arch {arch.variant}", f"R {arch.r}", f"d {arch.d}"]
     if arch.widths:
         lines.append("widths " + " ".join(str(p) for p in arch.widths))
-    for name, array in _named_arrays(model.params):
+    for name, array in _named_arrays(model.params, arch):
         shape = " ".join(str(s) for s in array.shape) or "scalar"
         lines.append(f"layer {name} {shape}")
         lines.append(_format_floats(array))
@@ -471,20 +383,20 @@ def save_model(path, model: FittedCovariance) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _named_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    if isinstance(params, ShallowParams):
-        return [("w", params.w), ("b", params.b)]
-    if isinstance(params, DeepParams):
-        out = []
-        for r, net in enumerate(params.nets):
-            for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-                out += [(f"net{r}.W{l + 1}", w), (f"net{r}.b{l + 1}", b)]
-            out += [(f"net{r}.wout", net.w_out), (f"net{r}.bout", net.b_out)]
-        return out
+def _named_arrays(params: np.ndarray, arch: Architecture) -> list[tuple[str, np.ndarray]]:
+    """Model-file blocks in file order: (name, view into the parameter vector)."""
+    *hidden, (w_out, b_out) = _param_views(params, arch)
+    if arch.variant == SHALLOW:
+        return [("w", w_out), ("b", b_out)]
+    deep = arch.variant == DEEP
     out = []
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        out += [(f"W{l + 1}", w), (f"b{l + 1}", b)]
-    return out + [("Wout", params.w_out), ("bout", params.b_out)]
+    for g in range(arch.groups):
+        prefix = f"net{g}." if deep else ""
+        for l, (w, b) in enumerate(hidden, start=1):
+            out += [(f"{prefix}W{l}", w[g]), (f"{prefix}b{l}", b[g])]
+        if deep:
+            out += [(f"{prefix}wout", w_out[g]), (f"{prefix}bout", b_out[g, ...])]
+    return out if deep else out + [("Wout", w_out), ("bout", b_out)]
 
 
 def load_model(path) -> FittedCovariance:
@@ -540,8 +452,8 @@ def load_model(path) -> FittedCovariance:
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
 
-    template = unpack_params(np.zeros(count_parameters(arch, include_lambda=False)), arch)
-    for name, array in _named_arrays(template):
+    params = np.zeros(count_parameters(arch, include_lambda=False))
+    for name, array in _named_arrays(params, arch):
         head = take(f"layer {name}").split()
         if len(head) < 2 or head[0] != "layer" or head[1] != name:
             raise ModelFormatError(f"expected 'layer {name} ...' block")
@@ -568,6 +480,6 @@ def load_model(path) -> FittedCovariance:
     if line != "end":
         raise ModelFormatError(f"expected 'end', got {line!r}")
     try:
-        return FittedCovariance(arch, template, lam, mean_coeffs)
+        return FittedCovariance(arch, params, lam, mean_coeffs)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc

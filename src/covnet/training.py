@@ -24,7 +24,7 @@ breakdown identity total = xx + gg - 2 xg is preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +33,11 @@ from .fields import FieldMatrix, cross_gram
 from .model import (
     Architecture,
     FittedCovariance,
-    ModelParams,
     backward_constituents,
     eval_constituents,
     forward_constituents,
     init_params,
     lambda_from_coefficients,
-    pack_params,
-    unpack_params,
 )
 from .rng import make_rng
 
@@ -104,7 +101,7 @@ def _gram_self_term(g: np.ndarray) -> float:
 def _core(
     x: np.ndarray,
     points: np.ndarray,
-    params: ModelParams,
+    params: np.ndarray,
     arch: Architecture,
     xi: np.ndarray,
     term_xx: float,
@@ -149,7 +146,7 @@ def _core(
 
 
 def loss(
-    f: FieldMatrix, params: ModelParams, arch: Architecture, xi: np.ndarray
+    f: FieldMatrix, params: np.ndarray, arch: Architecture, xi: np.ndarray
 ) -> LossBreakdown:
     """Three-term Gram loss; expects pre-centered fields in pre_center mode."""
     xi = np.asarray(xi, dtype=float)
@@ -161,7 +158,7 @@ def loss(
 
 
 def loss_with_mean(
-    f: FieldMatrix, params: ModelParams, arch: Architecture, xi: np.ndarray
+    f: FieldMatrix, params: np.ndarray, arch: Architecture, xi: np.ndarray
 ) -> LossBreakdown:
     """Uncentered three-term loss plus the mean-mismatch penalty.
 
@@ -179,11 +176,11 @@ def loss_with_mean(
 
 def gradients(
     f: FieldMatrix,
-    params: ModelParams,
+    params: np.ndarray,
     arch: Architecture,
     xi: np.ndarray,
     include_mean: bool = False,
-) -> tuple[ModelParams, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of the selected loss w.r.t. all parameters and Xi."""
     xi = np.asarray(xi, dtype=float)
     _, dparams, dxi = _core(
@@ -253,8 +250,8 @@ def fit(
     term_xx = _gram_self_term(gram)
 
     params, xi = init_params(arch, f.n, cfg.seed)
-    theta = np.concatenate([pack_params(params), xi.ravel()])
-    n_net = theta.size - xi.size
+    theta = np.concatenate([params, xi.ravel()])
+    n_net = params.size
     state = AdamState.zeros(theta.size)
     batch_rng = make_rng(cfg.seed, stream=1)
 
@@ -264,42 +261,33 @@ def fit(
     t = 0
 
     for epoch in range(cfg.epochs):
-        params = unpack_params(theta[:n_net], arch)
-        xi = theta[n_net:].reshape(f.n, arch.r)
         if cfg.batch is None or cfg.batch >= f.n:
-            breakdown, dparams, dxi = _core(
-                x, points, params, arch, xi, term_xx, include_mean, want_grads=True
-            )
-            totals = [breakdown.total]
-            rows = [breakdown]
-            t += 1
-            grad = np.concatenate([pack_params(dparams), dxi.ravel()])
-            theta = adam_step(theta, grad, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, t)
+            batches = [None]
         else:
             perm = batch_rng.permutation(f.n)
-            totals = []
-            rows = []
-            for start in range(0, f.n, cfg.batch):
-                idx = perm[start : start + cfg.batch]
-                if idx.size < 2:
-                    continue  # a 1-sample remainder has no covariance signal
-                params = unpack_params(theta[:n_net], arch)
-                xi = theta[n_net:].reshape(f.n, arch.r)
-                xb = x[idx]
+            batches = [perm[s : s + cfg.batch] for s in range(0, f.n, cfg.batch)]
+            # a 1-sample remainder has no covariance signal
+            batches = [idx for idx in batches if idx.size >= 2]
+        rows = []
+        for idx in batches:
+            params = theta[:n_net]
+            xi = theta[n_net:].reshape(f.n, arch.r)
+            if idx is None:
+                breakdown, dparams, dxi = _core(
+                    x, points, params, arch, xi, term_xx, include_mean, want_grads=True
+                )
+            else:
                 sub_xx = _gram_self_term(gram[np.ix_(idx, idx)])
                 breakdown, dparams, dxi_b = _core(
-                    xb, points, params, arch, xi[idx], sub_xx, include_mean, True
+                    x[idx], points, params, arch, xi[idx], sub_xx, include_mean, True
                 )
-                totals.append(breakdown.total)
-                rows.append(breakdown)
                 dxi = np.zeros_like(xi)
                 dxi[idx] = dxi_b
-                t += 1
-                grad = np.concatenate([pack_params(dparams), dxi.ravel()])
-                theta = adam_step(
-                    theta, grad, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, t
-                )
-        mean_total = float(np.mean(totals))
+            rows.append(breakdown)
+            t += 1
+            grad = np.concatenate([dparams, dxi.ravel()])
+            theta = adam_step(theta, grad, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, t)
+        mean_total = float(np.mean([b.total for b in rows]))
         trace_rows.append(
             (
                 mean_total,
@@ -323,7 +311,7 @@ def fit(
             if prev - running_min[-1] < cfg.rel_tol * max(prev, 1e-300):
                 break
 
-    params = unpack_params(theta[:n_net], arch)
+    params = theta[:n_net]
     xi = theta[n_net:].reshape(f.n, arch.r)
     breakdown, _, _ = _core(x, points, params, arch, xi, term_xx, include_mean, False)
     trace_rows.append(
@@ -342,7 +330,3 @@ def fit(
     model = FittedCovariance(arch, params, lam, mean_coeffs)
     return model, np.array(trace_rows)
 
-
-def fit_config_with_seed(cfg: TrainConfig, seed: int) -> TrainConfig:
-    """Copy of a config with the seed replaced (used for CV cell seeding)."""
-    return replace(cfg, seed=seed)

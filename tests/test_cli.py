@@ -190,12 +190,10 @@ def test_eval_dimension_mismatch(tmp_path):
 
 
 def test_eigen_constant_model(tmp_path):
-    from covnet.model import Architecture, FittedCovariance, ShallowParams, save_model
+    from covnet.model import Architecture, FittedCovariance, save_model
 
     arch = Architecture.shallow(1, 2)
-    model = FittedCovariance(
-        arch, ShallowParams(np.zeros((1, 2)), np.zeros(1)), np.array([[4.0]])
-    )
+    model = FittedCovariance(arch, np.zeros(3), np.array([[4.0]]))
     path = tmp_path / "const.cvn"
     save_model(path, model)
     code, out = run(tmp_path, "eigen", f"model = {path}\nM = 100\nseed = 1\n")

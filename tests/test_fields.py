@@ -143,6 +143,7 @@ def test_roundtrip_bit_identical(tmp_path):
     back = read_fields(path)
     assert back.grid == grid
     assert np.array_equal(back.values, f.values)
+    assert back.values.flags.writeable
 
 
 def test_read_rejects_bad_magic(tmp_path):

@@ -7,22 +7,17 @@ import pytest
 from covnet.errors import ModelFormatError
 from covnet.fields import make_grid
 from covnet.model import (
-    _param_arrays,
+    _param_views,
     _sigmoid,
     Architecture,
-    DeepSharedParams,
     FittedCovariance,
-    ShallowParams,
-    census,
     count_parameters,
     eval_constituents,
     fitted_fields,
     init_params,
     lambda_from_coefficients,
     load_model,
-    pack_params,
     save_model,
-    unpack_params,
 )
 from covnet.rng import gaussian, make_rng
 
@@ -55,15 +50,17 @@ def test_init_deterministic():
     arch = Architecture.deepshared(3, 2, 2)
     p1, xi1 = init_params(arch, 5, seed=9)
     p2, xi2 = init_params(arch, 5, seed=9)
-    assert np.array_equal(pack_params(p1), pack_params(p2))
+    assert np.array_equal(p1, p2)
     assert np.array_equal(xi1, xi2)
 
 
 def test_init_shallow_shapes():
-    params, xi = init_params(Architecture.shallow(3, 2), 4, seed=0)
-    assert params.w.shape == (3, 2)
-    assert params.b.shape == (3,)
-    assert np.all(params.b == 0)
+    arch = Architecture.shallow(3, 2)
+    params, xi = init_params(arch, 4, seed=0)
+    [(w, b)] = _param_views(params, arch)
+    assert w.shape == (3, 2)
+    assert b.shape == (3,)
+    assert np.all(b == 0)
     assert xi.shape == (4, 3)
 
 
@@ -76,7 +73,7 @@ def test_init_xi_variance():
 
 def test_shallow_zero_params_give_half():
     arch = Architecture.shallow(3, 2)
-    params = ShallowParams(np.zeros((3, 2)), np.zeros(3))
+    params = np.zeros(9)
     z = eval_constituents(params, arch, np.array([[0.2, 0.9], [0.5, 0.5]]))
     np.testing.assert_array_equal(z, 0.5)
 
@@ -121,12 +118,7 @@ def test_forward_leaves_points_unmodified(variant):
 
 def test_deepshared_zero_params_match_scalar_recursion():
     arch = Architecture.deepshared(2, 2, 3, width=4)
-    params = DeepSharedParams(
-        [np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((4, 4))],
-        [np.zeros(4), np.zeros(4), np.zeros(4)],
-        np.zeros((2, 4)),
-        np.zeros(2),
-    )
+    params = np.zeros(count_parameters(arch, include_lambda=False))
     z = eval_constituents(params, arch, np.array([[0.3, 0.8]]))
     # zero weights erase each previous layer, so every layer emits sigma(0)
     np.testing.assert_array_equal(z, sigmoid(0.0))
@@ -136,12 +128,7 @@ def test_deepshared_nonzero_matches_scalar_recursion():
     # width-1 trunk wired with scalar weights reproduces a scalar recursion
     arch = Architecture.deepshared(1, 1, 2, width=1)
     w1, b1, w2, b2, wo, bo = 0.7, -0.2, 1.3, 0.4, -0.9, 0.1
-    params = DeepSharedParams(
-        [np.array([[w1]]), np.array([[w2]])],
-        [np.array([b1]), np.array([b2])],
-        np.array([[wo]]),
-        np.array([bo]),
-    )
+    params = np.array([w1, b1, w2, b2, wo, bo])  # layer by layer, W before b
     u = 0.6
     expected = sigmoid(wo * sigmoid(w2 * sigmoid(w1 * u + b1) + b2) + bo)
     z = eval_constituents(params, arch, np.array([[u]]))
@@ -154,11 +141,12 @@ def test_deep_matches_composed_shallow_structure():
     params, _ = init_params(arch, 3, seed=5)
     pts = gaussian(make_rng(6), (4, 2))
     z = eval_constituents(params, arch, pts)
-    for r, net in enumerate(params.nets):
+    *hidden, (w_out, b_out) = _param_views(params, arch)
+    for r in range(arch.r):
         a = pts
-        for w, b in zip(net.weights, net.biases):
-            a = 1 / (1 + np.exp(-(a @ w.T + b)))
-        zr = 1 / (1 + np.exp(-(a @ net.w_out + net.b_out)))
+        for w, b in hidden:
+            a = 1 / (1 + np.exp(-(a @ w[r].T + b[r])))
+        zr = 1 / (1 + np.exp(-(a @ w_out[r] + b_out[r])))
         np.testing.assert_allclose(z[:, r], zr, rtol=1e-15)
 
 
@@ -229,9 +217,7 @@ def test_lambda_is_psd():
 
 def test_kernel_constant_model():
     arch = Architecture.shallow(1, 2)
-    model = FittedCovariance(
-        arch, ShallowParams(np.zeros((1, 2)), np.zeros(1)), np.array([[4.0]])
-    )
+    model = FittedCovariance(arch, np.zeros(3), np.array([[4.0]]))
     assert model.kernel_at([0.1, 0.2], [0.9, 0.3]) == 1.0
 
 
@@ -276,6 +262,18 @@ def test_kernel_nonnegative_definite_on_samples():
             assert quad >= -1e-10 * (alpha @ alpha)
 
 
+def closed_form_count(arch):
+    """Network parameter count from the per-variant formulas."""
+    dims = [arch.d, *arch.widths]
+    if arch.variant == "shallow":
+        return arch.r * (arch.d + 1)
+    if arch.variant == "deep":
+        full = [*dims, 1]
+        return arch.r * sum((full[l] + 1) * full[l + 1] for l in range(len(full) - 1))
+    trunk = sum((dims[l] + 1) * dims[l + 1] for l in range(len(dims) - 1))
+    return trunk + arch.r * (dims[-1] + 1)
+
+
 def test_parameter_census_matches_formulas():
     cases = [
         Architecture.shallow(4, 3),
@@ -287,36 +285,53 @@ def test_parameter_census_matches_formulas():
     for arch in cases:
         params, _ = init_params(arch, 3, seed=0)
         lam_terms = arch.r * (arch.r + 1) // 2
-        assert census(params) + lam_terms == count_parameters(arch)
-        assert census(params) == count_parameters(arch, include_lambda=False)
+        assert params.size + lam_terms == count_parameters(arch)
+        assert params.size == count_parameters(arch, include_lambda=False)
+        assert params.size == closed_form_count(arch)
 
 
-def test_pack_unpack_roundtrip():
-    for arch in (
-        Architecture.shallow(3, 2),
-        Architecture.deep(2, 2, 2),
-        Architecture.deepshared(4, 3, 2),
-    ):
-        params, _ = init_params(arch, 2, seed=13)
-        vec = pack_params(params)
-        back = pack_params(unpack_params(vec, arch))
+ARCH_CASES = (
+    Architecture.shallow(3, 2),
+    Architecture.deep(2, 2, 2),
+    Architecture.deepshared(4, 3, 2),
+)
+
+
+def test_param_views_tile_the_vector():
+    for arch in ARCH_CASES:
+        vec, _ = init_params(arch, 2, seed=13)
+        back = np.concatenate(
+            [a.ravel() for layer in _param_views(vec, arch) for a in layer]
+        )
         assert np.array_equal(vec, back)
 
 
-def test_unpack_returns_views_into_vector():
-    for arch in (
-        Architecture.shallow(3, 2),
-        Architecture.deep(2, 2, 2),
-        Architecture.deepshared(4, 3, 2),
-    ):
-        params, _ = init_params(arch, 2, seed=13)
-        vec = pack_params(params)
-        unpacked = unpack_params(vec, arch)
-        for array in _param_arrays(unpacked):
+def test_param_views_share_memory_and_check_length():
+    for arch in ARCH_CASES:
+        vec, _ = init_params(arch, 2, seed=13)
+        views = [a for layer in _param_views(vec, arch) for a in layer]
+        for array in views:
             assert np.shares_memory(array, vec)
-        assert np.array_equal(pack_params(unpacked), vec)
+        views[-1][...] = 7.0  # output biases are the last R entries
+        assert np.array_equal(vec[-arch.r :], np.full(arch.r, 7.0))
+        for bad in (vec[:-1], np.append(vec, 0.0)):
+            with pytest.raises(ValueError):
+                _param_views(bad, arch)
+
+
+@pytest.mark.parametrize("variant", ["shallow", "deep", "deepshared"])
+def test_fitted_covariance_rejects_wrong_vector_length(variant):
+    arch = {
+        "shallow": Architecture.shallow(3, 2),
+        "deep": Architecture.deep(2, 2, 2),
+        "deepshared": Architecture.deepshared(3, 2, 2),
+    }[variant]
+    params, xi = init_params(arch, 4, seed=3)
+    lam = lambda_from_coefficients(xi)
+    FittedCovariance(arch, params, lam)
+    for bad in (params[:-1], np.append(params, 0.0)):
         with pytest.raises(ValueError):
-            unpack_params(vec[:-1], arch)
+            FittedCovariance(arch, bad, lam)
 
 
 def test_fitted_covariance_rejects_non_psd():
@@ -344,7 +359,7 @@ def test_save_load_roundtrip_bit_exact(variant, tmp_path):
     save_model(path, model)
     back = load_model(path)
     assert back.arch == arch
-    assert np.array_equal(pack_params(back.params), pack_params(model.params))
+    assert np.array_equal(back.params, model.params)
     assert np.array_equal(back.lam, model.lam)
     if model.mean_coeffs is not None:
         assert np.array_equal(back.mean_coeffs, model.mean_coeffs)

@@ -3,7 +3,7 @@ import pytest
 
 from covnet.errors import DegenerateModelError
 from covnet.fields import make_grid
-from covnet.model import Architecture, FittedCovariance, ShallowParams, init_params
+from covnet.model import Architecture, FittedCovariance, init_params
 from covnet.rng import gaussian, make_rng, uniform
 from covnet.spectral import (
     ConstituentGram,
@@ -16,7 +16,7 @@ from covnet.spectral import (
 
 def constant_model(lam_value=4.0):
     arch = Architecture.shallow(1, 2)
-    params = ShallowParams(np.zeros((1, 2)), np.zeros(1))
+    params = np.zeros(3)  # w (1, 2) then b (1,)
     return FittedCovariance(arch, params, np.array([[lam_value]]))
 
 
@@ -41,9 +41,8 @@ def test_gram_constant_constituent_exact():
 
 def test_gram_duplicated_constituents_rank_one():
     arch = Architecture.shallow(2, 1)
-    w = np.array([[0.7], [0.7]])
-    b = np.array([-0.3, -0.3])
-    model = FittedCovariance(arch, ShallowParams(w, b), np.eye(2))
+    params = np.array([0.7, 0.7, -0.3, -0.3])  # w (2, 1) then b (2,)
+    model = FittedCovariance(arch, params, np.eye(2))
     gram = constituent_gram(model, 2000, seed=2)
     assert gram.values[0, 0] == pytest.approx(gram.values[0, 1], rel=1e-15)
     assert gram.values[0, 0] == pytest.approx(gram.values[1, 1], rel=1e-15)
@@ -184,7 +183,7 @@ def test_eval_eigenfunction_index_range():
 
 def test_degenerate_model_rejected():
     arch = Architecture.shallow(2, 1)
-    params = ShallowParams(np.zeros((2, 1)), np.full(2, -1e6))  # g == 0 exactly
+    params = np.array([0.0, 0.0, -1e6, -1e6])  # w == 0, b == -1e6: g == 0 exactly
     model = FittedCovariance(arch, params, np.eye(2))
     gram = constituent_gram(model, 100, seed=1)
     with pytest.raises(DegenerateModelError):

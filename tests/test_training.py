@@ -8,8 +8,6 @@ from covnet.model import (
     eval_constituents,
     fitted_fields,
     init_params,
-    pack_params,
-    unpack_params,
 )
 from covnet.rng import gaussian, make_rng
 from covnet.simulate import BrownianSheet, sample_gaussian_fields
@@ -112,7 +110,7 @@ def test_loss_with_mean_constant_fields():
     mu = 0.7
     f = FieldMatrix(grid, np.full((3, 8), mu))
     arch = Architecture.shallow(1, 1)
-    params = unpack_params(np.zeros(2), arch)  # g == 0.5 everywhere
+    params = np.zeros(2)  # g == 0.5 everywhere
     xi = np.full((3, 1), 2 * mu)  # xi * 0.5 == mu
     b = loss_with_mean(f, params, arch, xi)
     assert abs(b.total) <= 1e-12 * max(b.term_xx, 1.0)
@@ -151,15 +149,14 @@ def test_gradients_match_central_differences(variant, include_mean):
     f = FieldMatrix(grid, x)
     params, xi = init_params(arch, n, seed=8)
     dparams, dxi = gradients(f, params, arch, xi, include_mean=include_mean)
-    analytic = np.concatenate([pack_params(dparams), dxi.ravel()])
-    theta = np.concatenate([pack_params(params), xi.ravel()])
-    n_net = theta.size - xi.size
+    analytic = np.concatenate([dparams, dxi.ravel()])
+    theta = np.concatenate([params, xi.ravel()])
+    n_net = params.size
     lfun = loss_with_mean if include_mean else loss
 
     def total_at(vec):
-        p = unpack_params(vec[:n_net], arch)
         q = vec[n_net:].reshape(n, arch.r)
-        return lfun(f, p, arch, q).total
+        return lfun(f, vec[:n_net], arch, q).total
 
     fd = np.empty_like(theta)
     for i in range(theta.size):
@@ -254,7 +251,7 @@ def test_fit_deterministic():
     m2, t2 = fit(f, arch, cfg)
     assert np.array_equal(t1, t2)
     assert np.array_equal(m1.lam, m2.lam)
-    assert np.array_equal(pack_params(m1.params), pack_params(m2.params))
+    assert np.array_equal(m1.params, m2.params)
 
 
 def test_fit_rank_one_data_sanity():
