@@ -31,7 +31,6 @@ from .errors import (
 )
 from .fields import (
     FieldMatrix,
-    GramMatrix,
     Grid,
     cross_gram,
     inner_product,
@@ -80,7 +79,6 @@ from .training import (
     fit,
     gradients,
     loss,
-    loss_with_mean,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +98,6 @@ __all__ = [
     "FieldFormatError",
     "FieldMatrix",
     "FittedCovariance",
-    "GramMatrix",
     "Grid",
     "IntegratedBrownianSheet",
     "LossBreakdown",
@@ -138,7 +135,6 @@ __all__ = [
     "lambda_from_coefficients",
     "load_model",
     "loss",
-    "loss_with_mean",
     "make_grid",
     "read_fields",
     "relative_error_mc",

@@ -70,9 +70,6 @@ class SeparableCovariance:
         j2 = np.clip((v[:, 1] * k2).astype(np.int64), 0, k2 - 1)
         return self.a[i1, j1] * self.b[i2, j2]
 
-    def dense(self) -> DenseCovariance:
-        return DenseCovariance(self.grid, np.kron(self.a, self.b))
-
 
 @dataclass(frozen=True)
 class ZeroCovariance:

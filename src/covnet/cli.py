@@ -1,9 +1,10 @@
 """Config-driven command line: simulate, fit, eval, eigen, cv, export.
 
-Every subcommand reads a `key = value` text config (flags override), writes
-its artifacts plus a resolved-config copy into the output directory, and is
-byte-reproducible for a fixed config and seed.  Exit codes: 0 success,
-2 config error, 3 I/O or file-format error, 4 numeric failure.
+Every subcommand reads a `key = value` text config (flags override), checks
+all of it before it writes anything, then writes its artifacts plus a
+resolved-config copy into the output directory, byte-reproducibly for a fixed
+config and seed.  Exit codes: 0 success, 2 config error, 3 I/O or file-format
+error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -102,50 +103,39 @@ class Config:
             self.used[key] = str(default)
         return default
 
-    def str_(self, key, default=None, required=False, choices=None):
+    def _parse(self, key, parse, what, default, required):
         val = self._get(key, default, required)
+        if val is None:
+            return None
+        try:
+            return parse(val)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} must be {what}, got {val!r}") from None
+
+    def str_(self, key, default=None, required=False, choices=None):
+        val = self._parse(key, str, "a string", default, required)
         if val is not None and choices and val not in choices:
             raise ConfigError(f"{key} must be one of {choices}, got {val!r}")
         return val
 
     def int_(self, key, default=None, required=False, minimum=None):
-        val = self._get(key, default, required)
-        if val is None:
-            return None
-        try:
-            out = int(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be an integer, got {val!r}") from None
-        if minimum is not None and out < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}, got {out}")
-        return out
+        val = self._parse(key, int, "an integer", default, required)
+        if val is not None and minimum is not None and val < minimum:
+            raise ConfigError(f"{key} must be >= {minimum}, got {val}")
+        return val
 
     def float_(self, key, default=None, required=False):
-        val = self._get(key, default, required)
-        if val is None:
-            return None
-        try:
-            return float(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be a number, got {val!r}") from None
+        return self._parse(key, float, "a number", default, required)
 
-    def csv_ints(self, key, default=None, required=False):
-        val = self._get(key, default, required)
-        if val is None:
-            return None
-        try:
-            return [int(p) for p in str(val).split(",") if p.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"{key} must be comma-separated integers") from None
-
-    def csv_floats(self, key, default=None, required=False):
-        val = self._get(key, default, required)
-        if val is None:
-            return None
-        try:
-            return [float(p) for p in str(val).split(",") if p.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"{key} must be comma-separated numbers") from None
+    def list_(self, key, item=str, default=None, required=False):
+        """Comma-separated values of type `item`; blank entries are skipped."""
+        return self._parse(
+            key,
+            lambda val: [item(p.strip()) for p in val.split(",") if p.strip()],
+            f"a comma-separated list of {item.__name__}",
+            default,
+            required,
+        )
 
 
 def _merge_config(args) -> dict[str, str]:
@@ -166,53 +156,66 @@ def _merge_config(args) -> dict[str, str]:
     return raw
 
 
-def _write_resolved(cfg: Config, out_dir: str, command: str) -> None:
-    path = os.path.join(out_dir, f"resolved_{command}.cfg")
-    lines = [f"{k} = {v}" for k, v in sorted(cfg.used.items())]
+def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_resolved(cfg: Config, out_dir: str, command: str) -> None:
+    lines = [f"{k} = {v}" for k, v in sorted(cfg.used.items())]
+    _write_lines(os.path.join(out_dir, f"resolved_{command}.cfg"), lines)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    _write_lines(path, [",".join(row) for row in [header, *rows]])
+
+
+def _write_point_csv(path: str, pts: np.ndarray, vals: np.ndarray) -> None:
+    """One `flat_index,u1..ud,value` row per grid point."""
+    _write_csv(
+        path,
+        ["flat_index", *(f"u{k + 1}" for k in range(pts.shape[1])), "value"],
+        [[str(j), *map(_fmt, p), _fmt(v)] for j, (p, v) in enumerate(zip(pts, vals))],
+    )
 
 
 def _grid_from(cfg: Config, default_d: int | None = None):
     d = cfg.int_("d", default=default_d, required=default_d is None, minimum=1)
-    sizes = cfg.csv_ints("sizes")
+    sizes = cfg.list_("sizes", item=int)
     if sizes is None:
-        k = cfg.int_("K", required=True, minimum=1)
-        sizes = [k] * d
+        sizes = [cfg.int_("K", required=True, minimum=1)] * d
     if len(sizes) != d or any(s < 1 for s in sizes):
         raise ConfigError(f"sizes must list {d} positive integers")
     return make_grid(d, sizes)
 
 
+def _model_grid(cfg: Config, model):
+    """The configured grid, which must have the model's dimension."""
+    grid = _grid_from(cfg, default_d=model.arch.d)
+    if grid.d != model.arch.d:
+        raise ConfigError(
+            f"grid dimension {grid.d} does not match model dimension {model.arch.d}"
+        )
+    return grid
+
+
 def _kernel_from(cfg: Config, d: int):
     name = cfg.str_("kernel", required=True, choices=KERNEL_NAMES)
-    if name in ("rotated_brownian", "rotated_integrated_brownian"):
-        if d == 2:
-            rot = rotation_2d_45()
-        elif d == 3:
-            rot = rotation_3d_composed()
-        else:
-            raise ConfigError(f"rotated kernels are defined for d in (2, 3), got {d}")
-        return (
-            RotatedBrownianSheet(rot)
-            if name == "rotated_brownian"
-            else RotatedIntegratedBrownianSheet(rot)
-        )
     if name == "brownian":
         return BrownianSheet(d)
     if name == "integrated_brownian":
         return IntegratedBrownianSheet(d)
-    nu = cfg.float_("nu", required=True)
-    if nu is None or nu <= 0:
-        raise ConfigError("matern needs nu > 0")
-    return Matern(nu, d)
+    if name == "matern":
+        nu = cfg.float_("nu", required=True)
+        if nu <= 0:
+            raise ConfigError("matern needs nu > 0")
+        return Matern(nu, d)
+    if d not in (2, 3):
+        raise ConfigError(f"rotated kernels are defined for d in (2, 3), got {d}")
+    rot = rotation_2d_45() if d == 2 else rotation_3d_composed()
+    if name == "rotated_brownian":
+        return RotatedBrownianSheet(rot)
+    return RotatedIntegratedBrownianSheet(rot)
 
 
 def run_simulate(raw: dict[str, str], out_dir: str) -> None:
@@ -227,7 +230,7 @@ def run_simulate(raw: dict[str, str], out_dir: str) -> None:
     seed = cfg.int_("seed", default=0)
     sigma = cfg.float_("sigma", default=0.0)
     noise = None
-    if sigma and sigma > 0:
+    if sigma > 0:
         noise = NoiseSpec(sigma, cfg.int_("noise_seed", default=seed + 1))
     name = cfg.str_("name", default="fields")
     fields_ = sample_gaussian_fields(spec, grid, n, seed, noise)
@@ -243,20 +246,22 @@ def run_simulate(raw: dict[str, str], out_dir: str) -> None:
     ]
     if "nu" in cfg.used:
         meta.insert(1, f"nu = {cfg.used['nu']}")
-    with open(os.path.join(out_dir, f"{name}.meta.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(meta) + "\n")
+    _write_lines(os.path.join(out_dir, f"{name}.meta.txt"), meta)
     _write_resolved(cfg, out_dir, "simulate")
     print(f"wrote {path} (N={n}, D={grid.n_points})")
 
 
+ARCH_VARIANTS = ("shallow", "deep", "deepshared")
+
+
 def _arch_from(cfg: Config, d: int) -> Architecture:
-    variant = cfg.str_("arch", required=True, choices=("shallow", "deep", "deepshared"))
+    variant = cfg.str_("arch", required=True, choices=ARCH_VARIANTS)
     r = cfg.int_("R", required=True, minimum=1)
-    if variant == "shallow":
-        return Architecture.shallow(r, d)
-    depth = cfg.int_("L", minimum=1)
-    if depth is None:
-        raise ConfigError(f"arch={variant} requires L")
+    depth = 0
+    if variant != "shallow":
+        depth = cfg.int_("L", minimum=1)
+        if depth is None:
+            raise ConfigError(f"arch={variant} requires L")
     return Architecture(variant, r, d, (r,) * depth)
 
 
@@ -284,22 +289,17 @@ def run_fit(raw: dict[str, str], out_dir: str) -> None:
         },
         "fit",
     )
-    fields_path = cfg.str_("fields", required=True)
-    f = read_fields(fields_path)
+    f = read_fields(cfg.str_("fields", required=True))
     arch = _arch_from(cfg, f.grid.d)
     train_cfg = _train_config(cfg)
     name = cfg.str_("name", default="model")
     model, trace = fit(f, arch, train_cfg)
     model_path = os.path.join(out_dir, f"{name}.cvn")
     save_model(model_path, model)
-    rows = [
-        [str(e), _fmt(t[0]), _fmt(t[1]), _fmt(t[2]), _fmt(t[3])]
-        for e, t in enumerate(trace)
-    ]
     _write_csv(
         os.path.join(out_dir, f"{name}_trace.csv"),
         ["epoch", "total", "term_xx", "term_gg", "term_xg"],
-        rows,
+        [[str(e), *map(_fmt, t)] for e, t in enumerate(trace)],
     )
     _write_resolved(cfg, out_dir, "fit")
     print(
@@ -319,33 +319,38 @@ def run_eval(raw: dict[str, str], out_dir: str) -> None:
     m = cfg.int_("M", default=100_000, minimum=1)
     seed = cfg.int_("seed", default=0)
     name = cfg.str_("name", default="errors")
-    estimators = [
-        e.strip() for e in cfg.str_("estimator", required=True).split(",") if e.strip()
-    ]
-    rows = []
-    for est_name in estimators:
+    # every estimator is built, in list order, before any error is computed;
+    # the empirical covariance is built once and the separable one reuses it
+    estimators = []
+    emp = None
+    for est_name in cfg.list_("estimator", required=True):
         if est_name == "zero":
-            est, label = ZeroCovariance(), "zero"
+            estimators.append(("zero", ZeroCovariance()))
         elif est_name == "covnet":
             model = load_model(cfg.str_("model", required=True))
             if model.arch.d != d:
                 raise ConfigError(
                     f"model dimension {model.arch.d} does not match truth dimension {d}"
                 )
-            est, label = model, "covnet"
+            estimators.append(("covnet", model))
         elif est_name in ("empirical", "separable"):
-            f = read_fields(cfg.str_("fields", required=True))
-            if f.grid.d != d:
-                raise ConfigError(
-                    f"field dimension {f.grid.d} does not match truth dimension {d}"
-                )
-            emp = empirical_covariance(f.centered())
+            if emp is None:
+                f = read_fields(cfg.str_("fields", required=True))
+                if f.grid.d != d:
+                    raise ConfigError(
+                        f"field dimension {f.grid.d} does not match truth dimension {d}"
+                    )
+                emp = empirical_covariance(f.centered())
             if est_name == "empirical":
-                est, label = emp, "empirical"
+                estimators.append(("empirical", emp))
             else:
-                est, label = best_separable_2d(emp), "separable (nearest Kronecker product)"
+                estimators.append(
+                    ("separable (nearest Kronecker product)", best_separable_2d(emp))
+                )
         else:
             raise ConfigError(f"unknown estimator {est_name!r}")
+    rows = []
+    for label, est in estimators:
         err = relative_error_mc(est, truth, d, m, seed)
         rows.append([label, _fmt(err), str(m), str(seed)])
         print(f"{label}: relative error {_fmt(err)}")
@@ -365,33 +370,26 @@ def run_eigen(raw: dict[str, str], out_dir: str) -> None:
     m = cfg.int_("M", default=100_000, minimum=1)
     seed = cfg.int_("seed", default=0)
     name = cfg.str_("name", default="eigen")
-    gram = constituent_gram(model, m, seed)
-    system = eigendecompose(model, gram)
+    grid = None
+    if "K" in cfg.raw or "sizes" in cfg.raw:
+        grid = _model_grid(cfg, model)
+    system = eigendecompose(model, constituent_gram(model, m, seed))
+    n_funcs = 0
+    if grid is not None:
+        # resolved after the eigensolve: its default is the rank found there
+        n_funcs = cfg.int_("n_funcs", default=system.rank, minimum=1)
+        pts = grid.coordinates()
     _write_csv(
         os.path.join(out_dir, f"{name}_values.csv"),
         ["index", "eigenvalue"],
         [[str(i), _fmt(v)] for i, v in enumerate(system.values)],
     )
-    if "K" in cfg.raw or "sizes" in cfg.raw:
-        grid = _grid_from(cfg, default_d=model.arch.d)
-        if grid.d != model.arch.d:
-            raise ConfigError(
-                f"grid dimension {grid.d} does not match model dimension {model.arch.d}"
-            )
-        n_funcs = cfg.int_("n_funcs", default=system.rank, minimum=1)
-        pts = grid.coordinates()
-        coord_names = [f"u{k + 1}" for k in range(grid.d)]
-        for i in range(min(n_funcs, system.rank)):
-            vals = eval_eigenfunction(model, system, i, pts)
-            rows = [
-                [str(j)] + [_fmt(c) for c in pts[j]] + [_fmt(vals[j])]
-                for j in range(grid.n_points)
-            ]
-            _write_csv(
-                os.path.join(out_dir, f"{name}_fn{i}.csv"),
-                ["flat_index", *coord_names, "value"],
-                rows,
-            )
+    for i in range(min(n_funcs, system.rank)):
+        _write_point_csv(
+            os.path.join(out_dir, f"{name}_fn{i}.csv"),
+            pts,
+            eval_eigenfunction(model, system, i, pts),
+        )
     _write_resolved(cfg, out_dir, "eigen")
     print(f"rank {system.rank}, leading eigenvalue {_fmt(system.values[0])}")
 
@@ -414,64 +412,45 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
     v = cfg.int_("V", default=5, minimum=2)
     seed = cfg.int_("seed", default=0)
     name = cfg.str_("name", default="cv")
-    archs = [
-        a.strip()
-        for a in cfg.str_("archs", default="shallow,deep,deepshared").split(",")
-        if a.strip()
-    ]
-    r_list = cfg.csv_ints("R_list")
-    l_list = cfg.csv_ints("L_list") or DEFAULT_DEPTHS
+    archs = cfg.list_("archs", default=",".join(ARCH_VARIANTS))
+    r_list = cfg.list_("R_list", item=int)
+    l_list = cfg.list_("L_list", item=int) or DEFAULT_DEPTHS
     base = _train_config(cfg)
     candidates = []
     for variant in archs:
-        if variant == "shallow":
-            for r in r_list or DEFAULT_SHALLOW_R:
-                candidates.append((Architecture.shallow(r, f.grid.d), base))
-        elif variant in ("deep", "deepshared"):
-            for depth in l_list:
-                for r in r_list or DEFAULT_DEEP_R:
-                    candidates.append(
-                        (Architecture(variant, r, f.grid.d, (r,) * depth), base)
-                    )
-        else:
+        if variant not in ARCH_VARIANTS:
             raise ConfigError(f"unknown architecture {variant!r} in archs")
+        shallow = variant == "shallow"
+        for depth in [0] if shallow else l_list:
+            for r in r_list or (DEFAULT_SHALLOW_R if shallow else DEFAULT_DEEP_R):
+                candidates.append((Architecture(variant, r, f.grid.d, (r,) * depth), base))
     workers = int(os.environ.get("COVNET_THREADS", "1"))
     report = cross_validate(f, candidates, v, seed, workers=max(1, workers))
-    rows = []
-    for cell in report.cells:
-        arch = report.candidates[cell.candidate][0]
-        rows.append(
-            [
-                str(cell.candidate),
-                arch.variant,
-                str(arch.r),
-                str(arch.depth),
-                str(cell.fold),
-                "failed" if cell.failed else _fmt(cell.loss),
-            ]
-        )
+
+    def columns(ci: int) -> list[str]:
+        arch = report.candidates[ci][0]
+        return [str(ci), arch.variant, str(arch.r), str(arch.depth)]
+
+    header = ["candidate", "arch", "R", "L"]
     _write_csv(
         os.path.join(out_dir, f"{name}_report.csv"),
-        ["candidate", "arch", "R", "L", "fold", "loss"],
-        rows,
+        [*header, "fold", "loss"],
+        [
+            [*columns(c.candidate), str(c.fold), "failed" if c.failed else _fmt(c.loss)]
+            for c in report.cells
+        ],
     )
-    summary = []
-    for ci, (arch, _) in enumerate(report.candidates):
-        mean = report.mean_losses[ci]
-        summary.append(
+    _write_csv(
+        os.path.join(out_dir, f"{name}_summary.csv"),
+        [*header, "mean_loss", "selected"],
+        [
             [
-                str(ci),
-                arch.variant,
-                str(arch.r),
-                str(arch.depth),
+                *columns(ci),
                 "failed" if mean == float("inf") else _fmt(mean),
                 "1" if ci == report.selected else "0",
             ]
-        )
-    _write_csv(
-        os.path.join(out_dir, f"{name}_summary.csv"),
-        ["candidate", "arch", "R", "L", "mean_loss", "selected"],
-        summary,
+            for ci, mean in enumerate(report.mean_losses)
+        ],
     )
     _write_resolved(cfg, out_dir, "cv")
     print(f"selected candidate {report.selected}: {report.candidate_label(report.selected)}")
@@ -480,24 +459,14 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
 def run_export(raw: dict[str, str], out_dir: str) -> None:
     cfg = Config(raw, {"model", "d", "K", "sizes", "v0", "name", "seed"}, "export")
     model = load_model(cfg.str_("model", required=True))
-    grid = _grid_from(cfg, default_d=model.arch.d)
-    if grid.d != model.arch.d:
-        raise ConfigError(
-            f"grid dimension {grid.d} does not match model dimension {model.arch.d}"
-        )
-    v0 = np.array(cfg.csv_floats("v0", required=True), dtype=float)
+    grid = _model_grid(cfg, model)
+    v0 = np.array(cfg.list_("v0", item=float, required=True), dtype=float)
     if v0.shape != (model.arch.d,):
         raise ConfigError(f"v0 must list {model.arch.d} coordinates")
     name = cfg.str_("name", default="kernel_slice")
     pts = grid.coordinates()
-    vals = model.kernel_pairs(pts, np.broadcast_to(v0, pts.shape))
-    coord_names = [f"u{k + 1}" for k in range(grid.d)]
-    rows = [
-        [str(j)] + [_fmt(c) for c in pts[j]] + [_fmt(vals[j])]
-        for j in range(grid.n_points)
-    ]
     path = os.path.join(out_dir, f"{name}.csv")
-    _write_csv(path, ["flat_index", *coord_names, "value"], rows)
+    _write_point_csv(path, pts, model.kernel_pairs(pts, np.broadcast_to(v0, pts.shape)))
     _write_resolved(cfg, out_dir, "export")
     print(f"wrote {path} ({grid.n_points} rows)")
 

@@ -36,7 +36,7 @@ def cv_loss(model: FittedCovariance, f_va: FieldMatrix) -> float:
     gz = z.T @ z / f_va.grid.n_points
     gl = gz @ model.lam
     term_tr = float((gl * gl.T).sum())
-    g_vv = cross_gram(f_va).values
+    g_vv = cross_gram(f_va)
     term_va = float((g_vv * g_vv).sum()) / f_va.n**2
     q = f_va.values @ z / f_va.grid.n_points
     term_cross = float(((q @ model.lam) * q).sum()) / f_va.n

@@ -104,33 +104,6 @@ class FieldMatrix:
         return FieldMatrix(self.grid, self.values - self.values.mean(axis=0))
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Matrix of pairwise field inner products.
-
-    `symmetric` marks a self-gram (both sides the same sample), in which
-    case symmetry up to accumulation error and a nonnegative diagonal are
-    enforced.
-    """
-
-    values: np.ndarray = field(repr=False)
-    symmetric: bool = False
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ValueError("gram values must be 2-D")
-        if self.symmetric:
-            if vals.shape[0] != vals.shape[1]:
-                raise ValueError("self-gram must be square")
-            scale = max(np.abs(vals).max(), 1e-300) if vals.size else 1.0
-            if vals.size and np.abs(vals - vals.T).max() > 1e-12 * scale:
-                raise ValueError("self-gram matrix is not symmetric")
-            if vals.size and np.diag(vals).min() < -1e-12 * scale:
-                raise ValueError("self-gram has a negative diagonal entry")
-        object.__setattr__(self, "values", vals)
-
-
 def inner_product(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
     """Midpoint-quadrature L2 inner product: mean of the entrywise product."""
     a = np.asarray(a, dtype=float)
@@ -142,20 +115,13 @@ def inner_product(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
     return float(a @ b) / grid.n_points
 
 
-def cross_gram(a: FieldMatrix, b: FieldMatrix | None = None) -> GramMatrix:
-    """All pairwise inner products between rows of `a` and rows of `b`.
+def cross_gram(f: FieldMatrix) -> np.ndarray:
+    """All pairwise inner products between rows of `f`, as an N x N array.
 
-    With b omitted (or b is a) the result is symmetrized so that the square
-    Gram is exactly symmetric.
+    The result is symmetrized so that the Gram is exactly symmetric.
     """
-    same = b is None or b is a
-    b = a if same else b
-    if b.grid != a.grid:
-        raise ValueError("field matrices live on different grids")
-    g = (a.values @ b.values.T) / a.grid.n_points
-    if same:
-        g = (g + g.T) / 2.0
-    return GramMatrix(g, symmetric=same)
+    g = (f.values @ f.values.T) / f.grid.n_points
+    return (g + g.T) / 2.0
 
 
 def _read_exact(buf: bytes, offset: int, size: int, what: str) -> bytes:

@@ -90,7 +90,7 @@ class TrainConfig:
 
 def data_self_term(f: FieldMatrix) -> float:
     """The parameter-free term N^-2 sum <X_n, X_m>^2 (compute once per fit)."""
-    return _gram_self_term(cross_gram(f).values)
+    return _gram_self_term(cross_gram(f))
 
 
 def _gram_self_term(g: np.ndarray) -> float:
@@ -146,30 +146,23 @@ def _core(
 
 
 def loss(
-    f: FieldMatrix, params: np.ndarray, arch: Architecture, xi: np.ndarray
+    f: FieldMatrix,
+    params: np.ndarray,
+    arch: Architecture,
+    xi: np.ndarray,
+    include_mean: bool = False,
 ) -> LossBreakdown:
-    """Three-term Gram loss; expects pre-centered fields in pre_center mode."""
-    xi = np.asarray(xi, dtype=float)
-    breakdown, _, _ = _core(
-        f.values, f.grid.coordinates(), params, arch, xi,
-        data_self_term(f), include_mean=False, want_grads=False,
-    )
-    return breakdown
+    """Three-term Gram loss; expects pre-centered fields unless `include_mean`.
 
-
-def loss_with_mean(
-    f: FieldMatrix, params: np.ndarray, arch: Architecture, xi: np.ndarray
-) -> LossBreakdown:
-    """Uncentered three-term loss plus the mean-mismatch penalty.
-
-    The mean penalty ||Xbar (x) Xbar - Ybar (x) Ybar||^2 expands into squared
-    Gram row-means; its three pieces are folded into the matching terms of
-    the breakdown.
+    With `include_mean` the fields are taken uncentered and the mean penalty
+    ||Xbar (x) Xbar - Ybar (x) Ybar||^2 is added; it expands into squared Gram
+    row-means, whose three pieces are folded into the matching terms of the
+    breakdown.
     """
     xi = np.asarray(xi, dtype=float)
     breakdown, _, _ = _core(
         f.values, f.grid.coordinates(), params, arch, xi,
-        data_self_term(f), include_mean=True, want_grads=False,
+        data_self_term(f), include_mean=include_mean, want_grads=False,
     )
     return breakdown
 
@@ -246,7 +239,7 @@ def fit(
     include_mean = cfg.center_mode == JOINT_MEAN
     points = f.grid.coordinates()
     # one data Gram per fit: each minibatch's self-term is its B x B block
-    gram = cross_gram(FieldMatrix(f.grid, x)).values
+    gram = cross_gram(FieldMatrix(f.grid, x))
     term_xx = _gram_self_term(gram)
 
     params, xi = init_params(arch, f.n, cfg.seed)

@@ -152,6 +152,16 @@ def test_load_model_non_integer_header_is_format_error(tmp_path, prefix, bad):
     assert code == 3
 
 
+def constant_model(tmp_path):
+    """A shallow R=1 model whose kernel is 1 everywhere."""
+    path = tmp_path / "const.cvn"
+    save_model(
+        path,
+        FittedCovariance(Architecture.shallow(1, 2), np.zeros(3), np.array([[4.0]])),
+    )
+    return path
+
+
 def test_eval_zero_estimator_is_one(tmp_path):
     code, out = run(
         tmp_path,
@@ -190,12 +200,7 @@ def test_eval_dimension_mismatch(tmp_path):
 
 
 def test_eigen_constant_model(tmp_path):
-    from covnet.model import Architecture, FittedCovariance, save_model
-
-    arch = Architecture.shallow(1, 2)
-    model = FittedCovariance(arch, np.zeros(3), np.array([[4.0]]))
-    path = tmp_path / "const.cvn"
-    save_model(path, model)
+    path = constant_model(tmp_path)
     code, out = run(tmp_path, "eigen", f"model = {path}\nM = 100\nseed = 1\n")
     assert code == 0
     rows = (out / "eigen_values.csv").read_text().splitlines()
@@ -307,3 +312,48 @@ def test_cv_worker_pool_env(tmp_path, monkeypatch):
     code, o2 = run(tmp_path, "cv", cfg, out=tmp_path / "w2")
     assert code == 0
     assert (o1 / "cv_report.csv").read_bytes() == (o2 / "cv_report.csv").read_bytes()
+
+
+def small_fields(tmp_path):
+    code, out = run(
+        tmp_path,
+        "simulate",
+        "kernel = brownian\nd = 2\nK = 4\nN = 6\nseed = 1\n",
+        out=tmp_path / "data",
+    )
+    assert code == 0
+    return out / "fields.cvnf"
+
+
+@pytest.mark.parametrize(
+    "command, cfg_text",
+    [
+        ("simulate", "kernel = brownian\nd = 2\nsizes = 3,x\nN = 4\n"),
+        ("simulate", "kernel = brownian\nd = 2\nsizes = 3\nN = 4\n"),
+        ("export", "model = {model}\nK = 3\nv0 = a,b\n"),
+        ("cv", "fields = {fields}\narchs = shallow,bogus\nR_list = 2\n"),
+        ("export", "model = {model}\nd = 3\nK = 3\nv0 = 0.5,0.5,0.5\n"),
+    ],
+    ids=["sizes_not_int", "sizes_wrong_length", "v0_not_float", "archs_unknown", "export_d"],
+)
+def test_bad_config_exits_2(tmp_path, command, cfg_text):
+    text = cfg_text.format(model=constant_model(tmp_path), fields=small_fields(tmp_path))
+    code, out = run(tmp_path, command, text)
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
+def test_eigen_grid_dimension_mismatch_writes_nothing(tmp_path):
+    cfg = f"model = {constant_model(tmp_path)}\nM = 100\nd = 3\nK = 4\n"
+    code, out = run(tmp_path, "eigen", cfg)
+    assert code == 2
+    assert not (out / "eigen_values.csv").exists()
+
+
+def test_eval_unknown_estimator_prints_nothing(tmp_path, capsys):
+    code, out = run(
+        tmp_path, "eval", "estimator = zero,bogus\nkernel = brownian\nd = 2\nM = 100\n"
+    )
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert not (out / "errors.csv").exists()

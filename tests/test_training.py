@@ -19,7 +19,6 @@ from covnet.training import (
     fit,
     gradients,
     loss,
-    loss_with_mean,
 )
 
 ARCHS = {
@@ -100,7 +99,7 @@ def test_loss_never_materializes_dense_objects():
 
 def test_loss_with_mean_zero_at_perfect_fit():
     f, params, arch, xi = perfect_fit_case(seed=5)
-    b = loss_with_mean(f, params, arch, xi)
+    b = loss(f, params, arch, xi, include_mean=True)
     assert abs(b.total) <= 1e-10 * (b.term_xx + b.term_gg)
 
 
@@ -112,7 +111,7 @@ def test_loss_with_mean_constant_fields():
     arch = Architecture.shallow(1, 1)
     params = np.zeros(2)  # g == 0.5 everywhere
     xi = np.full((3, 1), 2 * mu)  # xi * 0.5 == mu
-    b = loss_with_mean(f, params, arch, xi)
+    b = loss(f, params, arch, xi, include_mean=True)
     assert abs(b.total) <= 1e-12 * max(b.term_xx, 1.0)
 
 
@@ -125,7 +124,7 @@ def test_loss_with_mean_matches_dense_oracle(variant):
     x = gaussian(rng, (n, 12)) + 0.5
     f = FieldMatrix(grid, x)
     params, xi = init_params(arch, n, seed=2)
-    got = loss_with_mean(f, params, arch, xi).total
+    got = loss(f, params, arch, xi, include_mean=True).total
     oracle = dense_loss_oracle(f, params, arch, xi, include_mean=True)
     assert got == pytest.approx(oracle, rel=1e-8)
 
@@ -152,11 +151,10 @@ def test_gradients_match_central_differences(variant, include_mean):
     analytic = np.concatenate([dparams, dxi.ravel()])
     theta = np.concatenate([params, xi.ravel()])
     n_net = params.size
-    lfun = loss_with_mean if include_mean else loss
 
     def total_at(vec):
         q = vec[n_net:].reshape(n, arch.r)
-        return lfun(f, vec[:n_net], arch, q).total
+        return loss(f, vec[:n_net], arch, q, include_mean).total
 
     fd = np.empty_like(theta)
     for i in range(theta.size):
