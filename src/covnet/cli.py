@@ -2,9 +2,9 @@
 
 Every subcommand reads a `key = value` text config (flags override), checks
 all of it before it writes anything, then writes its artifacts plus a
-resolved-config copy into the output directory, byte-reproducibly for a fixed
-config and seed.  Exit codes: 0 success, 2 config error, 3 I/O or file-format
-error, 4 numeric failure.
+resolved-config copy into the output directory, which is made with the first
+file, byte-reproducibly for a fixed config and seed.  Exit codes: 0 success,
+2 config error, 3 I/O or file-format error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -156,6 +156,12 @@ def _merge_config(args) -> dict[str, str]:
     return raw
 
 
+def _out_path(out_dir: str, filename: str) -> str:
+    """Path of an output file; the directory is made with the first one."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, filename)
+
+
 def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(line + "\n" for line in lines)
@@ -163,7 +169,7 @@ def _write_lines(path: str, lines) -> None:
 
 def _write_resolved(cfg: Config, out_dir: str, command: str) -> None:
     lines = [f"{k} = {v}" for k, v in sorted(cfg.used.items())]
-    _write_lines(os.path.join(out_dir, f"resolved_{command}.cfg"), lines)
+    _write_lines(_out_path(out_dir, f"resolved_{command}.cfg"), lines)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -234,7 +240,7 @@ def run_simulate(raw: dict[str, str], out_dir: str) -> None:
         noise = NoiseSpec(sigma, cfg.int_("noise_seed", default=seed + 1))
     name = cfg.str_("name", default="fields")
     fields_ = sample_gaussian_fields(spec, grid, n, seed, noise)
-    path = os.path.join(out_dir, f"{name}.cvnf")
+    path = _out_path(out_dir, f"{name}.cvnf")
     write_fields(path, fields_)
     meta = [
         f"kernel = {cfg.used['kernel']}",
@@ -246,7 +252,7 @@ def run_simulate(raw: dict[str, str], out_dir: str) -> None:
     ]
     if "nu" in cfg.used:
         meta.insert(1, f"nu = {cfg.used['nu']}")
-    _write_lines(os.path.join(out_dir, f"{name}.meta.txt"), meta)
+    _write_lines(_out_path(out_dir, f"{name}.meta.txt"), meta)
     _write_resolved(cfg, out_dir, "simulate")
     print(f"wrote {path} (N={n}, D={grid.n_points})")
 
@@ -294,10 +300,10 @@ def run_fit(raw: dict[str, str], out_dir: str) -> None:
     train_cfg = _train_config(cfg)
     name = cfg.str_("name", default="model")
     model, trace = fit(f, arch, train_cfg)
-    model_path = os.path.join(out_dir, f"{name}.cvn")
+    model_path = _out_path(out_dir, f"{name}.cvn")
     save_model(model_path, model)
     _write_csv(
-        os.path.join(out_dir, f"{name}_trace.csv"),
+        _out_path(out_dir, f"{name}_trace.csv"),
         ["epoch", "total", "term_xx", "term_gg", "term_xg"],
         [[str(e), *map(_fmt, t)] for e, t in enumerate(trace)],
     )
@@ -355,7 +361,7 @@ def run_eval(raw: dict[str, str], out_dir: str) -> None:
         rows.append([label, _fmt(err), str(m), str(seed)])
         print(f"{label}: relative error {_fmt(err)}")
     _write_csv(
-        os.path.join(out_dir, f"{name}.csv"),
+        _out_path(out_dir, f"{name}.csv"),
         ["estimator", "relative_error", "M", "seed"],
         rows,
     )
@@ -380,13 +386,13 @@ def run_eigen(raw: dict[str, str], out_dir: str) -> None:
         n_funcs = cfg.int_("n_funcs", default=system.rank, minimum=1)
         pts = grid.coordinates()
     _write_csv(
-        os.path.join(out_dir, f"{name}_values.csv"),
+        _out_path(out_dir, f"{name}_values.csv"),
         ["index", "eigenvalue"],
         [[str(i), _fmt(v)] for i, v in enumerate(system.values)],
     )
     for i in range(min(n_funcs, system.rank)):
         _write_point_csv(
-            os.path.join(out_dir, f"{name}_fn{i}.csv"),
+            _out_path(out_dir, f"{name}_fn{i}.csv"),
             pts,
             eval_eigenfunction(model, system, i, pts),
         )
@@ -433,7 +439,7 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
 
     header = ["candidate", "arch", "R", "L"]
     _write_csv(
-        os.path.join(out_dir, f"{name}_report.csv"),
+        _out_path(out_dir, f"{name}_report.csv"),
         [*header, "fold", "loss"],
         [
             [*columns(c.candidate), str(c.fold), "failed" if c.failed else _fmt(c.loss)]
@@ -441,7 +447,7 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
         ],
     )
     _write_csv(
-        os.path.join(out_dir, f"{name}_summary.csv"),
+        _out_path(out_dir, f"{name}_summary.csv"),
         [*header, "mean_loss", "selected"],
         [
             [
@@ -465,8 +471,9 @@ def run_export(raw: dict[str, str], out_dir: str) -> None:
         raise ConfigError(f"v0 must list {model.arch.d} coordinates")
     name = cfg.str_("name", default="kernel_slice")
     pts = grid.coordinates()
-    path = os.path.join(out_dir, f"{name}.csv")
-    _write_point_csv(path, pts, model.kernel_pairs(pts, np.broadcast_to(v0, pts.shape)))
+    vals = model.kernel_pairs(pts, np.broadcast_to(v0, pts.shape))
+    path = _out_path(out_dir, f"{name}.csv")
+    _write_point_csv(path, pts, vals)
     _write_resolved(cfg, out_dir, "export")
     print(f"wrote {path} ({grid.n_points} rows)")
 
@@ -505,7 +512,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = _merge_config(args)
-        os.makedirs(args.out, exist_ok=True)
         COMMANDS[args.command](raw, args.out)
     except (ConfigError, ResourceLimitError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

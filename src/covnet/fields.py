@@ -9,7 +9,9 @@ package.
 
 from __future__ import annotations
 
+import math
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +45,7 @@ class Grid:
 
     @property
     def n_points(self) -> int:
-        return int(np.prod(self.sizes, dtype=np.int64))
+        return math.prod(self.sizes)
 
     def coordinate(self, i: int) -> np.ndarray:
         """Midpoint of the voxel with flat index i."""
@@ -163,7 +165,9 @@ def read_fields(path) -> FieldMatrix:
             raise FieldFormatError(f"zero grid size on axis {k}", 12 + 4 * k)
     (n,) = struct.unpack("<Q", _read_exact(buf, offset, 8, "sample count"))
     offset += 8
-    n_points = int(np.prod(sizes, dtype=np.int64))
+    n_points = math.prod(sizes)
+    if 8 * n_points > sys.maxsize:
+        raise FieldFormatError(f"grid of {n_points} points is too large", 12)
     end = offset + 8 * n * n_points
     if end > len(buf):
         raise FieldFormatError("truncated file while reading field values", len(buf))

@@ -15,9 +15,10 @@ constituents g_r.  Three constituent families are supported:
                  their final scalar layer.
 
 All three share one engine on one flat parameter vector whose layout comes
-from the architecture alone (see `_layer_shapes`): shallow is deepshared with
-no hidden layers, and deep is deepshared with a per-constituent leading axis
-on every hidden layer.
+from the architecture alone (see `_layer_shapes`): every layer, the output
+layer included, is grouped along a leading axis of G stacks.  Shallow is
+deepshared with no hidden layers (G = 1, all R output rows in the one
+stack), and deep is deepshared with G = R stacks of one output row each.
 
 During fitting the kernel is represented through an N x R coefficient matrix
 Xi: the fitted fields are Xi Z^T with Z the constituents evaluated on the
@@ -78,7 +79,10 @@ class Architecture:
 
     @property
     def groups(self) -> int:
-        """Number of hidden-layer stacks: R independent nets for deep, else 1."""
+        """Number of layer stacks G: R one-output nets for deep, else 1 stack.
+
+        Each stack feeds R / G of the constituents.
+        """
         return self.r if self.variant == DEEP else 1
 
     @staticmethod
@@ -98,14 +102,13 @@ class Architecture:
 def _layer_shapes(arch: Architecture) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(W, b) shapes of every layer in vector order: hidden layers, then output.
 
-    Hidden layer l holds W (G, p_l, p_{l-1}) and b (G, p_l), with G = R
-    independent nets for deep and G = 1 shared trunk otherwise; the output
-    layer holds W (R, p_L) and b (R,).  Shallow has no hidden layers.
+    Layer l holds W (G, p_l, p_{l-1}) and b (G, p_l), with G = R independent
+    nets for deep and G = 1 shared trunk otherwise; the output layer's width
+    is the R / G constituents each stack feeds.  Shallow has no hidden layers.
     """
-    dims = [arch.d, *arch.widths]
     g = arch.groups
-    hidden = [((g, dims[l + 1], dims[l]), (g, dims[l + 1])) for l in range(arch.depth)]
-    return hidden + [((arch.r, dims[-1]), (arch.r,))]
+    dims = [arch.d, *arch.widths, arch.r // g]
+    return [((g, dims[l + 1], dims[l]), (g, dims[l + 1])) for l in range(arch.depth + 1)]
 
 
 def _param_views(vec: np.ndarray, arch: Architecture) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -133,8 +136,8 @@ def init_params(arch: Architecture, n: int, seed: int) -> tuple[np.ndarray, np.n
     """Seeded initial parameter vector and coefficients.
 
     Weights are Glorot-uniform per layer, Uniform(-a, a) with
-    a = sqrt(6 / (fan_in + fan_out)); biases start at zero.  Each trunk is
-    drawn layer by layer followed by the output rows it feeds (one row per
+    a = sqrt(6 / (fan_in + fan_out)); biases start at zero.  Each stack is
+    drawn layer by layer, ending with the output rows it feeds (one row per
     deep net, all R rows for a shared trunk).  Coefficients Xi are N(0, 1/R),
     so initial fitted fields have O(1) scale.
     """
@@ -147,15 +150,11 @@ def init_params(arch: Architecture, n: int, seed: int) -> tuple[np.ndarray, np.n
         return a * (2.0 * uniform(rng, shape) - 1.0)
 
     params = np.zeros(count_parameters(arch, include_lambda=False))
-    *hidden, (w_out, _) = _param_views(params, arch)
-    rows = arch.r // arch.groups
+    layers = _param_views(params, arch)
     for g in range(arch.groups):
-        for w, _ in hidden:
+        for w, _ in layers:
             fan_out, fan_in = w.shape[1:]
             w[g] = glorot(w.shape[1:], fan_in, fan_out)
-        w_out[g * rows : (g + 1) * rows] = glorot(
-            (rows, w_out.shape[1]), w_out.shape[1], rows
-        )
     xi = gaussian(rng, (n, arch.r)) / np.sqrt(arch.r)
     return params, xi
 
@@ -188,62 +187,42 @@ def forward_constituents(params: np.ndarray, arch: Architecture, points: np.ndar
     if not np.all(np.isfinite(u)):
         raise ValueError("evaluation points must be finite")
     layers = _param_views(params, arch)
-    *hidden, (w_out, b_out) = layers
-    trunks = []
+    stacks = []
     for g in range(arch.groups):
         acts = [u]
-        for w, b in hidden:
+        for w, b in layers:
             acts.append(_layer(acts[-1], w[g], b[g]))
-        trunks.append(acts)
-    if arch.variant == DEEP:
-        # each independent net ends in its own scalar output unit
-        cols = [_layer(acts[-1], w_out[r], b_out[r]) for r, acts in enumerate(trunks)]
-        z = np.stack(cols, axis=1)
-    else:
-        z = _layer(trunks[0][-1], w_out, b_out)
-    return z, (layers, trunks, z)
-
-
-def _backward_trunk(hidden, grads, g, acts, da, ones) -> None:
-    """Write the gradients of trunk g's hidden layers into their views.
-
-    `da` is dloss/d(last hidden activation).  The input layer's activation
-    gradient is never needed, so the loop stops one product short.  Bias
-    gradients are column sums taken as ones @ dpre.
-    """
-    for l in range(len(hidden) - 1, -1, -1):
-        a = acts[l + 1]
-        dpre = a * (1.0 - a)
-        dpre *= da
-        dw, db = grads[l]
-        np.matmul(dpre.T, acts[l], out=dw[g])
-        np.matmul(ones, dpre, out=db[g])
-        if l:
-            da = dpre @ hidden[l][0][g]
+        stacks.append(acts)
+    outs = [acts[-1] for acts in stacks]
+    z = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+    return z, (layers, stacks)
 
 
 def backward_constituents(
     params: np.ndarray, arch: Architecture, cache, dz: np.ndarray
 ) -> np.ndarray:
-    """Pull a gradient dZ (M x R) back onto the flat parameter vector."""
-    (*hidden, (w_out, _)), trunks, z = cache
+    """Pull a gradient dZ (M x R) back onto the flat parameter vector.
+
+    Each stack's layers are walked from the output down; the input layer's
+    activation gradient is never needed, so each walk stops one product
+    short.  Bias gradients are column sums taken as ones @ dpre.
+    """
+    layers, stacks = cache
     grad = np.empty(np.size(params))
-    *grads, (dw_out, db_out) = _param_views(grad, arch)
+    grads = _param_views(grad, arch)
     ones = np.ones(dz.shape[0])
-    if arch.variant == DEEP:
-        for r, acts in enumerate(trunks):
-            dout = z[:, r] * (1.0 - z[:, r])
-            dout *= dz[:, r]
-            np.matmul(acts[-1].T, dout, out=dw_out[r])
-            db_out[r] = ones @ dout
-            _backward_trunk(hidden, grads, r, acts, dout[:, None] * w_out[r], ones)
-    else:
-        dpre = z * (1.0 - z)
-        dpre *= dz
-        np.matmul(dpre.T, trunks[0][-1], out=dw_out)
-        np.matmul(ones, dpre, out=db_out)
-        if hidden:
-            _backward_trunk(hidden, grads, 0, trunks[0], dpre @ w_out, ones)
+    rows = arch.r // arch.groups
+    for g, acts in enumerate(stacks):
+        da = dz[:, g * rows : (g + 1) * rows]
+        for l in range(len(layers) - 1, -1, -1):
+            a = acts[l + 1]
+            dpre = a * (1.0 - a)
+            dpre *= da
+            dw, db = grads[l]
+            np.matmul(dpre.T, acts[l], out=dw[g])
+            np.matmul(ones, dpre, out=db[g])
+            if l:
+                da = dpre @ layers[l][0][g]
     return grad
 
 
@@ -299,7 +278,8 @@ def _check_lambda(lam: np.ndarray, r: int) -> np.ndarray:
         raise ValueError(
             f"lambda is not positive semi-definite (min eigenvalue {smallest:g})"
         )
-    return (lam + lam.T) / 2.0
+    # halves first, so that entries near the float maximum cannot overflow
+    return 0.5 * lam + 0.5 * lam.T
 
 
 @dataclass(frozen=True)
@@ -387,7 +367,7 @@ def _named_arrays(params: np.ndarray, arch: Architecture) -> list[tuple[str, np.
     """Model-file blocks in file order: (name, view into the parameter vector)."""
     *hidden, (w_out, b_out) = _param_views(params, arch)
     if arch.variant == SHALLOW:
-        return [("w", w_out), ("b", b_out)]
+        return [("w", w_out[0]), ("b", b_out[0])]
     deep = arch.variant == DEEP
     out = []
     for g in range(arch.groups):
@@ -395,14 +375,17 @@ def _named_arrays(params: np.ndarray, arch: Architecture) -> list[tuple[str, np.
         for l, (w, b) in enumerate(hidden, start=1):
             out += [(f"{prefix}W{l}", w[g]), (f"{prefix}b{l}", b[g])]
         if deep:
-            out += [(f"{prefix}wout", w_out[g]), (f"{prefix}bout", b_out[g, ...])]
-    return out if deep else out + [("Wout", w_out), ("bout", b_out)]
+            out += [(f"{prefix}wout", w_out[g, 0]), (f"{prefix}bout", b_out[g, 0, ...])]
+    return out if deep else out + [("Wout", w_out[0]), ("bout", b_out[0])]
 
 
 def load_model(path) -> FittedCovariance:
     """Read a model file written by save_model, validating shapes and Lambda."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"not UTF-8 text: {exc}") from exc
     pos = 0
 
     def take(what: str) -> str:
@@ -451,6 +434,14 @@ def load_model(path) -> FittedCovariance:
         arch = Architecture(variant, r, d, widths)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
+    # checked before anything is allocated: a header cannot ask for more
+    # values than the file holds
+    n_values = count_parameters(arch)
+    n_tokens = sum(len(ln.split()) for ln in lines[pos:])
+    if n_values > n_tokens:
+        raise ModelFormatError(
+            f"header declares {n_values} values, the file holds {n_tokens} tokens"
+        )
 
     params = np.zeros(count_parameters(arch, include_lambda=False))
     for name, array in _named_arrays(params, arch):

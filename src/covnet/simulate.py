@@ -46,8 +46,8 @@ class BrownianSheet:
 
 
 @dataclass(frozen=True)
-class RotatedBrownianSheet:
-    """Brownian sheet covariance evaluated at rotated coordinates."""
+class _RotatedSheet:
+    """A product kernel evaluated at rotated coordinates."""
 
     rotation: np.ndarray
 
@@ -58,6 +58,11 @@ class RotatedBrownianSheet:
     @property
     def d(self) -> int:
         return self.rotation.shape[0]
+
+
+@dataclass(frozen=True)
+class RotatedBrownianSheet(_RotatedSheet):
+    """Brownian sheet covariance evaluated at rotated coordinates."""
 
 
 @dataclass(frozen=True)
@@ -68,18 +73,8 @@ class IntegratedBrownianSheet:
 
 
 @dataclass(frozen=True)
-class RotatedIntegratedBrownianSheet:
+class RotatedIntegratedBrownianSheet(_RotatedSheet):
     """Integrated Brownian sheet covariance at rotated coordinates."""
-
-    rotation: np.ndarray
-
-    def __post_init__(self):
-        o = _check_rotation(self.rotation, np.asarray(self.rotation).shape[0])
-        object.__setattr__(self, "rotation", o)
-
-    @property
-    def d(self) -> int:
-        return self.rotation.shape[0]
 
 
 @dataclass(frozen=True)
@@ -154,27 +149,34 @@ def _matern_radial(nu: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _evaluate(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """c(u, v) over broadcastable (..., d) point arrays."""
+    shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
+    if isinstance(spec, Matern):
+        r2 = np.zeros(shape)
+        for k in range(spec.d):
+            delta = u[..., k] - v[..., k]
+            r2 += delta * delta
+        return _matern_radial(spec.nu, np.sqrt(r2))
+    if isinstance(spec, _RotatedSheet):
+        # rotate (M, d) rows: a stacked matmul would round differently
+        u = (u.reshape(-1, spec.d) @ spec.rotation.T).reshape(u.shape)
+        v = (v.reshape(-1, spec.d) @ spec.rotation.T).reshape(v.shape)
+    integrated = (IntegratedBrownianSheet, RotatedIntegratedBrownianSheet)
+    axis = _ibm_axis if isinstance(spec, integrated) else _bm_axis
+    out = np.ones(shape)
+    for k in range(spec.d):
+        out *= axis(u[..., k], v[..., k])
+    return out
+
+
 def kernel_pairs(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Evaluate c(u_i, v_i) for paired rows of two (M, d) point arrays."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     if u.shape != v.shape or u.shape[1] != spec.d:
         raise ValueError(f"point arrays must both be (M, {spec.d})")
-    if isinstance(spec, (RotatedBrownianSheet, RotatedIntegratedBrownianSheet)):
-        u = u @ spec.rotation.T
-        v = v @ spec.rotation.T
-        axis = _bm_axis if isinstance(spec, RotatedBrownianSheet) else _ibm_axis
-    elif isinstance(spec, BrownianSheet):
-        axis = _bm_axis
-    elif isinstance(spec, IntegratedBrownianSheet):
-        axis = _ibm_axis
-    else:
-        r = np.linalg.norm(u - v, axis=1)
-        return _matern_radial(spec.nu, r)
-    out = np.ones(u.shape[0])
-    for k in range(spec.d):
-        out *= axis(u[:, k], v[:, k])
-    return out
+    return _evaluate(spec, u, v)
 
 
 def kernel_eval(spec: KernelSpec, u, v) -> float:
@@ -190,23 +192,7 @@ def kernel_matrix(spec: KernelSpec, grid: Grid, cap: int = KERNEL_MATRIX_CAP) ->
     if n > cap:
         raise ResourceLimitError(f"grid size {n} exceeds kernel matrix cap {cap}")
     pts = grid.coordinates()
-    if isinstance(spec, Matern):
-        r2 = np.zeros((n, n))
-        for k in range(spec.d):
-            delta = pts[:, k][:, None] - pts[:, k][None, :]
-            r2 += delta * delta
-        c = _matern_radial(spec.nu, np.sqrt(r2))
-    else:
-        if isinstance(spec, (RotatedBrownianSheet, RotatedIntegratedBrownianSheet)):
-            pts = pts @ spec.rotation.T
-        axis = (
-            _bm_axis
-            if isinstance(spec, (BrownianSheet, RotatedBrownianSheet))
-            else _ibm_axis
-        )
-        c = np.ones((n, n))
-        for k in range(spec.d):
-            c *= axis(pts[:, k][:, None], pts[:, k][None, :])
+    c = _evaluate(spec, pts[:, None], pts[None, :])
     return (c + c.T) / 2.0
 
 

@@ -238,7 +238,6 @@ def fit(
     x = f.values - f.values.mean(axis=0) if cfg.center_mode == PRE_CENTER else f.values
     include_mean = cfg.center_mode == JOINT_MEAN
     points = f.grid.coordinates()
-    # one data Gram per fit: each minibatch's self-term is its B x B block
     gram = cross_gram(FieldMatrix(f.grid, x))
     term_xx = _gram_self_term(gram)
 
@@ -254,31 +253,30 @@ def fit(
     t = 0
 
     for epoch in range(cfg.epochs):
+        # (sample index, data self-term) per step; a minibatch's self-term
+        # is its B x B block of the data Gram
         if cfg.batch is None or cfg.batch >= f.n:
-            batches = [None]
+            batches = [(slice(None), term_xx)]
         else:
             perm = batch_rng.permutation(f.n)
-            batches = [perm[s : s + cfg.batch] for s in range(0, f.n, cfg.batch)]
-            # a 1-sample remainder has no covariance signal
-            batches = [idx for idx in batches if idx.size >= 2]
+            batches = [
+                (idx, _gram_self_term(gram[np.ix_(idx, idx)]))
+                for idx in (perm[s : s + cfg.batch] for s in range(0, f.n, cfg.batch))
+                # a 1-sample remainder has no covariance signal
+                if idx.size >= 2
+            ]
         rows = []
-        for idx in batches:
+        for idx, sub_xx in batches:
             params = theta[:n_net]
             xi = theta[n_net:].reshape(f.n, arch.r)
-            if idx is None:
-                breakdown, dparams, dxi = _core(
-                    x, points, params, arch, xi, term_xx, include_mean, want_grads=True
-                )
-            else:
-                sub_xx = _gram_self_term(gram[np.ix_(idx, idx)])
-                breakdown, dparams, dxi_b = _core(
-                    x[idx], points, params, arch, xi[idx], sub_xx, include_mean, True
-                )
-                dxi = np.zeros_like(xi)
-                dxi[idx] = dxi_b
+            breakdown, dparams, dxi = _core(
+                x[idx], points, params, arch, xi[idx], sub_xx, include_mean, True
+            )
             rows.append(breakdown)
             t += 1
-            grad = np.concatenate([dparams, dxi.ravel()])
+            grad = np.zeros(theta.size)
+            grad[:n_net] = dparams
+            grad[n_net:].reshape(f.n, arch.r)[idx] = dxi
             theta = adam_step(theta, grad, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, t)
         mean_total = float(np.mean([b.total for b in rows]))
         trace_rows.append(

@@ -152,6 +152,24 @@ def test_load_model_non_integer_header_is_format_error(tmp_path, prefix, bad):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        b"covnet-model v1\narch shallow\nR 1\nd \xff\xfe\n",
+        b"covnet-model v1\narch shallow\nR 1000000000000000\nd 2\n"
+        b"layer w 1 2\n0 0\nend\n",
+    ],
+    ids=["not_utf8", "huge_R"],
+)
+def test_load_model_bad_bytes_exit_3(tmp_path, blob):
+    path = tmp_path / "bad.cvn"
+    path.write_bytes(blob)
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+    code, _ = run(tmp_path, "eigen", f"model = {path}\nM = 100\n")
+    assert code == 3
+
+
 def constant_model(tmp_path):
     """A shallow R=1 model whose kernel is 1 everywhere."""
     path = tmp_path / "const.cvn"
@@ -340,7 +358,8 @@ def test_bad_config_exits_2(tmp_path, command, cfg_text):
     text = cfg_text.format(model=constant_model(tmp_path), fields=small_fields(tmp_path))
     code, out = run(tmp_path, command, text)
     assert code == 2
-    assert list(out.iterdir()) == []
+    # nothing is written, not even the output directory
+    assert not out.exists()
 
 
 def test_eigen_grid_dimension_mismatch_writes_nothing(tmp_path):

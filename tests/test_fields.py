@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,35 @@ def test_read_rejects_nonfinite(tmp_path):
     with pytest.raises(FieldFormatError) as err:
         read_fields(path)
     assert err.value.offset == len(blob) - 8
+
+
+def header(sizes, n):
+    """A CVNF header with no payload."""
+    return (
+        b"CVNF"
+        + struct.pack("<II", 1, len(sizes))
+        + struct.pack(f"<{len(sizes)}I", *sizes)
+        + struct.pack("<Q", n)
+    )
+
+
+@pytest.mark.parametrize(
+    "sizes, n",
+    [((2**31, 2**31, 2**31), 3), ((2**32 - 1, 2**32 - 1), 1), ((2**31, 2**31), 0)],
+    ids=["d3_2^31", "d2_2^32-1", "no_fields"],
+)
+def test_read_rejects_grid_size_overflow(tmp_path, sizes, n):
+    # the grid size would wrap to 0 or go negative in int64 arithmetic, and
+    # with no fields the payload check alone would pass an unaddressable grid
+    path = tmp_path / "big.cvnf"
+    path.write_bytes(header(sizes, n))
+    with pytest.raises(FieldFormatError) as err:
+        read_fields(path)
+    assert err.value.offset >= 0
+
+
+def test_grid_size_is_exact_beyond_int64():
+    assert make_grid(3, [2**31] * 3).n_points == 2**93
 
 
 def test_centered_removes_mean():

@@ -58,8 +58,9 @@ def test_init_shallow_shapes():
     arch = Architecture.shallow(3, 2)
     params, xi = init_params(arch, 4, seed=0)
     [(w, b)] = _param_views(params, arch)
-    assert w.shape == (3, 2)
-    assert b.shape == (3,)
+    # one group: the output layer of the single shared stack
+    assert w[0].shape == (3, 2)
+    assert b[0].shape == (3,)
     assert np.all(b == 0)
     assert xi.shape == (4, 3)
 
@@ -146,7 +147,8 @@ def test_deep_matches_composed_shallow_structure():
         a = pts
         for w, b in hidden:
             a = 1 / (1 + np.exp(-(a @ w[r].T + b[r])))
-        zr = 1 / (1 + np.exp(-(a @ w_out[r] + b_out[r])))
+        # group r's output layer holds net r's single output row
+        zr = 1 / (1 + np.exp(-(a @ w_out[r, 0] + b_out[r, 0])))
         np.testing.assert_allclose(z[:, r], zr, rtol=1e-15)
 
 
@@ -219,6 +221,13 @@ def test_kernel_constant_model():
     arch = Architecture.shallow(1, 2)
     model = FittedCovariance(arch, np.zeros(3), np.array([[4.0]]))
     assert model.kernel_at([0.1, 0.2], [0.9, 0.3]) == 1.0
+
+
+def test_lambda_near_float_max_stays_finite():
+    # a valid model file may hold entries up to the float maximum
+    lam = np.array([[1e308, 0.0], [0.0, 1.0]])
+    model = FittedCovariance(Architecture.shallow(2, 1), np.zeros(4), lam)
+    np.testing.assert_array_equal(model.lam, lam)
 
 
 def test_kernel_diag_nonnegative():
