@@ -4,12 +4,13 @@ Covariance kernels are modeled as sum_{r,s} lambda_{r,s} g_r(u) g_s(v) with
 PSD coefficients and neural-network constituents (shallow, deep, or
 weight-shared deep).  Models are fitted to N x D field matrices through a
 Gram-matrix loss that never forms a D x D object, eigendecomposed through an
-R x R generalized eigenproblem, and compared against empirical and best
-separable baselines by Monte-Carlo relative error.
+R x R generalized eigenproblem, and compared by Monte-Carlo relative error
+against empirical and best separable baselines, which are also computed from
+the fields without a D x D object.
 """
 
 from .baselines import (
-    DenseCovariance,
+    EmpiricalCovariance,
     SeparableCovariance,
     TrueKernel,
     ZeroCovariance,
@@ -33,7 +34,6 @@ from .fields import (
     FieldMatrix,
     Grid,
     cross_gram,
-    inner_product,
     make_grid,
     read_fields,
     write_fields,
@@ -43,7 +43,6 @@ from .model import (
     FittedCovariance,
     count_parameters,
     eval_constituents,
-    fitted_fields,
     init_params,
     lambda_from_coefficients,
     load_model,
@@ -93,8 +92,8 @@ __all__ = [
     "CvReport",
     "DegenerateModelError",
     "DegenerateTruthError",
-    "DenseCovariance",
     "EigenSystem",
+    "EmpiricalCovariance",
     "FieldFormatError",
     "FieldMatrix",
     "FittedCovariance",
@@ -125,10 +124,8 @@ __all__ = [
     "eval_constituents",
     "eval_eigenfunction",
     "fit",
-    "fitted_fields",
     "gradients",
     "init_params",
-    "inner_product",
     "kernel_eval",
     "kernel_matrix",
     "kernel_pairs",

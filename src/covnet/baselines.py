@@ -3,8 +3,12 @@
 The empirical covariance and the best separable (nearest Kronecker product)
 estimator are discretized objects; to compare them with functional
 estimators at arbitrary points they are continued piecewise-constantly over
-the voxels (nearest-voxel lookup).  The relative Hilbert-Schmidt error of
-any point-evaluable estimate against a reference kernel is estimated from
+the voxels (nearest-voxel lookup).  Both are computed from the N x D field
+matrix and never form the D x D covariance: the empirical one evaluates
+N^-1 sum_n X_n(u) X_n(v) pair by pair, and the separable one takes the
+leading singular pair of the rearranged covariance through partial inner
+products of the fields.  The relative Hilbert-Schmidt error of any
+point-evaluable estimate against a reference kernel is estimated from
 uniform point pairs.
 """
 
@@ -14,35 +18,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTruthError, ResourceLimitError
+from .errors import DegenerateTruthError
 from .fields import FieldMatrix, Grid
 from .rng import make_rng, uniform
 from .simulate import KernelSpec, kernel_pairs
 
-DENSE_CAP = 4096
+# point pairs per block in EmpiricalCovariance.kernel_pairs, so that its
+# temporaries are _PAIR_CHUNK x N however many pairs are asked for
+_PAIR_CHUNK = 512
 
 
 @dataclass(frozen=True)
-class DenseCovariance:
-    """Covariance values at all grid-point pairs (D x D, symmetric)."""
+class EmpiricalCovariance:
+    """Empirical covariance N^-1 sum_n X_n(u) X_n(v) of the held fields."""
 
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        n = self.grid.n_points
-        if vals.shape != (n, n):
-            raise ValueError(f"dense covariance must be {n}x{n}, got {vals.shape}")
-        object.__setattr__(self, "values", (vals + vals.T) / 2.0)
+    fields: FieldMatrix
 
     def kernel_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Nearest-voxel piecewise-constant continuation."""
-        return self.values[self.grid.flat_index(u), self.grid.flat_index(v)]
-
-    def hs_norm(self) -> float:
-        """Hilbert-Schmidt norm of the induced operator (D^-1 Frobenius)."""
-        return float(np.linalg.norm(self.values)) / self.grid.n_points
+        iu = self.fields.grid.flat_index(u)
+        iv = self.fields.grid.flat_index(v)
+        # one D x N copy, so that each pair gathers two contiguous rows
+        xt = np.ascontiguousarray(self.fields.values.T)
+        out = np.empty(iu.shape[0])
+        for start in range(0, iu.shape[0], _PAIR_CHUNK):
+            block = slice(start, start + _PAIR_CHUNK)
+            out[block] = np.einsum("ij,ij->i", xt[iu[block]], xt[iv[block]])
+        return out / self.fields.n
 
 
 @dataclass(frozen=True)
@@ -89,34 +91,64 @@ class TrueKernel:
         return kernel_pairs(self.spec, u, v)
 
 
-def empirical_covariance(f: FieldMatrix, cap: int = DENSE_CAP) -> DenseCovariance:
-    """N^-1 X^T X at the grid nodes; expects pre-centered fields."""
-    if f.grid.n_points > cap:
-        raise ResourceLimitError(
-            f"grid size {f.grid.n_points} exceeds dense covariance cap {cap}"
-        )
-    return DenseCovariance(f.grid, f.values.T @ f.values / f.n)
+def empirical_covariance(f: FieldMatrix) -> EmpiricalCovariance:
+    """Empirical covariance of the fields; expects pre-centered fields."""
+    return EmpiricalCovariance(f)
 
 
-def best_separable_2d(c: DenseCovariance) -> SeparableCovariance:
-    """Frobenius-nearest Kronecker product A (x) B of a 2-D dense covariance.
+def best_separable_2d(emp: EmpiricalCovariance) -> SeparableCovariance:
+    """Frobenius-nearest Kronecker product A (x) B of a 2-D empirical covariance.
 
-    Uses the leading singular pair of the Van Loan-Pitsianis rearrangement;
-    factors are scaled to equal Frobenius norm and sign-fixed so that
-    trace(A) >= 0.
+    Uses the leading singular pair of the Van Loan-Pitsianis rearrangement
+    of the covariance, applied through the fields (Masak, Sarkar & Panaretos,
+    partial inner product): with X_n field n as a K1 x K2 matrix, the
+    rearranged operator maps B to N^-1 sum_n X_n B X_n^T and its transpose
+    maps A to N^-1 sum_n X_n^T A X_n.  Factors are scaled to equal Frobenius
+    norm and sign-fixed so that trace(A) >= 0.
     """
-    if c.grid.d != 2:
+    grid = emp.fields.grid
+    if grid.d != 2:
         raise ValueError("best separable baseline supports d = 2 only")
-    k1, k2 = c.grid.sizes
-    rearranged = (
-        c.values.reshape(k1, k2, k1, k2).transpose(0, 2, 1, 3).reshape(k1 * k1, k2 * k2)
-    )
-    u, s, vt = np.linalg.svd(rearranged, full_matrices=False)
-    a = np.sqrt(s[0]) * u[:, 0].reshape(k1, k1)
-    b = np.sqrt(s[0]) * vt[0].reshape(k2, k2)
+    k1, k2 = grid.sizes
+    x = emp.fields.values
+    n = x.shape[0]
+    if not x.any():  # e.g. one centered field; ARPACK rejects a zero operator
+        return SeparableCovariance(grid, np.zeros((k1, k1)), np.zeros((k2, k2)))
+    # xt[i1, n, i2] = X_n[i1, i2], so both products below are plain matmuls
+    xt = np.ascontiguousarray(x.reshape(n, k1, k2).transpose(1, 0, 2))
+    rows = xt.reshape(k1, n * k2)
+    stack = xt.reshape(k1 * n, k2)
+
+    def matvec(b):
+        return ((stack @ b.reshape(k2, k2)).reshape(k1, n * k2) @ rows.T).ravel() / n
+
+    def rmatvec(a):
+        return (stack.T @ (a.reshape(k1, k1) @ rows).reshape(k1 * n, k2)).ravel() / n
+
+    # with a unit axis the rearrangement is one row or one column, where
+    # ARPACK cannot run but the singular pair is closed-form
+    if k1 == 1:
+        b = rmatvec(np.ones(1))
+        s = np.linalg.norm(b)
+        a, b = np.full((1, 1), np.sqrt(s)), b.reshape(k2, k2) / np.sqrt(s)
+    elif k2 == 1:
+        a = matvec(np.ones(1))
+        s = np.linalg.norm(a)
+        a, b = a.reshape(k1, k1) / np.sqrt(s), np.full((1, 1), np.sqrt(s))
+    else:
+        # imported here: scipy.sparse.linalg adds about 0.15 s and 10 MiB to
+        # every process that imports covnet, and only this call needs it
+        from scipy.sparse.linalg import LinearOperator, svds
+
+        op = LinearOperator((k1 * k1, k2 * k2), matvec, rmatvec, dtype=float)
+        # ARPACK starts from vec(I) of the smaller factor, which is never
+        # orthogonal to the leading factor of a nonzero covariance
+        u, s, vt = svds(op, k=1, v0=np.eye(min(k1, k2)).ravel())
+        a = np.sqrt(s[0]) * u[:, 0].reshape(k1, k1)
+        b = np.sqrt(s[0]) * vt[0].reshape(k2, k2)
     if np.trace(a) < 0:
         a, b = -a, -b
-    return SeparableCovariance(c.grid, a, b)
+    return SeparableCovariance(grid, a, b)
 
 
 def relative_error_mc(

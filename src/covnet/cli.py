@@ -430,8 +430,7 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
         for depth in [0] if shallow else l_list:
             for r in r_list or (DEFAULT_SHALLOW_R if shallow else DEFAULT_DEEP_R):
                 candidates.append((Architecture(variant, r, f.grid.d, (r,) * depth), base))
-    workers = int(os.environ.get("COVNET_THREADS", "1"))
-    report = cross_validate(f, candidates, v, seed, workers=max(1, workers))
+    report = cross_validate(f, candidates, v, seed)
 
     def columns(ci: int) -> list[str]:
         arch = report.candidates[ci][0]

@@ -9,13 +9,12 @@ the validation grid, Gz = Z^T Z / D and Q = X_va Z / D,
 
 Fold assignment is a seeded shuffle followed by a contiguous V-way split;
 each (candidate, fold) cell trains with its own derived seed, so cells are
-independent and may run in a worker pool without changing the report.
+independent of each other and of the order they run in.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -87,7 +86,6 @@ def cross_validate(
     candidates: list[tuple[Architecture, TrainConfig]],
     v: int = 5,
     seed: int = 0,
-    workers: int = 1,
 ) -> CvReport:
     """Score every candidate on a seeded V-fold split and pick the best.
 
@@ -116,12 +114,7 @@ def cross_validate(
             return CvCell(ci, fold, math.inf, failed=True)
         return CvCell(ci, fold, cv_loss(model, f_va))
 
-    jobs = [(ci, fold) for ci in range(len(candidates)) for fold in range(v)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(lambda job: run_cell(*job), jobs))
-    else:
-        cells = [run_cell(*job) for job in jobs]
+    cells = [run_cell(ci, fold) for ci in range(len(candidates)) for fold in range(v)]
 
     means = []
     for ci in range(len(candidates)):

@@ -106,17 +106,6 @@ class FieldMatrix:
         return FieldMatrix(self.grid, self.values - self.values.mean(axis=0))
 
 
-def inner_product(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
-    """Midpoint-quadrature L2 inner product: mean of the entrywise product."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (grid.n_points,) or b.shape != (grid.n_points,):
-        raise ValueError(
-            f"rows must have length {grid.n_points}, got {a.shape} and {b.shape}"
-        )
-    return float(a @ b) / grid.n_points
-
-
 def cross_gram(f: FieldMatrix) -> np.ndarray:
     """All pairwise inner products between rows of `f`, as an N x N array.
 

@@ -232,17 +232,6 @@ def eval_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray
     return z
 
 
-def fitted_fields(
-    params: np.ndarray, arch: Architecture, xi: np.ndarray, grid: Grid
-) -> FieldMatrix:
-    """The N fitted fields Xi Z^T evaluated on the grid."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 2 or xi.shape[1] != arch.r:
-        raise ValueError(f"coefficients must be (N, {arch.r}), got {xi.shape}")
-    z = eval_constituents(params, arch, grid.coordinates())
-    return FieldMatrix(grid, xi @ z.T)
-
-
 def lambda_from_coefficients(xi: np.ndarray, center: bool = True) -> np.ndarray:
     """Coefficient second-moment matrix, PSD by construction.
 

@@ -1,39 +1,72 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from covnet.baselines import (
-    DenseCovariance,
     TrueKernel,
     ZeroCovariance,
     best_separable_2d,
     empirical_covariance,
     relative_error_mc,
 )
-from covnet.errors import DegenerateTruthError, ResourceLimitError
-from covnet.fields import FieldMatrix, cross_gram, make_grid
+from covnet.errors import DegenerateTruthError
+from covnet.fields import FieldMatrix, make_grid
 from covnet.rng import gaussian, make_rng
 from covnet.simulate import (
     BrownianSheet,
     IntegratedBrownianSheet,
     Matern,
     RotatedBrownianSheet,
-    kernel_matrix,
     rotation_2d_45,
+    sample_gaussian_fields,
 )
+
+
+def node_matrix(est, grid):
+    """An estimate's values at every pair of grid nodes, as a D x D array."""
+    pts = grid.coordinates()
+    n = grid.n_points
+    return est.kernel_pairs(np.repeat(pts, n, axis=0), np.tile(pts, (n, 1))).reshape(n, n)
+
+
+def dense_covariance(f):
+    """N^-1 X^T X, the empirical covariance at the grid nodes."""
+    return f.values.T @ f.values / f.n
+
+
+def dense_separable_oracle(f):
+    """A (x) B from the full SVD of the rearranged dense covariance."""
+    k1, k2 = f.grid.sizes
+    c = dense_covariance(f)
+    rearranged = (
+        c.reshape(k1, k2, k1, k2).transpose(0, 2, 1, 3).reshape(k1 * k1, k2 * k2)
+    )
+    u, s, vt = np.linalg.svd(rearranged, full_matrices=False)
+    return s[0] * np.kron(u[:, 0].reshape(k1, k1), vt[0].reshape(k2, k2))
+
+
+def kronecker_fields(grid, p, q):
+    """Fields sqrt(N) P E_ij Q^T over all unit matrices E_ij.
+
+    Their uncentered empirical covariance is exactly P P^T (x) Q Q^T.
+    """
+    n = grid.n_points
+    return FieldMatrix(grid, np.sqrt(n) * np.kron(p, q).T)
 
 
 def test_empirical_rank_one():
     grid = make_grid(1, [4])
     x = np.array([[1.0, 2.0, -1.0, 0.5]])
     emp = empirical_covariance(FieldMatrix(grid, x))
-    np.testing.assert_allclose(emp.values, np.outer(x[0], x[0]))
+    np.testing.assert_allclose(node_matrix(emp, grid), np.outer(x[0], x[0]))
 
 
 def test_empirical_plus_minus_ones():
     grid = make_grid(1, [3])
     x = np.array([[1.0] * 3, [-1.0] * 3, [1.0] * 3, [-1.0] * 3])
     emp = empirical_covariance(FieldMatrix(grid, x))
-    np.testing.assert_allclose(emp.values, np.ones((3, 3)))
+    np.testing.assert_allclose(node_matrix(emp, grid), np.ones((3, 3)))
 
 
 def test_empirical_matches_triple_loop():
@@ -46,25 +79,18 @@ def test_empirical_matches_triple_loop():
         for j in range(30):
             for n in range(7):
                 oracle[i, j] += x[n, i] * x[n, j] / 7
-    np.testing.assert_allclose(emp.values, oracle, atol=1e-12)
+    np.testing.assert_allclose(node_matrix(emp, grid), oracle, atol=1e-12)
 
 
-def test_empirical_cap():
-    grid = make_grid(2, [70, 70])
-    f = FieldMatrix(grid, np.zeros((2, 4900)))
-    with pytest.raises(ResourceLimitError):
-        empirical_covariance(f)
-
-
-def test_empirical_hs_norm_matches_gram_form():
-    grid = make_grid(2, [5, 6])
-    x = gaussian(make_rng(2), (8, 30))
-    x = x - x.mean(axis=0)
-    f = FieldMatrix(grid, x)
-    emp = empirical_covariance(f)
-    g = cross_gram(f)
-    gram_form = np.sqrt((g * g).sum() / f.n**2)
-    assert emp.hs_norm() == pytest.approx(gram_form, rel=1e-12)
+def test_empirical_matches_dense_lookup():
+    grid = make_grid(2, [9, 7])
+    f = sample_gaussian_fields(BrownianSheet(2), grid, 40, seed=12).centered()
+    rng = make_rng(13)
+    u = rng.random((3000, 2))
+    v = rng.random((3000, 2))
+    got = empirical_covariance(f).kernel_pairs(u, v)
+    want = dense_covariance(f)[grid.flat_index(u), grid.flat_index(v)]
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_separable_recovers_exact_kronecker():
@@ -74,60 +100,89 @@ def test_separable_recovers_exact_kronecker():
     a0 = a0 @ a0.T + np.eye(4)
     b0 = gaussian(rng, (5, 5))
     b0 = b0 @ b0.T + np.eye(5)
-    c = DenseCovariance(grid, np.kron(a0, b0))
-    sep = best_separable_2d(c)
+    f = kronecker_fields(grid, np.linalg.cholesky(a0), np.linalg.cholesky(b0))
+    sep = best_separable_2d(empirical_covariance(f))
     out = np.kron(sep.a, sep.b)
-    assert np.linalg.norm(out - c.values) / np.linalg.norm(c.values) < 1e-10
+    c = np.kron(a0, b0)
+    assert np.linalg.norm(out - c) / np.linalg.norm(c) < 1e-10
 
 
 def test_separable_identity():
     grid = make_grid(2, [3, 4])
-    c = DenseCovariance(grid, np.eye(12))
-    sep = best_separable_2d(c)
+    f = kronecker_fields(grid, np.eye(3), np.eye(4))
+    sep = best_separable_2d(empirical_covariance(f))
     np.testing.assert_allclose(np.kron(sep.a, sep.b), np.eye(12), atol=1e-12)
 
 
 def test_separable_beats_random_probes():
     grid = make_grid(2, [6, 6])
     rng = make_rng(4)
-    sym = gaussian(rng, (36, 36))
-    sym = (sym + sym.T) / 2
-    c = DenseCovariance(grid, sym)
-    sep = best_separable_2d(c)
-    best_err = np.linalg.norm(c.values - np.kron(sep.a, sep.b))
+    f = FieldMatrix(grid, gaussian(rng, (20, 36)))
+    c = dense_covariance(f)
+    sep = best_separable_2d(empirical_covariance(f))
+    best_err = np.linalg.norm(c - np.kron(sep.a, sep.b))
     for _ in range(1000):
         pa = gaussian(rng, (6, 6))
         pa = (pa + pa.T) / 2
         pb = gaussian(rng, (6, 6))
         pb = (pb + pb.T) / 2
         probe = np.kron(pa, pb)
-        scale = (c.values * probe).sum() / max((probe * probe).sum(), 1e-300)
-        err = np.linalg.norm(c.values - scale * probe)
+        scale = (c * probe).sum() / max((probe * probe).sum(), 1e-300)
+        err = np.linalg.norm(c - scale * probe)
         assert best_err <= err + 1e-12
 
 
 def test_separable_no_worse_than_constant_candidate():
     grid = make_grid(2, [5, 5])
-    vals = kernel_matrix(IntegratedBrownianSheet(2), grid)
-    c = DenseCovariance(grid, vals)
-    sep = best_separable_2d(c)
-    err = np.linalg.norm(c.values - np.kron(sep.a, sep.b))
-    trivial = np.full_like(c.values, c.values.mean())
-    assert err <= np.linalg.norm(c.values - trivial) + 1e-12
+    f = sample_gaussian_fields(IntegratedBrownianSheet(2), grid, 60, seed=14).centered()
+    c = dense_covariance(f)
+    sep = best_separable_2d(empirical_covariance(f))
+    err = np.linalg.norm(c - np.kron(sep.a, sep.b))
+    trivial = np.full_like(c, c.mean())
+    assert err <= np.linalg.norm(c - trivial) + 1e-12
 
 
 def test_separable_equal_factor_norms():
     grid = make_grid(2, [4, 4])
-    c = DenseCovariance(grid, kernel_matrix(BrownianSheet(2), grid))
-    sep = best_separable_2d(c)
+    f = sample_gaussian_fields(BrownianSheet(2), grid, 30, seed=15).centered()
+    sep = best_separable_2d(empirical_covariance(f))
     assert np.linalg.norm(sep.a) == pytest.approx(np.linalg.norm(sep.b), rel=1e-12)
 
 
 def test_separable_rejects_other_dims():
     grid = make_grid(3, [2, 2, 2])
-    c = DenseCovariance(grid, np.eye(8))
+    emp = empirical_covariance(FieldMatrix(grid, np.eye(8)))
     with pytest.raises(ValueError):
-        best_separable_2d(c)
+        best_separable_2d(emp)
+
+
+@pytest.mark.parametrize(
+    "sizes", [(5, 7), (7, 5), (1, 6), (6, 1), (1, 1)], ids=["5x7", "7x5", "1x6", "6x1", "1x1"]
+)
+def test_separable_matches_dense_svd_oracle(sizes):
+    grid = make_grid(2, sizes)
+    f = sample_gaussian_fields(BrownianSheet(2), grid, 30, seed=16).centered()
+    sep = best_separable_2d(empirical_covariance(f))
+    want = dense_separable_oracle(f)
+    got = np.kron(sep.a, sep.b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.trace(sep.a) >= 0
+
+
+def test_separable_repeats_bit_identically():
+    grid = make_grid(2, [8, 6])
+    f = sample_gaussian_fields(BrownianSheet(2), grid, 25, seed=17).centered()
+    first = best_separable_2d(empirical_covariance(f))
+    second = best_separable_2d(empirical_covariance(f))
+    np.testing.assert_array_equal(first.a, second.a)
+    np.testing.assert_array_equal(first.b, second.b)
+
+
+def test_separable_of_zero_fields_is_zero():
+    grid = make_grid(2, [3, 4])
+    f = FieldMatrix(grid, np.ones((1, 12))).centered()
+    sep = best_separable_2d(empirical_covariance(f))
+    np.testing.assert_array_equal(np.kron(sep.a, sep.b), 0.0)
 
 
 def test_relative_error_of_truth_is_zero():
@@ -179,9 +234,72 @@ def test_degenerate_truth_rejected():
 
 def test_nearest_voxel_lookup_matches_grid_nodes():
     grid = make_grid(2, [4, 4])
-    vals = kernel_matrix(BrownianSheet(2), grid)
-    dense = DenseCovariance(grid, vals)
-    pts = grid.coordinates()
+    x = sample_gaussian_fields(BrownianSheet(2), grid, 12, seed=18).centered().values
+    emp = empirical_covariance(FieldMatrix(grid, x))
+    # points anywhere inside a voxel read that voxel's node value
+    pts = grid.coordinates() + 0.1 / 4
     idx = [0, 5, 11, 15]
-    got = dense.kernel_pairs(pts[idx], pts[idx])
-    np.testing.assert_array_equal(got, vals[idx, idx])
+    jdx = [3, 5, 0, 14]
+    got = emp.kernel_pairs(pts[idx], pts[jdx])
+    want = [np.mean(x[:, i] * x[:, j]) for i, j in zip(idx, jdx)]
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+class PairLoopOracle:
+    """Point-pair values computed one pair at a time from per-voxel values."""
+
+    def __init__(self, grid, value):
+        self.grid = grid
+        self.value = value
+
+    def kernel_pairs(self, u, v):
+        iu = self.grid.flat_index(u)
+        iv = self.grid.flat_index(v)
+        return np.array([self.value(i, j) for i, j in zip(iu, iv)])
+
+
+def rank_three_fields_70x70():
+    """Fields X_n = p_n q_n^T on a 70 x 70 grid, D = 4900."""
+    grid = make_grid(2, [70, 70])
+    rng = make_rng(19)
+    p = gaussian(rng, (3, 70))
+    q = gaussian(rng, (3, 70))
+    return FieldMatrix(grid, np.stack([np.outer(p[n], q[n]).ravel() for n in range(3)])), p, q
+
+
+def test_baselines_beyond_4096_points_match_pair_oracles():
+    f, p, q = rank_three_fields_70x70()
+    x = f.values
+    emp = empirical_covariance(f)
+    emp_oracle = PairLoopOracle(f.grid, lambda i, j: np.mean(x[:, i] * x[:, j]))
+    assert relative_error_mc(emp, emp_oracle, 2, m=3000, seed=20) <= 1e-13
+
+    # the rearranged covariance is N^-1 U V^T with U, V the vec(p_n p_n^T),
+    # vec(q_n q_n^T) columns; its leading pair comes from a 3 x 3 SVD
+    qu, ru = np.linalg.qr(np.stack([np.outer(pn, pn).ravel() for pn in p], axis=1))
+    qv, rv = np.linalg.qr(np.stack([np.outer(qn, qn).ravel() for qn in q], axis=1))
+    mu, s, mvt = np.linalg.svd(ru @ rv.T / 3)
+    a = np.sqrt(s[0]) * (qu @ mu[:, 0]).reshape(70, 70)
+    b = np.sqrt(s[0]) * (qv @ mvt[0]).reshape(70, 70)
+    sep = best_separable_2d(emp)
+    sep_oracle = PairLoopOracle(
+        f.grid, lambda i, j: a[i // 70, j // 70] * b[i % 70, j % 70]
+    )
+    assert relative_error_mc(sep, sep_oracle, 2, m=3000, seed=21) <= 1e-12
+    for est in (emp, sep):
+        assert 0.0 < relative_error_mc(est, BrownianSheet(2), 2, m=3000, seed=22) < np.inf
+
+
+def test_baselines_memory_stays_far_below_one_dense_covariance():
+    grid = make_grid(2, [70, 70])
+    f = FieldMatrix(grid, gaussian(make_rng(23), (3, grid.n_points)))
+    tracemalloc.start()
+    try:
+        emp = empirical_covariance(f.centered())
+        sep = best_separable_2d(emp)
+        for est in (emp, sep):
+            relative_error_mc(est, BrownianSheet(2), 2, m=20_000, seed=24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.n_points**2 * 8 / 10

@@ -3,7 +3,7 @@ import pytest
 
 from covnet.cli import main, parse_config_text
 from covnet.errors import ConfigError, ModelFormatError
-from covnet.fields import read_fields
+from covnet.fields import FieldMatrix, make_grid, read_fields, write_fields
 from covnet.model import (
     Architecture,
     FittedCovariance,
@@ -12,6 +12,7 @@ from covnet.model import (
     load_model,
     save_model,
 )
+from covnet.rng import gaussian, make_rng
 
 
 def run(tmp_path, command, cfg_text, extra=None, out=None):
@@ -217,6 +218,23 @@ def test_eval_dimension_mismatch(tmp_path):
     assert code == 2
 
 
+def test_eval_baselines_beyond_4096_points_reproducible(tmp_path):
+    grid = make_grid(2, [70, 70])
+    fields = tmp_path / "fields.cvnf"
+    write_fields(fields, FieldMatrix(grid, gaussian(make_rng(25), (3, grid.n_points))))
+    cfg = (
+        f"estimator = empirical,separable\nfields = {fields}\n"
+        "kernel = brownian\nd = 2\nM = 2000\nseed = 6\n"
+    )
+    code, first = run(tmp_path, "eval", cfg, out=tmp_path / "ev1")
+    assert code == 0
+    code, second = run(tmp_path, "eval", cfg, out=tmp_path / "ev2")
+    assert code == 0
+    csv = (first / "errors.csv").read_bytes()
+    assert csv == (second / "errors.csv").read_bytes()
+    assert len(csv.decode().splitlines()) == 3
+
+
 def test_eigen_constant_model(tmp_path):
     path = constant_model(tmp_path)
     code, out = run(tmp_path, "eigen", f"model = {path}\nM = 100\nseed = 1\n")
@@ -311,25 +329,6 @@ def test_fit_divergence_exits_4(tmp_path):
     cfg = f"fields = {out / 'fields.cvnf'}\narch = shallow\nR = 2\nlr = 15.0\nseed = 0\n"
     code, _ = run(tmp_path, "fit", cfg, out=tmp_path / "dfit")
     assert code == 4
-
-
-def test_cv_worker_pool_env(tmp_path, monkeypatch):
-    code, out = run(
-        tmp_path,
-        "simulate",
-        "kernel = brownian\nd = 2\nK = 4\nN = 12\nseed = 3\n",
-        out=tmp_path / "wdata",
-    )
-    cfg = (
-        f"fields = {out / 'fields.cvnf'}\n"
-        "V = 3\nseed = 2\narchs = shallow\nR_list = 1,2\nepochs = 40\n"
-    )
-    code, o1 = run(tmp_path, "cv", cfg, out=tmp_path / "w1")
-    assert code == 0
-    monkeypatch.setenv("COVNET_THREADS", "3")
-    code, o2 = run(tmp_path, "cv", cfg, out=tmp_path / "w2")
-    assert code == 0
-    assert (o1 / "cv_report.csv").read_bytes() == (o2 / "cv_report.csv").read_bytes()
 
 
 def small_fields(tmp_path):

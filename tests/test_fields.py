@@ -9,7 +9,6 @@ from covnet.errors import FieldFormatError
 from covnet.fields import (
     FieldMatrix,
     cross_gram,
-    inner_product,
     make_grid,
     read_fields,
     write_fields,
@@ -48,15 +47,21 @@ def test_grid_rejects_wrong_length():
         make_grid(2, [4])
 
 
+def inner_product_loop(a, b):
+    """Midpoint-quadrature L2 inner product as a scalar loop."""
+    return sum(float(a[i]) * float(b[i]) for i in range(len(a))) / len(a)
+
+
 def test_inner_product_ones():
     grid = make_grid(2, [3, 5])
-    ones = np.ones(grid.n_points)
-    assert inner_product(ones, ones, grid) == 1.0
+    f = FieldMatrix(grid, np.ones((1, grid.n_points)))
+    assert cross_gram(f)[0, 0] == 1.0
 
 
 def test_inner_product_orthogonal():
     grid = make_grid(1, [2])
-    assert inner_product(np.array([1.0, -1.0]), np.array([1.0, 1.0]), grid) == 0.0
+    f = FieldMatrix(grid, np.array([[1.0, -1.0], [1.0, 1.0]]))
+    assert cross_gram(f)[0, 1] == 0.0
 
 
 def test_inner_product_matches_scalar_loop():
@@ -64,14 +69,15 @@ def test_inner_product_matches_scalar_loop():
     rng = make_rng(5)
     a = gaussian(rng, 64)
     b = gaussian(rng, 64)
-    oracle = sum(float(a[i]) * float(b[i]) for i in range(64)) / 64
-    assert abs(inner_product(a, b, grid) - oracle) <= 1e-14 * abs(oracle)
+    oracle = inner_product_loop(a, b)
+    got = cross_gram(FieldMatrix(grid, np.stack([a, b])))[0, 1]
+    assert abs(got - oracle) <= 1e-14 * abs(oracle)
 
 
 def test_inner_product_length_mismatch():
     grid = make_grid(1, [4])
     with pytest.raises(ValueError):
-        inner_product(np.ones(3), np.ones(4), grid)
+        FieldMatrix(grid, np.ones((2, 3)))
 
 
 def test_cross_gram_single_ones_row():
@@ -92,7 +98,7 @@ def test_cross_gram_matches_loop_oracle():
     a = FieldMatrix(grid, gaussian(rng, (5, 64)))
     got = cross_gram(a)
     oracle = np.array(
-        [[inner_product(a.values[i], a.values[j], grid) for j in range(5)] for i in range(5)]
+        [[inner_product_loop(a.values[i], a.values[j]) for j in range(5)] for i in range(5)]
     )
     np.testing.assert_allclose(got, oracle, rtol=1e-13)
 
@@ -112,8 +118,9 @@ def test_inner_product_bilinear(seed, alpha):
     grid = make_grid(1, [16])
     rng = make_rng(seed)
     a, b, c = (gaussian(rng, 16) for _ in range(3))
-    lhs = inner_product(alpha * a + b, c, grid)
-    rhs = alpha * inner_product(a, c, grid) + inner_product(b, c, grid)
+    g = cross_gram(FieldMatrix(grid, np.stack([alpha * a + b, a, b, c])))
+    lhs = g[0, 3]
+    rhs = alpha * g[1, 3] + g[2, 3]
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 

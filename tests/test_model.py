@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from covnet.errors import ModelFormatError
-from covnet.fields import make_grid
+from covnet.fields import FieldMatrix, make_grid
 from covnet.model import (
     _param_views,
     _sigmoid,
@@ -13,7 +13,6 @@ from covnet.model import (
     FittedCovariance,
     count_parameters,
     eval_constituents,
-    fitted_fields,
     init_params,
     lambda_from_coefficients,
     load_model,
@@ -169,6 +168,11 @@ def test_eval_rejects_bad_shape():
     params, _ = init_params(arch, 2, seed=0)
     with pytest.raises(ValueError):
         eval_constituents(params, arch, np.ones((4, 2)))
+
+
+def fitted_fields(params, arch, xi, grid):
+    """The N fitted fields Xi Z^T evaluated on the grid."""
+    return FieldMatrix(grid, xi @ eval_constituents(params, arch, grid.coordinates()).T)
 
 
 def test_fitted_fields_identity_selector():

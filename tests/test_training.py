@@ -6,7 +6,6 @@ from covnet.fields import FieldMatrix, make_grid
 from covnet.model import (
     Architecture,
     eval_constituents,
-    fitted_fields,
     init_params,
 )
 from covnet.rng import gaussian, make_rng
@@ -51,7 +50,7 @@ def perfect_fit_case(seed=0):
     grid = make_grid(1, [12])
     params, _ = init_params(arch, 3, seed=seed)
     xi = np.eye(3) + 0.1
-    f = fitted_fields(params, arch, xi, grid)
+    f = FieldMatrix(grid, xi @ eval_constituents(params, arch, grid.coordinates()).T)
     return f, params, arch, xi
 
 
