@@ -12,18 +12,23 @@ not, and yield indefinite matrices after rotation).
 
 Sampling draws rows L z with L a jittered Cholesky factor of the kernel
 matrix at the grid midpoints, optionally adding i.i.d. pointwise measurement
-noise.
+noise.  For the unrotated product kernels the D x D matrix is never formed:
+on a tensor grid it is C_1 (x) ... (x) C_d with C_k the 1-D kernel matrix of
+axis k, and chol(A (x) B) = chol(A) (x) chol(B), so L is applied as one
+K_k x K_k factor per axis.  Rotated sheets and Matern are not separable; they
+take the dense factor of the whole grid, capped at KERNEL_MATRIX_CAP points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma, kv
 
 from .errors import NumericError, ResourceLimitError
-from .fields import FieldMatrix, Grid
+from .fields import FieldMatrix, Grid, make_grid
 from .rng import gaussian, make_rng
 
 KERNEL_MATRIX_CAP = 20000
@@ -184,16 +189,49 @@ def kernel_eval(spec: KernelSpec, u, v) -> float:
     return float(kernel_pairs(spec, np.asarray(u)[None, :], np.asarray(v)[None, :])[0])
 
 
-def kernel_matrix(spec: KernelSpec, grid: Grid, cap: int = KERNEL_MATRIX_CAP) -> np.ndarray:
-    """Dense D x D kernel values at the grid midpoints (symmetrized)."""
+def _check_dimension(spec: KernelSpec, grid: Grid) -> None:
     if grid.d != spec.d:
         raise ValueError(f"kernel is {spec.d}-dimensional, grid is {grid.d}-dimensional")
+
+
+def kernel_matrix(spec: KernelSpec, grid: Grid, cap: int = KERNEL_MATRIX_CAP) -> np.ndarray:
+    """Dense D x D kernel values at the grid midpoints (symmetrized)."""
+    _check_dimension(spec, grid)
     n = grid.n_points
     if n > cap:
         raise ResourceLimitError(f"grid size {n} exceeds kernel matrix cap {cap}")
     pts = grid.coordinates()
     c = _evaluate(spec, pts[:, None], pts[None, :])
     return (c + c.T) / 2.0
+
+
+def _jittered_cholesky(c: np.ndarray) -> np.ndarray:
+    """Cholesky factor of c + jitter I, escalating jitter from 1e-12 trace / n."""
+    n = c.shape[0]
+    base = 1e-12 * np.trace(c) / n
+    if base == 0 and not c.any():
+        return np.zeros_like(c)  # a zero covariance has the zero factor
+    jitter = 0.0
+    for attempt in range(7):
+        jitter = base * 10.0**attempt
+        try:
+            return np.linalg.cholesky(c + jitter * np.eye(n))
+        except np.linalg.LinAlgError:
+            continue
+    raise NumericError(f"cholesky failed for kernel matrix even with jitter {jitter:g}")
+
+
+def _block_factors(spec: KernelSpec, grid: Grid) -> list[np.ndarray]:
+    """Cholesky factors whose Kronecker product factors the kernel matrix.
+
+    A product kernel gets one factor per axis, from its 1-D kernel matrix;
+    every other kernel gets one dense factor of the whole grid.
+    """
+    if isinstance(spec, (BrownianSheet, IntegratedBrownianSheet)):
+        _check_dimension(spec, grid)
+        axis = type(spec)(1)
+        return [_jittered_cholesky(kernel_matrix(axis, make_grid(1, [k]))) for k in grid.sizes]
+    return [_jittered_cholesky(kernel_matrix(spec, grid))]
 
 
 def sample_gaussian_fields(
@@ -205,31 +243,31 @@ def sample_gaussian_fields(
 ) -> FieldMatrix:
     """Draw n i.i.d. centered Gaussian fields with covariance `spec` on `grid`.
 
-    Rows are L z with z standard normal and L L^T the kernel matrix plus an
-    escalating diagonal jitter (Brownian-type matrices are numerically
-    semidefinite).  Deterministic for a fixed seed; noise, when given, uses
-    its own seed so the field draw is unchanged.
+    Rows are L z with z standard normal and L L^T the kernel matrix plus a
+    diagonal jitter (Brownian-type matrices are numerically semidefinite);
+    the jitter starts at 1e-12 times the mean diagonal and escalates by
+    factors of 10.  For BrownianSheet and IntegratedBrownianSheet, L is the
+    Kronecker product of the jittered per-axis factors and costs O(sum K_k^3)
+    to build, with no D x D array; every other kernel factors its dense
+    kernel matrix, which is capped at KERNEL_MATRIX_CAP points.
+    Deterministic for a fixed seed; noise, when given, uses its own seed so
+    the field draw is unchanged.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    c = kernel_matrix(spec, grid)
+    factors = _block_factors(spec, grid)
+    sizes = [f.shape[0] for f in factors]
     n_points = grid.n_points
-    base = 1e-12 * np.trace(c) / n_points
-    chol = None
-    jitter = 0.0
-    for attempt in range(7):
-        jitter = base * 10.0**attempt
-        try:
-            chol = np.linalg.cholesky(c + jitter * np.eye(n_points))
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if chol is None:
-        raise NumericError(
-            f"cholesky failed for kernel matrix even with jitter {jitter:g}"
-        )
-    z = gaussian(make_rng(seed), (n, n_points))
-    values = z @ chol.T
+    y = gaussian(make_rng(seed), (n, n_points))
+    for k, f in enumerate(factors):
+        after = math.prod(sizes[k + 1 :])
+        if after == 1:
+            # every later block has size 1, so block k varies fastest: one
+            # (n * rest, K_k) product
+            y = y.reshape(-1, sizes[k]) @ f.T
+        else:
+            y = np.matmul(f, y.reshape(-1, sizes[k], after))
+    values = y.reshape(n, n_points)
     if noise is not None and noise.sigma > 0:
         values = values + noise.sigma * gaussian(make_rng(noise.seed), (n, n_points))
     return FieldMatrix(grid, values)

@@ -51,6 +51,28 @@ def test_simulate_byte_identical(tmp_path):
     assert (out1 / "fields.cvnf").read_bytes() == (out2 / "fields.cvnf").read_bytes()
 
 
+def test_simulate_product_kernel_beyond_kernel_matrix_cap(tmp_path, capsys):
+    cfg = "kernel = brownian\nd = 3\nK = 32\nN = 4\nseed = 2\n"  # D = 32768
+    code1, out1 = run(tmp_path, "simulate", cfg, out=tmp_path / "o1")
+    code2, out2 = run(tmp_path, "simulate", cfg, out=tmp_path / "o2")
+    assert code1 == code2 == 0
+    assert (out1 / "fields.cvnf").read_bytes() == (out2 / "fields.cvnf").read_bytes()
+    capsys.readouterr()
+    code, _ = run(
+        tmp_path, "simulate", cfg.replace("brownian", "rotated_brownian"), out=tmp_path / "o3"
+    )
+    assert code == 2
+    assert "exceeds kernel matrix cap" in capsys.readouterr().err
+
+
+def test_simulate_zero_variance_grid_exits_0(tmp_path):
+    code, out = run(
+        tmp_path, "simulate", "kernel = rotated_brownian\nd = 2\nK = 1\nN = 3\nseed = 1\n"
+    )
+    assert code == 0
+    assert not read_fields(out / "fields.cvnf").values.any()
+
+
 def test_simulate_rejects_zero_resolution(tmp_path):
     code, _ = run(tmp_path, "simulate", "kernel = brownian\nd = 2\nK = 0\nN = 5\n")
     assert code == 2

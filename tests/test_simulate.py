@@ -1,8 +1,12 @@
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from covnet.errors import ResourceLimitError
 from covnet.fields import make_grid
+from covnet.rng import gaussian, make_rng
 from covnet.simulate import (
     BrownianSheet,
     IntegratedBrownianSheet,
@@ -10,6 +14,7 @@ from covnet.simulate import (
     NoiseSpec,
     RotatedBrownianSheet,
     RotatedIntegratedBrownianSheet,
+    _block_factors,
     kernel_eval,
     kernel_matrix,
     kernel_pairs,
@@ -247,3 +252,89 @@ def test_noise_changes_fields_but_not_draw():
 def test_noise_spec_rejects_negative_sigma():
     with pytest.raises(ValueError):
         NoiseSpec(sigma=-0.1)
+
+
+def dense_factor_draw(spec, grid, n, seed):
+    """Reference draw: the jittered Cholesky factor of the full kernel matrix."""
+    c = kernel_matrix(spec, grid)
+    base = 1e-12 * np.trace(c) / grid.n_points
+    for attempt in range(7):
+        try:
+            chol = np.linalg.cholesky(c + base * 10.0**attempt * np.eye(grid.n_points))
+            break
+        except np.linalg.LinAlgError:
+            continue
+    return gaussian(make_rng(seed), (n, grid.n_points)) @ chol.T
+
+
+@pytest.mark.parametrize("product", [BrownianSheet, IntegratedBrownianSheet])
+@pytest.mark.parametrize("sizes", [[6, 5], [3, 4, 2]])
+def test_product_kernel_factors_kronecker_to_kernel_matrix(product, sizes):
+    grid = make_grid(len(sizes), sizes)
+    spec = product(grid.d)
+    factors = _block_factors(spec, grid)
+    assert [f.shape for f in factors] == [(k, k) for k in sizes]
+    chol = reduce(np.kron, factors)
+    c = kernel_matrix(spec, grid)
+    # each axis's jitter, 1e-12 of its mean diagonal, moves the product by at
+    # most 1e-12 relative Frobenius (||C_k||_F >= trace(C_k) / sqrt(K_k))
+    rel = np.linalg.norm(chol @ chol.T - c) / np.linalg.norm(c)
+    assert rel <= 1e-12 * grid.d
+
+
+def test_product_kernel_draw_matches_dense_factor():
+    grid = make_grid(2, [6, 5])
+    got = sample_gaussian_fields(BrownianSheet(2), grid, 40, seed=8).values
+    want = dense_factor_draw(BrownianSheet(2), grid, 40, seed=8)
+    assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "spec, sizes",
+    [
+        (BrownianSheet(1), [9]),
+        (IntegratedBrownianSheet(1), [9]),
+        (RotatedBrownianSheet(rotation_2d_45()), [6, 5]),
+        (RotatedIntegratedBrownianSheet(rotation_2d_45()), [6, 5]),
+        (RotatedBrownianSheet(rotation_3d_composed()), [3, 4, 2]),
+        (Matern(0.7, 2), [6, 5]),
+        (Matern(1.5, 3), [3, 4, 2]),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, list) else "x".join(map(str, v)),
+)
+def test_dense_factor_draws_are_bit_identical_to_oracle(spec, sizes):
+    grid = make_grid(len(sizes), sizes)
+    got = sample_gaussian_fields(spec, grid, 12, seed=4).values
+    assert np.array_equal(got, dense_factor_draw(spec, grid, 12, seed=4))
+
+
+def test_sampling_empirical_covariance_integrated_sheet():
+    grid = make_grid(2, [3, 2])
+    spec = IntegratedBrownianSheet(2)
+    f = sample_gaussian_fields(spec, grid, 20000, seed=7)
+    emp = f.values.T @ f.values / f.n
+    np.testing.assert_allclose(emp, kernel_matrix(spec, grid), rtol=0.05)
+
+
+def test_zero_covariance_grid_samples_zeros():
+    # the only midpoint (1/2, 1/2) rotates onto the axis u_1 = 0: variance 0
+    grid = make_grid(2, [1, 1])
+    f = sample_gaussian_fields(RotatedBrownianSheet(rotation_2d_45()), grid, 4, seed=3)
+    assert np.array_equal(f.values, np.zeros((4, 1)))
+
+
+def test_product_kernel_sampling_memory_stays_far_below_one_kernel_matrix():
+    grid = make_grid(2, [64, 64])
+    tracemalloc.start()
+    try:
+        sample_gaussian_fields(BrownianSheet(2), grid, 4, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.n_points**2 * 8 / 10
+
+
+@pytest.mark.parametrize("spec", [BrownianSheet(2), Matern(1.0, 2)], ids=lambda s: type(s).__name__)
+def test_sampling_rejects_grid_of_other_dimension(spec):
+    with pytest.raises(ValueError, match="grid is 3-dimensional"):
+        sample_gaussian_fields(spec, make_grid(3, [2, 2, 2]), 2, seed=1)
