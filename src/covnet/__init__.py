@@ -63,7 +63,6 @@ from .simulate import (
     sample_gaussian_fields,
 )
 from .spectral import (
-    ConstituentGram,
     EigenSystem,
     constituent_gram,
     eigendecompose,
@@ -71,7 +70,6 @@ from .spectral import (
     threshold_lambda,
 )
 from .training import (
-    AdamState,
     LossBreakdown,
     TrainConfig,
     adam_step,
@@ -84,10 +82,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Architecture",
-    "AdamState",
     "BrownianSheet",
     "ConfigError",
-    "ConstituentGram",
     "CovnetError",
     "CvReport",
     "DegenerateModelError",

@@ -63,13 +63,8 @@ class SeparableCovariance:
             raise ValueError("factor shapes do not match the grid")
 
     def kernel_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u = np.atleast_2d(u)
-        v = np.atleast_2d(v)
-        k1, k2 = self.grid.sizes
-        i1 = np.clip((u[:, 0] * k1).astype(np.int64), 0, k1 - 1)
-        j1 = np.clip((v[:, 0] * k1).astype(np.int64), 0, k1 - 1)
-        i2 = np.clip((u[:, 1] * k2).astype(np.int64), 0, k2 - 1)
-        j2 = np.clip((v[:, 1] * k2).astype(np.int64), 0, k2 - 1)
+        i1, i2 = np.unravel_index(self.grid.flat_index(u), self.grid.sizes)
+        j1, j2 = np.unravel_index(self.grid.flat_index(v), self.grid.sizes)
         return self.a[i1, j1] * self.b[i2, j2]
 
 

@@ -10,6 +10,7 @@ file, byte-reproducibly for a fixed config and seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -61,6 +62,14 @@ KERNEL_NAMES = (
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _finite_float(text) -> float:
+    """float(text), refusing nan and infinities."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"{text!r} is not finite")
+    return val
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -125,14 +134,19 @@ class Config:
         return val
 
     def float_(self, key, default=None, required=False):
-        return self._parse(key, float, "a number", default, required)
+        return self._parse(key, _finite_float, "a finite number", default, required)
 
     def list_(self, key, item=str, default=None, required=False):
-        """Comma-separated values of type `item`; blank entries are skipped."""
+        """Comma-separated values of type `item`; blank entries are skipped.
+
+        Float items must be finite.
+        """
+        what = "finite float" if item is float else item.__name__
+        parse = _finite_float if item is float else item
         return self._parse(
             key,
-            lambda val: [item(p.strip()) for p in val.split(",") if p.strip()],
-            f"a comma-separated list of {item.__name__}",
+            lambda val: [parse(p.strip()) for p in val.split(",") if p.strip()],
+            f"a comma-separated list of {what}",
             default,
             required,
         )
@@ -235,6 +249,8 @@ def run_simulate(raw: dict[str, str], out_dir: str) -> None:
     n = cfg.int_("N", required=True, minimum=1)
     seed = cfg.int_("seed", default=0)
     sigma = cfg.float_("sigma", default=0.0)
+    if sigma < 0:
+        raise ConfigError(f"sigma must be >= 0, got {sigma}")
     noise = None
     if sigma > 0:
         noise = NoiseSpec(sigma, cfg.int_("noise_seed", default=seed + 1))
@@ -272,7 +288,7 @@ def _arch_from(cfg: Config, d: int) -> Architecture:
 
 
 def _train_config(cfg: Config) -> TrainConfig:
-    return TrainConfig(
+    settings = dict(
         epochs=cfg.int_("epochs", default=TrainConfig.epochs, minimum=1),
         lr=cfg.float_("lr", default=TrainConfig.lr),
         rel_tol=cfg.float_("rel_tol", default=TrainConfig.rel_tol),
@@ -284,6 +300,10 @@ def _train_config(cfg: Config) -> TrainConfig:
         ),
         batch=cfg.int_("batch", minimum=2),
     )
+    try:
+        return TrainConfig(**settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def run_fit(raw: dict[str, str], out_dir: str) -> None:
@@ -296,6 +316,8 @@ def run_fit(raw: dict[str, str], out_dir: str) -> None:
         "fit",
     )
     f = read_fields(cfg.str_("fields", required=True))
+    if f.n < 2:
+        raise ConfigError(f"fit needs at least two fields, got {f.n}")
     arch = _arch_from(cfg, f.grid.d)
     train_cfg = _train_config(cfg)
     name = cfg.str_("name", default="model")
@@ -325,11 +347,14 @@ def run_eval(raw: dict[str, str], out_dir: str) -> None:
     m = cfg.int_("M", default=100_000, minimum=1)
     seed = cfg.int_("seed", default=0)
     name = cfg.str_("name", default="errors")
+    est_names = cfg.list_("estimator", required=True)
+    if "separable" in est_names and d != 2:
+        raise ConfigError(f"the separable estimator needs d = 2, got d = {d}")
     # every estimator is built, in list order, before any error is computed;
     # the empirical covariance is built once and the separable one reuses it
     estimators = []
     emp = None
-    for est_name in cfg.list_("estimator", required=True):
+    for est_name in est_names:
         if est_name == "zero":
             estimators.append(("zero", ZeroCovariance()))
         elif est_name == "covnet":
@@ -422,6 +447,14 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
     r_list = cfg.list_("R_list", item=int)
     l_list = cfg.list_("L_list", item=int) or DEFAULT_DEPTHS
     base = _train_config(cfg)
+    if v > f.n:
+        raise ConfigError(f"cannot split {f.n} fields into V = {v} folds")
+    if f.n - math.ceil(f.n / v) < 2:
+        raise ConfigError(f"V = {v} leaves a training fold of fewer than 2 of {f.n} fields")
+    if not archs:
+        raise ConfigError("archs must name at least one architecture")
+    if any(k < 1 for k in [*(r_list or []), *l_list]):
+        raise ConfigError("R_list and L_list entries must be >= 1")
     candidates = []
     for variant in archs:
         if variant not in ARCH_VARIANTS:
@@ -512,7 +545,7 @@ def main(argv=None) -> int:
     try:
         raw = _merge_config(args)
         COMMANDS[args.command](raw, args.out)
-    except (ConfigError, ResourceLimitError, ValueError) as exc:
+    except (ConfigError, ResourceLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FieldFormatError, ModelFormatError, OSError) as exc:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import CovnetError, TrainingDivergedError
 from .fields import FieldMatrix, cross_gram
 from .model import Architecture, FittedCovariance, count_parameters
+from .rng import make_rng
 from .training import TrainConfig, fit
 
 
@@ -68,8 +69,6 @@ class CvReport:
 
 
 def _fold_indices(n: int, v: int, seed: int) -> list[np.ndarray]:
-    from .rng import make_rng
-
     perm = make_rng(seed, stream=2).permutation(n)
     return [np.sort(part) for part in np.array_split(perm, v)]
 

@@ -47,13 +47,6 @@ class Grid:
     def n_points(self) -> int:
         return math.prod(self.sizes)
 
-    def coordinate(self, i: int) -> np.ndarray:
-        """Midpoint of the voxel with flat index i."""
-        if not 0 <= i < self.n_points:
-            raise ValueError(f"flat index {i} outside [0, {self.n_points})")
-        multi = np.unravel_index(i, self.sizes)
-        return np.array([(j + 0.5) / k for j, k in zip(multi, self.sizes)])
-
     def coordinates(self) -> np.ndarray:
         """All midpoints as an (D, d) array in flat-index order."""
         axes = [(np.arange(k) + 0.5) / k for k in self.sizes]

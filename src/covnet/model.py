@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelFormatError
-from .fields import FieldMatrix, Grid
 from .rng import gaussian, make_rng, uniform
 
 MODEL_HEADER = "covnet-model v1"
@@ -90,13 +89,13 @@ class Architecture:
         return Architecture(SHALLOW, r, d)
 
     @staticmethod
-    def deep(r: int, d: int, depth: int, width: int | None = None) -> "Architecture":
-        """Deep architecture with uniform hidden width (default: width R)."""
-        return Architecture(DEEP, r, d, (width or r,) * depth)
+    def deep(r: int, d: int, depth: int) -> "Architecture":
+        """Deep architecture with `depth` hidden layers of width R."""
+        return Architecture(DEEP, r, d, (r,) * depth)
 
     @staticmethod
-    def deepshared(r: int, d: int, depth: int, width: int | None = None) -> "Architecture":
-        return Architecture(DEEPSHARED, r, d, (width or r,) * depth)
+    def deepshared(r: int, d: int, depth: int) -> "Architecture":
+        return Architecture(DEEPSHARED, r, d, (r,) * depth)
 
 
 def _layer_shapes(arch: Architecture) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -232,14 +231,10 @@ def eval_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray
     return z
 
 
-def lambda_from_coefficients(xi: np.ndarray, center: bool = True) -> np.ndarray:
-    """Coefficient second-moment matrix, PSD by construction.
-
-    Centered: N^{-1} (Xi - mean)^T (Xi - mean); uncentered: N^{-1} Xi^T Xi.
-    """
+def lambda_from_coefficients(xi: np.ndarray) -> np.ndarray:
+    """Coefficient covariance N^{-1} (Xi - mean)^T (Xi - mean), PSD by construction."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    if center:
-        xi = xi - xi.mean(axis=0)
+    xi = xi - xi.mean(axis=0)
     lam = xi.T @ xi / xi.shape[0]
     return (lam + lam.T) / 2.0
 

@@ -194,12 +194,14 @@ def _check_dimension(spec: KernelSpec, grid: Grid) -> None:
         raise ValueError(f"kernel is {spec.d}-dimensional, grid is {grid.d}-dimensional")
 
 
-def kernel_matrix(spec: KernelSpec, grid: Grid, cap: int = KERNEL_MATRIX_CAP) -> np.ndarray:
+def kernel_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
     """Dense D x D kernel values at the grid midpoints (symmetrized)."""
     _check_dimension(spec, grid)
     n = grid.n_points
-    if n > cap:
-        raise ResourceLimitError(f"grid size {n} exceeds kernel matrix cap {cap}")
+    if n > KERNEL_MATRIX_CAP:
+        raise ResourceLimitError(
+            f"grid size {n} exceeds kernel matrix cap {KERNEL_MATRIX_CAP}"
+        )
     pts = grid.coordinates()
     c = _evaluate(spec, pts[:, None], pts[None, :])
     return (c + c.T) / 2.0

@@ -30,21 +30,6 @@ DEFAULT_GRAM_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
-class ConstituentGram:
-    """Monte-Carlo estimate of the R x R Gram of the constituents."""
-
-    values: np.ndarray = field(repr=False)
-    m: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise ValueError("constituent gram must be square")
-        object.__setattr__(self, "values", (vals + vals.T) / 2.0)
-
-
-@dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues and eigenfunction coefficients of a fitted covariance.
 
@@ -55,35 +40,41 @@ class EigenSystem:
 
     values: np.ndarray  # (rank,), descending, >= 0
     coeffs: np.ndarray = field(repr=False)  # (rank, R)
-    rank: int = 0
+
+    @property
+    def rank(self) -> int:
+        return self.values.shape[0]
 
 
 def constituent_gram(
     model: FittedCovariance, m: int = DEFAULT_GRAM_SAMPLES, seed: int = 0
-) -> ConstituentGram:
-    """Estimate int g_r g_s by averaging over m uniform points on the cube."""
+) -> np.ndarray:
+    """Estimate int g_r g_s by averaging over m uniform points on the cube.
+
+    Returns the symmetrized R x R Gram G.
+    """
     if m < 1:
         raise ValueError("need at least one sample point")
     pts = uniform(make_rng(seed), (m, model.arch.d))
     z = model.constituents(pts)
-    return ConstituentGram(z.T @ z / m, m=m, seed=seed)
+    g = z.T @ z / m
+    return (g + g.T) / 2.0
 
 
-def eigendecompose(model: FittedCovariance, gram: ConstituentGram) -> EigenSystem:
+def eigendecompose(model: FittedCovariance, gram: np.ndarray) -> EigenSystem:
     """Solve (G Lambda G) a = eta G a by whitening G.
 
     Directions of G with eigenvalue below GRAM_DROP_TOL times the largest
     are dropped; eigenvalues below EIGENVALUE_CLAMP times the largest are
     clamped to exactly 0 (as are the tiny negatives the clamp implies).
     """
-    g = gram.values
-    if g.shape[0] != model.arch.r:
-        raise ValueError("gram size does not match the model's R")
-    s, v = np.linalg.eigh(g)
+    r = model.arch.r
+    if gram.shape != (r, r):
+        raise ValueError(f"gram must be {r}x{r} for the model's R, got {gram.shape}")
+    s, v = np.linalg.eigh(gram)
     if s[-1] <= 0:
         raise DegenerateModelError("constituent gram is numerically zero")
     keep = s > GRAM_DROP_TOL * s[-1]
-    rank = int(keep.sum())
     sk = s[keep]
     vk = v[:, keep]
     white = vk / np.sqrt(sk)  # maps whitened coords back to coefficient space
@@ -96,7 +87,7 @@ def eigendecompose(model: FittedCovariance, gram: ConstituentGram) -> EigenSyste
     coeffs = (white @ c[:, order]).T
     eta = np.where(eta < EIGENVALUE_CLAMP * max(eta[0], 0.0), 0.0, eta)
     eta = np.maximum(eta, 0.0)
-    return EigenSystem(values=eta, coeffs=coeffs, rank=rank)
+    return EigenSystem(values=eta, coeffs=coeffs)
 
 
 def eval_eigenfunction(

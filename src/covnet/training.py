@@ -24,6 +24,7 @@ breakdown identity total = xx + gg - 2 xg is preserved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ PRE_CENTER = "pre_center"
 JOINT_MEAN = "joint_mean"
 
 DIVERGENCE_FACTOR = 1e6
+# ADAM's moment decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+STOP_WINDOW = 50  # epochs over which the running-minimum loss must improve
 
 
 @dataclass(frozen=True)
@@ -62,26 +68,22 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """ADAM hyperparameters, stopping rule, and centering mode."""
+    """Epoch budget, ADAM step size, stopping tolerance, seed, centering, batch."""
 
     epochs: int = 5000
     lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     rel_tol: float = 1e-7
-    rel_window: int = 50
     seed: int = 0
     center_mode: str = PRE_CENTER
     batch: int | None = None
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("adam betas must lie in [0, 1)")
-        if self.eps <= 0 or self.rel_tol < 0 or self.epochs < 1:
-            raise ValueError("bad eps / rel_tol / epochs")
+        if not (0 < self.lr < math.inf):
+            raise ValueError("learning rate must be positive and finite")
+        if not (0 <= self.rel_tol < math.inf):
+            raise ValueError("rel_tol must be nonnegative and finite")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
         if self.center_mode not in (PRE_CENTER, JOINT_MEAN):
             raise ValueError(f"unknown center_mode {self.center_mode!r}")
         if self.batch is not None and self.batch < 2:
@@ -183,36 +185,17 @@ def gradients(
     return dparams, dxi
 
 
-@dataclass
-class AdamState:
-    """First and second moment accumulators, one entry per parameter."""
-
-    m: np.ndarray
-    v: np.ndarray
-
-    @staticmethod
-    def zeros(size: int) -> "AdamState":
-        return AdamState(np.zeros(size), np.zeros(size))
-
-
 def adam_step(
-    theta: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float,
-    beta2: float,
-    eps: float,
-    t: int,
+    theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, lr: float, t: int
 ) -> np.ndarray:
-    """Standard bias-corrected ADAM update (mutates the moment state)."""
+    """Bias-corrected ADAM update; overwrites the moments m and v in place."""
     if t < 1:
         raise ValueError("adam step index starts at 1")
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    mhat = state.m / (1.0 - beta1**t)
-    vhat = state.v / (1.0 - beta2**t)
-    return theta - lr * mhat / (np.sqrt(vhat) + eps)
+    m[:] = BETA1 * m + (1.0 - BETA1) * grad
+    v[:] = BETA2 * v + (1.0 - BETA2) * grad * grad
+    mhat = m / (1.0 - BETA1**t)
+    vhat = v / (1.0 - BETA2**t)
+    return theta - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def fit(
@@ -229,7 +212,7 @@ def fit(
     biased; full batch is the default).
 
     Stops early when the running-minimum total improves by less than
-    rel_tol (relatively) over rel_window epochs; raises
+    rel_tol (relatively) over STOP_WINDOW epochs; raises
     TrainingDivergedError if the loss becomes non-finite or exceeds 1e6
     times its initial value.
     """
@@ -244,7 +227,7 @@ def fit(
     params, xi = init_params(arch, f.n, cfg.seed)
     theta = np.concatenate([params, xi.ravel()])
     n_net = params.size
-    state = AdamState.zeros(theta.size)
+    m, v = np.zeros(theta.size), np.zeros(theta.size)
     batch_rng = make_rng(cfg.seed, stream=1)
 
     trace_rows: list[tuple[float, float, float, float]] = []
@@ -277,7 +260,7 @@ def fit(
             grad = np.zeros(theta.size)
             grad[:n_net] = dparams
             grad[n_net:].reshape(f.n, arch.r)[idx] = dxi
-            theta = adam_step(theta, grad, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, t)
+            theta = adam_step(theta, grad, m, v, cfg.lr, t)
         mean_total = float(np.mean([b.total for b in rows]))
         trace_rows.append(
             (
@@ -296,9 +279,8 @@ def fit(
         running_min.append(
             mean_total if not running_min else min(running_min[-1], mean_total)
         )
-        w = cfg.rel_window
-        if len(running_min) > w:
-            prev = running_min[-w - 1]
+        if len(running_min) > STOP_WINDOW:
+            prev = running_min[-STOP_WINDOW - 1]
             if prev - running_min[-1] < cfg.rel_tol * max(prev, 1e-300):
                 break
 
@@ -309,7 +291,7 @@ def fit(
         (breakdown.total, breakdown.term_xx, breakdown.term_gg, breakdown.term_xg)
     )
 
-    lam = lambda_from_coefficients(xi, center=True)
+    lam = lambda_from_coefficients(xi)
     mean_coeffs = None
     if include_mean:
         # the criterion is quadratic in the fitted fields, so their common

@@ -129,7 +129,7 @@ def test_criterion_03_eigendecomposition_oracle():
         # the Gram discrepancy scaled by Lambda (first-order perturbation)
         gram_grid = z.T @ z / grid.n_points
         bound = 3.0 * np.linalg.norm(model.lam, 2) * np.linalg.norm(
-            gram.values - gram_grid, 2
+            gram - gram_grid, 2
         )
         for i in range(min(5, system.rank)):
             tol = max(0.02 * abs(eta_dense[i]), bound)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from covnet.cli import main, parse_config_text
+from covnet import cli
+from covnet.cli import main, parse_config_text, run_fit
 from covnet.errors import ConfigError, ModelFormatError
 from covnet.fields import FieldMatrix, make_grid, read_fields, write_fields
 from covnet.model import (
@@ -13,6 +16,7 @@ from covnet.model import (
     save_model,
 )
 from covnet.rng import gaussian, make_rng
+from covnet.training import TrainConfig
 
 
 def run(tmp_path, command, cfg_text, extra=None, out=None):
@@ -397,3 +401,78 @@ def test_eval_unknown_estimator_prints_nothing(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().out == ""
     assert not (out / "errors.csv").exists()
+
+
+def gaussian_fields(tmp_path, n):
+    """n white-noise fields on a 4x4 grid, written to a field file."""
+    path = tmp_path / f"white{n}.cvnf"
+    grid = make_grid(2, [4, 4])
+    write_fields(path, FieldMatrix(grid, gaussian(make_rng(40 + n), (n, grid.n_points))))
+    return path
+
+
+SIMULATE = "kernel = brownian\nd = 2\nK = 4\nN = 4\n"
+FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
+
+
+@pytest.mark.parametrize(
+    "command, cfg_text, message",
+    [
+        # non-finite floats and a negative noise level
+        ("simulate", SIMULATE + "sigma = -1\n", "sigma must be >= 0"),
+        ("simulate", SIMULATE + "sigma = nan\n", "sigma must be a finite number"),
+        ("simulate", SIMULATE + "sigma = inf\n", "sigma must be a finite number"),
+        ("simulate", "kernel = matern\nnu = inf\nd = 2\nK = 4\nN = 4\n", "nu must be"),
+        ("fit", FIT + "lr = nan\n", "lr must be"),
+        ("fit", FIT + "lr = inf\n", "lr must be"),
+        ("fit", FIT + "rel_tol = nan\n", "rel_tol must be"),
+        ("export", "model = {model}\nK = 3\nv0 = nan,0.5\n", "v0 must be"),
+        # values the library would reject, caught by the CLI first
+        ("fit", FIT + "lr = 0\n", "learning rate"),
+        ("fit", FIT.replace("{fields}", "{one}"), "at least two fields"),
+        (
+            "eval",
+            "estimator = separable\nfields = {fields}\nkernel = brownian\nd = 3\n",
+            "needs d = 2",
+        ),
+        ("cv", "fields = {fields}\nV = 7\n", "into V = 7 folds"),
+        ("cv", "fields = {three}\nV = 2\n", "fewer than 2"),
+        ("cv", "fields = {fields}\narchs = ,\n", "at least one architecture"),
+        ("cv", "fields = {fields}\narchs = shallow\nR_list = 0\n", "must be >= 1"),
+    ],
+    ids=[
+        "sigma_negative", "sigma_nan", "sigma_inf", "nu_inf", "lr_nan", "lr_inf",
+        "rel_tol_nan", "v0_nan", "lr_zero", "fit_one_field", "separable_d3",
+        "cv_v_above_n", "cv_small_fold", "cv_no_archs", "cv_r_zero",
+    ],
+)
+def test_config_value_error_exits_2(tmp_path, capsys, command, cfg_text, message):
+    text = cfg_text.format(
+        model=constant_model(tmp_path),
+        fields=gaussian_fields(tmp_path, 6),
+        one=gaussian_fields(tmp_path, 1),
+        three=gaussian_fields(tmp_path, 3),
+    )
+    code, out = run(tmp_path, command, text)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    # nothing is written, not even the output directory
+    assert not out.exists()
+
+
+def test_value_error_inside_a_subcommand_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal defect")
+
+    monkeypatch.setattr(cli, "constituent_gram", broken)
+    with pytest.raises(ValueError, match="internal defect"):
+        run(tmp_path, "eigen", f"model = {constant_model(tmp_path)}\nM = 100\n")
+    assert "config error" not in capsys.readouterr().err
+
+
+def test_every_train_config_field_is_a_fit_key(tmp_path):
+    # Config rejects unknown keys first, so a known key reaches the missing-fields error
+    for name in (f.name for f in dataclasses.fields(TrainConfig)):
+        with pytest.raises(ConfigError, match="missing required config key 'fields'"):
+            run_fit({name: "1"}, str(tmp_path / "out"))

@@ -23,7 +23,8 @@ def test_cv_loss_zero_when_model_equals_validation_covariance():
     xi = gaussian(make_rng(2), (4, 3))
     z = eval_constituents(params, arch, grid.coordinates())
     f_va = FieldMatrix(grid, xi @ z.T)
-    lam = lambda_from_coefficients(xi, center=False)
+    lam = xi.T @ xi / 4
+    lam = (lam + lam.T) / 2
     model = FittedCovariance(arch, params, lam)
     assert abs(cv_loss(model, f_va)) <= 1e-10
 
@@ -45,7 +46,7 @@ def test_cv_loss_matches_dense_oracle():
     arch = Architecture.deepshared(3, 2, 2)
     params, _ = init_params(arch, 4, seed=5)
     xi = gaussian(make_rng(6), (4, 3))
-    lam = lambda_from_coefficients(xi, center=True)
+    lam = lambda_from_coefficients(xi)
     model = FittedCovariance(arch, params, lam)
     x = gaussian(make_rng(7), (4, 36))
     x = x - x.mean(axis=0)

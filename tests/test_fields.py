@@ -26,10 +26,11 @@ def test_grid_1d_midpoints():
 def test_grid_2d_row_major():
     grid = make_grid(2, [2, 3])
     assert grid.n_points == 6
-    np.testing.assert_allclose(grid.coordinate(0), [0.25, 1 / 6])
+    pts = grid.coordinates()
+    np.testing.assert_allclose(pts[0], [0.25, 1 / 6])
     # flat index walks the last axis fastest
-    np.testing.assert_allclose(grid.coordinate(1), [0.25, 3 / 6])
-    np.testing.assert_allclose(grid.coordinate(3), [0.75, 1 / 6])
+    np.testing.assert_allclose(pts[1], [0.25, 3 / 6])
+    np.testing.assert_allclose(pts[3], [0.75, 1 / 6])
 
 
 def test_grid_3d_size():

@@ -62,7 +62,7 @@ def field_blob(work) -> bytes:
 
 @pytest.fixture(scope="module")
 def model_text(work) -> str:
-    arch = Architecture.deep(2, 2, 2, width=2)
+    arch = Architecture.deep(2, 2, 2)
     params, xi = init_params(arch, 5, seed=3)
     path = work / "valid.cvn"
     model = FittedCovariance(arch, params, lambda_from_coefficients(xi), xi.mean(axis=0))

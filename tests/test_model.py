@@ -117,7 +117,7 @@ def test_forward_leaves_points_unmodified(variant):
 
 
 def test_deepshared_zero_params_match_scalar_recursion():
-    arch = Architecture.deepshared(2, 2, 3, width=4)
+    arch = Architecture("deepshared", 2, 2, (4, 4, 4))
     params = np.zeros(count_parameters(arch, include_lambda=False))
     z = eval_constituents(params, arch, np.array([[0.3, 0.8]]))
     # zero weights erase each previous layer, so every layer emits sigma(0)
@@ -126,7 +126,7 @@ def test_deepshared_zero_params_match_scalar_recursion():
 
 def test_deepshared_nonzero_matches_scalar_recursion():
     # width-1 trunk wired with scalar weights reproduces a scalar recursion
-    arch = Architecture.deepshared(1, 1, 2, width=1)
+    arch = Architecture("deepshared", 1, 1, (1, 1))
     w1, b1, w2, b2, wo, bo = 0.7, -0.2, 1.3, 0.4, -0.9, 0.1
     params = np.array([w1, b1, w2, b2, wo, bo])  # layer by layer, W before b
     u = 0.6
@@ -137,7 +137,7 @@ def test_deepshared_nonzero_matches_scalar_recursion():
 
 def test_deep_matches_composed_shallow_structure():
     # a deep net evaluated layer by layer with plain numpy as the oracle
-    arch = Architecture.deep(2, 2, 2, width=3)
+    arch = Architecture("deep", 2, 2, (3, 3))
     params, _ = init_params(arch, 3, seed=5)
     pts = gaussian(make_rng(6), (4, 2))
     z = eval_constituents(params, arch, pts)
@@ -206,7 +206,7 @@ def test_fitted_fields_matches_double_loop():
 
 
 def test_lambda_centered_variance():
-    lam = lambda_from_coefficients(np.array([[1.0], [-1.0]]), center=True)
+    lam = lambda_from_coefficients(np.array([[1.0], [-1.0]]))
     np.testing.assert_allclose(lam, [[1.0]])
 
 
@@ -216,8 +216,8 @@ def test_lambda_zero():
 
 def test_lambda_is_psd():
     xi = gaussian(make_rng(8), (6, 3))
-    for center in (True, False):
-        lam = lambda_from_coefficients(xi, center)
+    for shift in (0.0, 5.0):  # centering removes any common offset
+        lam = lambda_from_coefficients(xi + shift)
         assert np.linalg.eigvalsh(lam)[0] >= -1e-12
 
 
@@ -291,9 +291,9 @@ def test_parameter_census_matches_formulas():
     cases = [
         Architecture.shallow(4, 3),
         Architecture.deep(3, 2, 2),
-        Architecture.deep(2, 3, 3, width=4),
+        Architecture("deep", 2, 3, (4, 4, 4)),
         Architecture.deepshared(5, 2, 2),
-        Architecture.deepshared(3, 3, 4, width=2),
+        Architecture("deepshared", 3, 3, (2, 2, 2, 2)),
     ]
     for arch in cases:
         params, _ = init_params(arch, 3, seed=0)

@@ -8,6 +8,7 @@ from covnet.errors import ResourceLimitError
 from covnet.fields import make_grid
 from covnet.rng import gaussian, make_rng
 from covnet.simulate import (
+    KERNEL_MATRIX_CAP,
     BrownianSheet,
     IntegratedBrownianSheet,
     Matern,
@@ -185,8 +186,9 @@ def test_kernel_matrix_matches_pointwise_loop():
 
 
 def test_kernel_matrix_cap():
+    # the cap is checked before any D x D array is formed
     with pytest.raises(ResourceLimitError):
-        kernel_matrix(BrownianSheet(2), make_grid(2, [10, 10]), cap=50)
+        kernel_matrix(BrownianSheet(1), make_grid(1, [KERNEL_MATRIX_CAP + 1]))
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from covnet.fields import make_grid
 from covnet.model import Architecture, FittedCovariance, init_params
 from covnet.rng import gaussian, make_rng, uniform
 from covnet.spectral import (
-    ConstituentGram,
     constituent_gram,
     eigendecompose,
     eval_eigenfunction,
@@ -36,7 +35,7 @@ def test_gram_constant_constituent_exact():
     model = constant_model()
     for m in (1, 10, 5000):
         gram = constituent_gram(model, m, seed=1)
-        np.testing.assert_array_equal(gram.values, [[0.25]])
+        np.testing.assert_array_equal(gram, [[0.25]])
 
 
 def test_gram_duplicated_constituents_rank_one():
@@ -44,16 +43,16 @@ def test_gram_duplicated_constituents_rank_one():
     params = np.array([0.7, 0.7, -0.3, -0.3])  # w (2, 1) then b (2,)
     model = FittedCovariance(arch, params, np.eye(2))
     gram = constituent_gram(model, 2000, seed=2)
-    assert gram.values[0, 0] == pytest.approx(gram.values[0, 1], rel=1e-15)
-    assert gram.values[0, 0] == pytest.approx(gram.values[1, 1], rel=1e-15)
+    assert gram[0, 0] == pytest.approx(gram[0, 1], rel=1e-15)
+    assert gram[0, 0] == pytest.approx(gram[1, 1], rel=1e-15)
 
 
 def test_gram_entries_bounded_and_psd():
     model = random_model(4, 2, seed=3)
     gram = constituent_gram(model, 3000, seed=4)
-    assert np.all(gram.values >= 0)
-    assert np.all(gram.values <= 1)
-    assert np.linalg.eigvalsh(gram.values)[0] >= -1e-10 * np.trace(gram.values)
+    assert np.all(gram >= 0)
+    assert np.all(gram <= 1)
+    assert np.linalg.eigvalsh(gram)[0] >= -1e-10 * np.trace(gram)
 
 
 def test_gram_matches_tensor_grid_quadrature():
@@ -65,14 +64,14 @@ def test_gram_matches_tensor_grid_quadrature():
     z = model.constituents(quad_grid.coordinates())
     oracle = z.T @ z / quad_grid.n_points
     se_bound = 0.5 / np.sqrt(m)
-    assert np.abs(gram.values - oracle).max() < 3 * se_bound
+    assert np.abs(gram - oracle).max() < 3 * se_bound
 
 
 def test_gram_deterministic():
     model = random_model(3, 2, seed=7)
     a = constituent_gram(model, 500, seed=8)
     b = constituent_gram(model, 500, seed=8)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_eigendecompose_constant_model():
@@ -92,7 +91,7 @@ def test_eigendecompose_constant_model():
 def test_eigendecompose_identity_gram_reduces_to_lambda():
     r = 4
     model = random_model(r, 2, seed=9)
-    gram = ConstituentGram(np.eye(r), m=0, seed=0)
+    gram = np.eye(r)
     system = eigendecompose(model, gram)
     eta, vecs = np.linalg.eigh(model.lam)
     np.testing.assert_allclose(system.values, eta[::-1], rtol=1e-12)
@@ -128,18 +127,18 @@ def test_eigensystem_gram_orthonormal():
     gram = constituent_gram(model, 50_000, seed=24)
     system = eigendecompose(model, gram)
     a = system.coeffs
-    np.testing.assert_allclose(a @ gram.values @ a.T, np.eye(system.rank), atol=1e-8)
+    np.testing.assert_allclose(a @ gram @ a.T, np.eye(system.rank), atol=1e-8)
 
 
 def test_eigenfunctions_orthonormal_at_gram_points():
     model = random_model(4, 2, seed=25)
-    gram = constituent_gram(model, 20_000, seed=26)
-    system = eigendecompose(model, gram)
-    pts = uniform(make_rng(gram.seed), (gram.m, model.arch.d))
+    m, seed = 20_000, 26
+    system = eigendecompose(model, constituent_gram(model, m, seed))
+    pts = uniform(make_rng(seed), (m, model.arch.d))
     psis = np.stack(
         [eval_eigenfunction(model, system, i, pts) for i in range(system.rank)]
     )
-    inner = psis @ psis.T / gram.m
+    inner = psis @ psis.T / m
     np.testing.assert_allclose(inner, np.eye(system.rank), atol=1e-8)
 
 
@@ -148,7 +147,7 @@ def test_eigenvalue_sum_matches_quadratic_forms():
     gram = constituent_gram(model, 30_000, seed=28)
     system = eigendecompose(model, gram)
     a = system.coeffs
-    g = gram.values
+    g = gram
     quad = np.array([a[i] @ g @ model.lam @ g @ a[i] for i in range(system.rank)])
     assert np.sum(system.values) == pytest.approx(np.sum(quad), rel=1e-8)
     assert np.all(system.values >= 0)
