@@ -133,6 +133,13 @@ class Config:
             raise ConfigError(f"{key} must be >= {minimum}, got {val}")
         return val
 
+    def seed_(self, key, default=0):
+        """An integer seed in [0, 2^64), the key range of make_rng."""
+        val = self.int_(key, default=default)
+        if not 0 <= val < 2**64:
+            raise ConfigError(f"{key} must lie in [0, 2^64), got {val}")
+        return val
+
     def float_(self, key, default=None, required=False):
         return self._parse(key, _finite_float, "a finite number", default, required)
 
@@ -247,13 +254,13 @@ def run_simulate(raw: dict[str, str], out_dir: str) -> None:
     grid = _grid_from(cfg)
     spec = _kernel_from(cfg, grid.d)
     n = cfg.int_("N", required=True, minimum=1)
-    seed = cfg.int_("seed", default=0)
+    seed = cfg.seed_("seed")
     sigma = cfg.float_("sigma", default=0.0)
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
     noise = None
     if sigma > 0:
-        noise = NoiseSpec(sigma, cfg.int_("noise_seed", default=seed + 1))
+        noise = NoiseSpec(sigma, cfg.seed_("noise_seed", default=seed + 1))
     name = cfg.str_("name", default="fields")
     fields_ = sample_gaussian_fields(spec, grid, n, seed, noise)
     path = _out_path(out_dir, f"{name}.cvnf")
@@ -292,7 +299,7 @@ def _train_config(cfg: Config) -> TrainConfig:
         epochs=cfg.int_("epochs", default=TrainConfig.epochs, minimum=1),
         lr=cfg.float_("lr", default=TrainConfig.lr),
         rel_tol=cfg.float_("rel_tol", default=TrainConfig.rel_tol),
-        seed=cfg.int_("seed", default=0),
+        seed=cfg.seed_("seed"),
         center_mode=cfg.str_(
             "center_mode",
             default=TrainConfig.center_mode,
@@ -345,7 +352,7 @@ def run_eval(raw: dict[str, str], out_dir: str) -> None:
     d = cfg.int_("d", required=True, minimum=1)
     truth = _kernel_from(cfg, d)
     m = cfg.int_("M", default=100_000, minimum=1)
-    seed = cfg.int_("seed", default=0)
+    seed = cfg.seed_("seed")
     name = cfg.str_("name", default="errors")
     est_names = cfg.list_("estimator", required=True)
     if "separable" in est_names and d != 2:
@@ -399,7 +406,7 @@ def run_eigen(raw: dict[str, str], out_dir: str) -> None:
     )
     model = load_model(cfg.str_("model", required=True))
     m = cfg.int_("M", default=100_000, minimum=1)
-    seed = cfg.int_("seed", default=0)
+    seed = cfg.seed_("seed")
     name = cfg.str_("name", default="eigen")
     grid = None
     if "K" in cfg.raw or "sizes" in cfg.raw:
@@ -441,7 +448,7 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
     )
     f = read_fields(cfg.str_("fields", required=True))
     v = cfg.int_("V", default=5, minimum=2)
-    seed = cfg.int_("seed", default=0)
+    seed = cfg.seed_("seed")
     name = cfg.str_("name", default="cv")
     archs = cfg.list_("archs", default=",".join(ARCH_VARIANTS))
     r_list = cfg.list_("R_list", item=int)

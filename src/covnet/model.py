@@ -24,6 +24,9 @@ During fitting the kernel is represented through an N x R coefficient matrix
 Xi: the fitted fields are Xi Z^T with Z the constituents evaluated on the
 grid, and Lambda is recovered at freeze time as the (centered) second moment
 of the coefficient columns, which makes it PSD by construction.
+
+Only the training forward keeps the activations that the backward pass
+needs; evaluation walks the same layers in blocks of points and keeps none.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ SHALLOW = "shallow"
 DEEP = "deep"
 DEEPSHARED = "deepshared"
 VARIANTS = (SHALLOW, DEEP, DEEPSHARED)
+
+# points per block in eval_constituents, so that its temporaries are
+# _POINT_BLOCK x p however many points are asked for
+_POINT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -178,19 +185,36 @@ def _layer(a: np.ndarray, w: np.ndarray, b) -> np.ndarray:
     return _sigmoid(h)
 
 
-def forward_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray):
-    """Constituent values Z (M x R) plus the activation cache for backprop."""
+def _stack(a: np.ndarray, layers, g: int, acts: list | None = None) -> np.ndarray:
+    """Output of stack g at inputs a; appends every layer's activation to acts if given.
+
+    Without acts each activation is dropped as soon as the next layer has it.
+    """
+    for w, b in layers:
+        a = _layer(a, w[g], b[g])
+        if acts is not None:
+            acts.append(a)
+    return a
+
+
+def _points(points: np.ndarray, arch: Architecture) -> np.ndarray:
+    """Evaluation points as a checked (M, d) float array."""
     u = np.atleast_2d(np.asarray(points, dtype=float))
     if u.shape[1] != arch.d:
         raise ValueError(f"points must be (M, {arch.d}), got {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("evaluation points must be finite")
+    return u
+
+
+def forward_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray):
+    """Constituent values Z (M x R) plus the activation cache for backprop."""
+    u = _points(points, arch)
     layers = _param_views(params, arch)
     stacks = []
     for g in range(arch.groups):
         acts = [u]
-        for w, b in layers:
-            acts.append(_layer(acts[-1], w[g], b[g]))
+        _stack(u, layers, g, acts)
         stacks.append(acts)
     outs = [acts[-1] for acts in stacks]
     z = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
@@ -225,9 +249,32 @@ def backward_constituents(
     return grad
 
 
+def _point_blocks(m: int) -> list[slice]:
+    """Row blocks of _POINT_BLOCK points starting at its multiples.
+
+    A 1-row remainder joins the block before it: BLAS rounds a 1-row
+    product differently from the same row inside a larger one.
+    """
+    starts = list(range(0, m, _POINT_BLOCK))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], m])]
+
+
 def eval_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray) -> np.ndarray:
-    """Constituent values g_r(point_i) as an (M, R) matrix."""
-    z, _ = forward_constituents(params, arch, points)
+    """Constituent values g_r(point_i) as an (M, R) matrix.
+
+    Walks the layers one point block at a time and keeps no activations, so
+    beyond its output it holds a few _POINT_BLOCK x p arrays however large
+    M is.  With one BLAS thread it equals forward_constituents' Z bit for bit.
+    """
+    u = _points(points, arch)
+    layers = _param_views(params, arch)
+    rows = arch.r // arch.groups
+    z = np.empty((u.shape[0], arch.r))
+    for block in _point_blocks(u.shape[0]):
+        for g in range(arch.groups):
+            z[block, g * rows : (g + 1) * rows] = _stack(u[block], layers, g)
     return z
 
 

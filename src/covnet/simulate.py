@@ -16,7 +16,8 @@ noise.  For the unrotated product kernels the D x D matrix is never formed:
 on a tensor grid it is C_1 (x) ... (x) C_d with C_k the 1-D kernel matrix of
 axis k, and chol(A (x) B) = chol(A) (x) chol(B), so L is applied as one
 K_k x K_k factor per axis.  Rotated sheets and Matern are not separable; they
-take the dense factor of the whole grid, capped at KERNEL_MATRIX_CAP points.
+take the dense factor of the whole grid, capped at KERNEL_MATRIX_CAP points;
+that path holds the kernel matrix and its factor, two D x D arrays.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from .fields import FieldMatrix, Grid, make_grid
 from .rng import gaussian, make_rng
 
 KERNEL_MATRIX_CAP = 20000
+# kernel values per row block in kernel_matrix, so that its temporaries stay
+# about _MATRIX_BLOCK floats whatever the grid size
+_MATRIX_BLOCK = 1 << 16
 
 
 def _check_rotation(o: np.ndarray, d: int) -> np.ndarray:
@@ -154,8 +158,16 @@ def _matern_radial(nu: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """c(u, v) over broadcastable (..., d) point arrays."""
+def _rotate(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
+    """Points (..., d) in the kernel's own coordinates: rotated for rotated sheets."""
+    if not isinstance(spec, _RotatedSheet):
+        return u
+    # rotate (M, d) rows: a stacked matmul would round differently
+    return (u.reshape(-1, spec.d) @ spec.rotation.T).reshape(u.shape)
+
+
+def _evaluate_rotated(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """c(u, v) over broadcastable (..., d) arrays of already rotated points."""
     shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
     if isinstance(spec, Matern):
         r2 = np.zeros(shape)
@@ -163,16 +175,21 @@ def _evaluate(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             delta = u[..., k] - v[..., k]
             r2 += delta * delta
         return _matern_radial(spec.nu, np.sqrt(r2))
-    if isinstance(spec, _RotatedSheet):
-        # rotate (M, d) rows: a stacked matmul would round differently
-        u = (u.reshape(-1, spec.d) @ spec.rotation.T).reshape(u.shape)
-        v = (v.reshape(-1, spec.d) @ spec.rotation.T).reshape(v.shape)
     integrated = (IntegratedBrownianSheet, RotatedIntegratedBrownianSheet)
     axis = _ibm_axis if isinstance(spec, integrated) else _bm_axis
     out = np.ones(shape)
     for k in range(spec.d):
         out *= axis(u[..., k], v[..., k])
     return out
+
+
+def _evaluate(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """c(u, v) over broadcastable (..., d) point arrays.
+
+    Exactly symmetric: every family's formula is symmetric in u and v
+    operation by operation.
+    """
+    return _evaluate_rotated(spec, _rotate(spec, u), _rotate(spec, v))
 
 
 def kernel_pairs(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -195,29 +212,42 @@ def _check_dimension(spec: KernelSpec, grid: Grid) -> None:
 
 
 def kernel_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
-    """Dense D x D kernel values at the grid midpoints (symmetrized)."""
+    """Dense D x D kernel values at the grid midpoints, exactly symmetric.
+
+    Filled in blocks of rows, so that beyond the result its temporaries
+    hold about _MATRIX_BLOCK values.
+    """
     _check_dimension(spec, grid)
     n = grid.n_points
     if n > KERNEL_MATRIX_CAP:
         raise ResourceLimitError(
             f"grid size {n} exceeds kernel matrix cap {KERNEL_MATRIX_CAP}"
         )
-    pts = grid.coordinates()
-    c = _evaluate(spec, pts[:, None], pts[None, :])
-    return (c + c.T) / 2.0
+    pts = _rotate(spec, grid.coordinates())
+    c = np.empty((n, n))
+    step = max(1, _MATRIX_BLOCK // n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        c[rows] = _evaluate_rotated(spec, pts[rows, None], pts[None, :])
+    return c
 
 
 def _jittered_cholesky(c: np.ndarray) -> np.ndarray:
-    """Cholesky factor of c + jitter I, escalating jitter from 1e-12 trace / n."""
+    """Cholesky factor of c + jitter I, escalating jitter from 1e-12 trace / n.
+
+    The jitter is written onto c's diagonal in place, so c is overwritten.
+    """
     n = c.shape[0]
     base = 1e-12 * np.trace(c) / n
     if base == 0 and not c.any():
         return np.zeros_like(c)  # a zero covariance has the zero factor
+    diag = c.diagonal().copy()
     jitter = 0.0
     for attempt in range(7):
         jitter = base * 10.0**attempt
+        np.fill_diagonal(c, diag + jitter)
         try:
-            return np.linalg.cholesky(c + jitter * np.eye(n))
+            return np.linalg.cholesky(c)
         except np.linalg.LinAlgError:
             continue
     raise NumericError(f"cholesky failed for kernel matrix even with jitter {jitter:g}")

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -290,16 +288,15 @@ def test_baselines_beyond_4096_points_match_pair_oracles():
         assert 0.0 < relative_error_mc(est, BrownianSheet(2), 2, m=3000, seed=22) < np.inf
 
 
-def test_baselines_memory_stays_far_below_one_dense_covariance():
+def test_baselines_memory_stays_far_below_one_dense_covariance(traced_peak):
     grid = make_grid(2, [70, 70])
     f = FieldMatrix(grid, gaussian(make_rng(23), (3, grid.n_points)))
-    tracemalloc.start()
-    try:
+
+    def build_and_score():
         emp = empirical_covariance(f.centered())
         sep = best_separable_2d(emp)
         for est in (emp, sep):
             relative_error_mc(est, BrownianSheet(2), 2, m=20_000, seed=24)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(build_and_score)
     assert peak < grid.n_points**2 * 8 / 10

@@ -476,3 +476,24 @@ def test_every_train_config_field_is_a_fit_key(tmp_path):
     for name in (f.name for f in dataclasses.fields(TrainConfig)):
         with pytest.raises(ConfigError, match="missing required config key 'fields'"):
             run_fit({name: "1"}, str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize(
+    "command, cfg_text, extra, message",
+    [
+        ("simulate", SIMULATE + "seed = -1\n", [], "seed must lie in [0, 2^64), got -1"),
+        ("eval", "estimator = zero\nkernel = brownian\nd = 2\nM = 10\n", ["--seed", "-3"],
+         "seed must lie in [0, 2^64), got -3"),
+        ("simulate", SIMULATE + "sigma = 0.1\nnoise_seed = 18446744073709551616\n", [],
+         "noise_seed must lie in [0, 2^64), got 18446744073709551616"),
+        # the default noise_seed is seed + 1
+        ("simulate", SIMULATE + "sigma = 0.1\nseed = 18446744073709551615\n", [],
+         "noise_seed must lie in [0, 2^64), got 18446744073709551616"),
+    ],
+    ids=["simulate_seed", "eval_flag_seed", "noise_seed", "default_noise_seed"],
+)
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, command, cfg_text, extra, message):
+    code, out = run(tmp_path, command, cfg_text, extra)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()

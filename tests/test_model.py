@@ -13,12 +13,13 @@ from covnet.model import (
     FittedCovariance,
     count_parameters,
     eval_constituents,
+    forward_constituents,
     init_params,
     lambda_from_coefficients,
     load_model,
     save_model,
 )
-from covnet.rng import gaussian, make_rng
+from covnet.rng import gaussian, make_rng, uniform
 
 
 def sigmoid(t):
@@ -69,6 +70,29 @@ def test_init_xi_variance():
     _, xi = init_params(Architecture.shallow(r, 2), 10000, seed=1)
     var = xi.var(axis=0)
     assert np.all(np.abs(var - 1 / r) <= 0.2 / r)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["shallow", "deep", "deepshared"])
+def test_eval_constituents_equals_forward_bit_for_bit(variant, d):
+    # point blocks start at multiples of 4096; a 1-row remainder joins the
+    # block before it
+    widths = () if variant == "shallow" else (20, 20, 20)
+    arch = Architecture(variant, 20, d, widths)
+    params, _ = init_params(arch, 2, seed=d)
+    pts = uniform(make_rng(30 + d), (12289, d))
+    for m in (1, 2, 3, 4095, 4096, 4097, 8193, 12289):
+        z, _ = forward_constituents(params, arch, pts[:m])
+        assert np.array_equal(eval_constituents(params, arch, pts[:m]), z), m
+
+
+def test_deep_eval_holds_its_output_plus_one_point_block(traced_peak):
+    arch = Architecture.deep(20, 2, 3)
+    params, _ = init_params(arch, 2, seed=4)
+    m = 20_000
+    pts = uniform(make_rng(5), (m, 2))
+    peak = traced_peak(lambda: eval_constituents(params, arch, pts))
+    assert peak < 2 * m * arch.r * 8 + 2**20
 
 
 def test_shallow_zero_params_give_half():

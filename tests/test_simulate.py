@@ -1,9 +1,10 @@
-import tracemalloc
+import re
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from covnet import simulate
 from covnet.errors import ResourceLimitError
 from covnet.fields import make_grid
 from covnet.rng import gaussian, make_rng
@@ -185,6 +186,37 @@ def test_kernel_matrix_matches_pointwise_loop():
     np.testing.assert_allclose(got, oracle, rtol=1e-14)
 
 
+SYMMETRY_SPECS = [
+    (BrownianSheet(1), [40]),
+    (BrownianSheet(2), [9, 7]),
+    (BrownianSheet(3), [5, 4, 3]),
+    (IntegratedBrownianSheet(1), [40]),
+    (IntegratedBrownianSheet(2), [9, 7]),
+    (IntegratedBrownianSheet(3), [5, 4, 3]),
+    (RotatedBrownianSheet(rotation_2d_45()), [9, 7]),
+    (RotatedBrownianSheet(rotation_3d_composed()), [5, 4, 3]),
+    (RotatedIntegratedBrownianSheet(rotation_2d_45()), [9, 7]),
+    (RotatedIntegratedBrownianSheet(rotation_3d_composed()), [5, 4, 3]),
+    (Matern(0.01, 1), [40]),
+    (Matern(0.7, 2), [9, 7]),
+    (Matern(2.5, 3), [5, 4, 3]),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, sizes",
+    SYMMETRY_SPECS,
+    ids=[f"{type(s).__name__}-{'x'.join(map(str, k))}" for s, k in SYMMETRY_SPECS],
+)
+def test_kernel_matrix_is_exactly_symmetric(spec, sizes, monkeypatch):
+    grid = make_grid(len(sizes), sizes)
+    c = kernel_matrix(spec, grid)
+    assert np.array_equal(c, c.T)
+    # row blocks of every size, one row included, fill the same matrix
+    monkeypatch.setattr(simulate, "_MATRIX_BLOCK", 1)
+    assert np.array_equal(kernel_matrix(spec, grid), c)
+
+
 def test_kernel_matrix_cap():
     # the cap is checked before any D x D array is formed
     with pytest.raises(ResourceLimitError):
@@ -325,15 +357,43 @@ def test_zero_covariance_grid_samples_zeros():
     assert np.array_equal(f.values, np.zeros((4, 1)))
 
 
-def test_product_kernel_sampling_memory_stays_far_below_one_kernel_matrix():
+def test_product_kernel_sampling_memory_stays_far_below_one_kernel_matrix(traced_peak):
     grid = make_grid(2, [64, 64])
-    tracemalloc.start()
-    try:
-        sample_gaussian_fields(BrownianSheet(2), grid, 4, seed=5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: sample_gaussian_fields(BrownianSheet(2), grid, 4, seed=5))
     assert peak < grid.n_points**2 * 8 / 10
+
+
+def test_dense_sampling_holds_about_two_kernel_matrices(traced_peak):
+    # the kernel matrix and its factor; the jitter goes onto the diagonal in
+    # place and the matrix is filled in row blocks
+    grid = make_grid(2, [40, 40])
+    spec = RotatedBrownianSheet(rotation_2d_45())
+    peak = traced_peak(lambda: sample_gaussian_fields(spec, grid, 300, seed=5))
+    assert peak <= 2.2 * grid.n_points**2 * 8
+
+
+def test_gaussian_holds_its_output_plus_a_few_blocks(traced_peak):
+    shape = (400, 4096)
+    peak = traced_peak(lambda: gaussian(make_rng(6), shape))
+    assert peak <= shape[0] * shape[1] * 8 + 8 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 2 * 65536, 2 * 65536 + 1, 2 * 65536 + 3, 300_001])
+def test_gaussian_blocks_continue_one_box_muller_stream(n):
+    # the unblocked transform: pair i takes uniforms (2i, 2i + 1)
+    u = make_rng(11).random(((n + 1) // 2, 2))
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+    theta = 2.0 * np.pi * u[:, 1]
+    want = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1).ravel()[:n]
+    assert np.array_equal(gaussian(make_rng(11), (n,)), want)
+
+
+@pytest.mark.parametrize("value", [-1, 2**64])
+@pytest.mark.parametrize("name", ["seed", "stream"])
+def test_make_rng_rejects_keys_outside_64_bits(name, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must lie in [0, 2^64), got {value}")):
+        make_rng(**{"seed": 0, name: value})
+    make_rng(**{"seed": 0, name: 2**64 - 1})
 
 
 @pytest.mark.parametrize("spec", [BrownianSheet(2), Matern(1.0, 2)], ids=lambda s: type(s).__name__)
