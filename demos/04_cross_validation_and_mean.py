@@ -22,10 +22,10 @@ def main():
     scores = gaussian(make_rng(41), (80, 2)) * np.array([1.0, 0.75])
     fields = covnet.FieldMatrix(grid, scores @ phi)
     cfg = covnet.TrainConfig(epochs=500, seed=1)
-    candidates = [(covnet.Architecture.shallow(r, 2), cfg) for r in (1, 2, 4, 8)]
-    report = covnet.cross_validate(fields, candidates, v=5, seed=5)
+    candidates = [covnet.Architecture.shallow(r, 2) for r in (1, 2, 4, 8)]
+    report = covnet.cross_validate(fields, candidates, cfg, v=5, seed=5)
     print("mean CV loss per shallow width:")
-    for i, (arch, _) in enumerate(report.candidates):
+    for i, arch in enumerate(report.candidates):
         marker = "  <- selected" if i == report.selected else ""
         print(f"  R={arch.r}: {report.mean_losses[i]:.5f}{marker}")
 

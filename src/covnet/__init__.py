@@ -12,7 +12,6 @@ the fields without a D x D object.
 from .baselines import (
     EmpiricalCovariance,
     SeparableCovariance,
-    TrueKernel,
     ZeroCovariance,
     best_separable_2d,
     empirical_covariance,
@@ -106,7 +105,6 @@ __all__ = [
     "SeparableCovariance",
     "TrainConfig",
     "TrainingDivergedError",
-    "TrueKernel",
     "ZeroCovariance",
     "adam_step",
     "best_separable_2d",

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateTruthError
 from .fields import FieldMatrix, Grid
 from .rng import make_rng, uniform
-from .simulate import KernelSpec, kernel_pairs
+from .simulate import kernel_pairs
 
 # point pairs per block in EmpiricalCovariance.kernel_pairs, so that its
 # temporaries are _PAIR_CHUNK x N however many pairs are asked for
@@ -33,6 +33,10 @@ class EmpiricalCovariance:
     """Empirical covariance N^-1 sum_n X_n(u) X_n(v) of the held fields."""
 
     fields: FieldMatrix
+
+    def __post_init__(self):
+        if self.fields.n < 1:
+            raise ValueError("empirical covariance needs at least one field")
 
     def kernel_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Nearest-voxel piecewise-constant continuation."""
@@ -74,16 +78,6 @@ class ZeroCovariance:
 
     def kernel_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.zeros(np.atleast_2d(u).shape[0])
-
-
-@dataclass(frozen=True)
-class TrueKernel:
-    """A reference kernel wrapped as a point-evaluable estimate."""
-
-    spec: KernelSpec
-
-    def kernel_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return kernel_pairs(self.spec, u, v)
 
 
 def empirical_covariance(f: FieldMatrix) -> EmpiricalCovariance:
@@ -146,28 +140,28 @@ def best_separable_2d(emp: EmpiricalCovariance) -> SeparableCovariance:
     return SeparableCovariance(grid, a, b)
 
 
-def relative_error_mc(
-    estimate, truth: KernelSpec, d: int, m: int = 100_000, seed: int = 0
-) -> float:
+def _pair_values(kernel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """kernel(u_i, v_i) for a point-evaluable object or a KernelSpec."""
+    if hasattr(kernel, "kernel_pairs"):
+        return kernel.kernel_pairs(u, v)
+    return kernel_pairs(kernel, u, v)
+
+
+def relative_error_mc(estimate, truth, d: int, m: int = 100_000, seed: int = 0) -> float:
     """Monte-Carlo relative Hilbert-Schmidt error of `estimate` vs `truth`.
 
     sqrt(mean (chat - c)^2 / mean c^2) over m uniform point pairs on the
-    cube.  `estimate` is anything exposing kernel_pairs(U, V); `truth` may
-    be a KernelSpec or another point-evaluable object.
+    cube.  Each side is a KernelSpec or anything exposing kernel_pairs(U, V).
     """
     if m < 1:
         raise ValueError("need at least one Monte-Carlo pair")
     rng = make_rng(seed)
     u = uniform(rng, (m, d))
     v = uniform(rng, (m, d))
-    true_vals = (
-        truth.kernel_pairs(u, v)
-        if hasattr(truth, "kernel_pairs")
-        else kernel_pairs(truth, u, v)
-    )
+    true_vals = _pair_values(truth, u, v)
     denom = float((true_vals * true_vals).mean())
     if denom == 0.0:
         raise DegenerateTruthError("reference kernel vanishes on all sampled pairs")
-    est_vals = estimate.kernel_pairs(u, v)
+    est_vals = _pair_values(estimate, u, v)
     num = float(((est_vals - true_vals) ** 2).mean())
     return float(np.sqrt(num / denom))

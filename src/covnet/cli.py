@@ -3,8 +3,10 @@
 Every subcommand reads a `key = value` text config (flags override), checks
 all of it before it writes anything, then writes its artifacts plus a
 resolved-config copy into the output directory, which is made with the first
-file, byte-reproducibly for a fixed config and seed.  Exit codes: 0 success,
-2 config error, 3 I/O or file-format error, 4 numeric failure.
+file.  Outputs are byte-reproducible for a fixed config, seed and BLAS thread
+count: BLAS products over many rows round differently with a different
+number of threads.  Exit codes: 0 success, 2 config error, 3 I/O or
+file-format error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .fields import make_grid, read_fields, write_fields
-from .model import Architecture, load_model, save_model
+from .model import SHALLOW, VARIANTS, Architecture, load_model, save_model
 from .simulate import (
     BrownianSheet,
     IntegratedBrownianSheet,
@@ -45,7 +47,7 @@ from .simulate import (
     sample_gaussian_fields,
 )
 from .spectral import constituent_gram, eigendecompose, eval_eigenfunction
-from .training import TrainConfig, fit
+from .training import JOINT_MEAN, PRE_CENTER, TrainConfig, fit
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -280,14 +282,11 @@ def run_simulate(raw: dict[str, str], out_dir: str) -> None:
     print(f"wrote {path} (N={n}, D={grid.n_points})")
 
 
-ARCH_VARIANTS = ("shallow", "deep", "deepshared")
-
-
 def _arch_from(cfg: Config, d: int) -> Architecture:
-    variant = cfg.str_("arch", required=True, choices=ARCH_VARIANTS)
+    variant = cfg.str_("arch", required=True, choices=VARIANTS)
     r = cfg.int_("R", required=True, minimum=1)
     depth = 0
-    if variant != "shallow":
+    if variant != SHALLOW:
         depth = cfg.int_("L", minimum=1)
         if depth is None:
             raise ConfigError(f"arch={variant} requires L")
@@ -303,7 +302,7 @@ def _train_config(cfg: Config) -> TrainConfig:
         center_mode=cfg.str_(
             "center_mode",
             default=TrainConfig.center_mode,
-            choices=("pre_center", "joint_mean"),
+            choices=(PRE_CENTER, JOINT_MEAN),
         ),
         batch=cfg.int_("batch", minimum=2),
     )
@@ -374,6 +373,8 @@ def run_eval(raw: dict[str, str], out_dir: str) -> None:
         elif est_name in ("empirical", "separable"):
             if emp is None:
                 f = read_fields(cfg.str_("fields", required=True))
+                if f.n < 1:
+                    raise ConfigError("the fields file holds no field")
                 if f.grid.d != d:
                     raise ConfigError(
                         f"field dimension {f.grid.d} does not match truth dimension {d}"
@@ -450,7 +451,7 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
     v = cfg.int_("V", default=5, minimum=2)
     seed = cfg.seed_("seed")
     name = cfg.str_("name", default="cv")
-    archs = cfg.list_("archs", default=",".join(ARCH_VARIANTS))
+    archs = cfg.list_("archs", default=",".join(VARIANTS))
     r_list = cfg.list_("R_list", item=int)
     l_list = cfg.list_("L_list", item=int) or DEFAULT_DEPTHS
     base = _train_config(cfg)
@@ -464,16 +465,16 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
         raise ConfigError("R_list and L_list entries must be >= 1")
     candidates = []
     for variant in archs:
-        if variant not in ARCH_VARIANTS:
+        if variant not in VARIANTS:
             raise ConfigError(f"unknown architecture {variant!r} in archs")
-        shallow = variant == "shallow"
+        shallow = variant == SHALLOW
         for depth in [0] if shallow else l_list:
             for r in r_list or (DEFAULT_SHALLOW_R if shallow else DEFAULT_DEEP_R):
-                candidates.append((Architecture(variant, r, f.grid.d, (r,) * depth), base))
-    report = cross_validate(f, candidates, v, seed)
+                candidates.append(Architecture(variant, r, f.grid.d, (r,) * depth))
+    report = cross_validate(f, candidates, base, v, seed)
 
     def columns(ci: int) -> list[str]:
-        arch = report.candidates[ci][0]
+        arch = report.candidates[ci]
         return [str(ci), arch.variant, str(arch.r), str(arch.depth)]
 
     header = ["candidate", "arch", "R", "L"]

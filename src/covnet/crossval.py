@@ -1,15 +1,16 @@
-"""V-fold cross-validation of architecture / training hyperparameters.
+"""V-fold cross-validation over CovNet architectures.
 
 The CV score of a fitted model against a held-out fold is the squared
 Hilbert-Schmidt distance between the validation empirical covariance and the
-frozen model, again expanded in inner products: with Z the constituents on
-the validation grid, Gz = Z^T Z / D and Q = X_va Z / D,
+frozen model, the fitting criterion's three terms on the validation fields:
+with Z the constituents on the validation grid, Gz = Z^T Z / D and
+Q = X_va Z / D,
 
-    score = tr((Gz Lambda)^2) + N2^-2 sum <X_n, X_m>^2 - (2 / N2) tr(Q Lambda Q^T).
+    score = N2^-2 sum <X_n, X_m>^2 + tr((Gz Lambda)^2) - (2 / N2) tr(Q Lambda Q^T).
 
-Fold assignment is a seeded shuffle followed by a contiguous V-way split;
-each (candidate, fold) cell trains with its own derived seed, so cells are
-independent of each other and of the order they run in.
+Fold assignment is a seeded shuffle followed by a contiguous V-way split.
+Every candidate architecture trains with one TrainConfig, reseeded per fold,
+so each fold's data and config are built once for all candidates.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CovnetError, TrainingDivergedError
-from .fields import FieldMatrix, cross_gram
+from .fields import FieldMatrix
 from .model import Architecture, FittedCovariance, count_parameters
 from .rng import make_rng
-from .training import TrainConfig, fit
+from .training import LossBreakdown, TrainConfig, data_self_term, fit
 
 
 def cv_loss(model: FittedCovariance, f_va: FieldMatrix) -> float:
@@ -35,12 +36,10 @@ def cv_loss(model: FittedCovariance, f_va: FieldMatrix) -> float:
     z = model.constituents(f_va.grid.coordinates())
     gz = z.T @ z / f_va.grid.n_points
     gl = gz @ model.lam
-    term_tr = float((gl * gl.T).sum())
-    g_vv = cross_gram(f_va)
-    term_va = float((g_vv * g_vv).sum()) / f_va.n**2
+    gg = float((gl * gl.T).sum())
     q = f_va.values @ z / f_va.grid.n_points
-    term_cross = float(((q @ model.lam) * q).sum()) / f_va.n
-    return term_tr + term_va - 2.0 * term_cross
+    xg = float(((q @ model.lam) * q).sum()) / f_va.n
+    return LossBreakdown(data_self_term(f_va), gg, xg).total
 
 
 @dataclass(frozen=True)
@@ -55,13 +54,13 @@ class CvCell:
 class CvReport:
     """Per-cell CV losses, per-candidate means, and the selected candidate."""
 
-    candidates: tuple[tuple[Architecture, TrainConfig], ...]
+    candidates: tuple[Architecture, ...]
     cells: tuple[CvCell, ...] = field(repr=False)
     mean_losses: tuple[float, ...] = ()
     selected: int = 0
 
     def candidate_label(self, i: int) -> str:
-        arch = self.candidates[i][0]
+        arch = self.candidates[i]
         label = f"{arch.variant} R={arch.r}"
         if arch.widths:
             label += f" L={arch.depth}"
@@ -74,19 +73,20 @@ def _fold_indices(n: int, v: int, seed: int) -> list[np.ndarray]:
 
 
 def _cell_seed(seed: int, cfg_seed: int, fold: int) -> int:
-    # keyed by the candidate's own seed rather than its list position, so
-    # identical candidates produce identical scores (ties break by order)
+    # keyed by the fold, not the candidate, so every candidate trains fold k
+    # from the same seed and identical candidates tie by construction
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(cfg_seed, fold))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def cross_validate(
     f: FieldMatrix,
-    candidates: list[tuple[Architecture, TrainConfig]],
+    candidates: list[Architecture],
+    cfg: TrainConfig,
     v: int = 5,
     seed: int = 0,
 ) -> CvReport:
-    """Score every candidate on a seeded V-fold split and pick the best.
+    """Score every architecture, trained with `cfg`, on a seeded V-fold split.
 
     Candidates whose training diverges on any fold are marked failed and
     excluded from selection; ties on mean loss break toward fewer model
@@ -98,22 +98,25 @@ def cross_validate(
         raise ValueError(f"cannot split {f.n} samples into {v} folds")
     if not candidates:
         raise ValueError("need at least one candidate")
-    folds = _fold_indices(f.n, v, seed)
-    all_rows = np.arange(f.n)
+    # (training fields, centered validation fields, config) per fold; the
+    # training rows keep their sorted order
+    folds = [
+        (
+            FieldMatrix(f.grid, np.delete(f.values, rows, axis=0)),
+            FieldMatrix(f.grid, f.values[rows]).centered(),
+            replace(cfg, seed=_cell_seed(seed, cfg.seed, k)),
+        )
+        for k, rows in enumerate(_fold_indices(f.n, v, seed))
+    ]
 
-    def run_cell(ci: int, fold: int) -> CvCell:
-        arch, cfg = candidates[ci]
-        train_rows = np.setdiff1d(all_rows, folds[fold])
-        f_tr = FieldMatrix(f.grid, f.values[train_rows])
-        f_va = FieldMatrix(f.grid, f.values[folds[fold]]).centered()
-        cell_cfg = replace(cfg, seed=_cell_seed(seed, cfg.seed, fold))
-        try:
-            model, _ = fit(f_tr, arch, cell_cfg)
-        except TrainingDivergedError:
-            return CvCell(ci, fold, math.inf, failed=True)
-        return CvCell(ci, fold, cv_loss(model, f_va))
-
-    cells = [run_cell(ci, fold) for ci in range(len(candidates)) for fold in range(v)]
+    cells = []
+    for ci, arch in enumerate(candidates):
+        for k, (f_tr, f_va, fold_cfg) in enumerate(folds):
+            try:
+                model, _ = fit(f_tr, arch, fold_cfg)
+                cells.append(CvCell(ci, k, cv_loss(model, f_va)))
+            except TrainingDivergedError:
+                cells.append(CvCell(ci, k, math.inf, failed=True))
 
     means = []
     for ci in range(len(candidates)):
@@ -125,7 +128,7 @@ def cross_validate(
         raise CovnetError("every cross-validation candidate failed to train")
     selected = min(
         range(len(candidates)),
-        key=lambda ci: (means[ci], count_parameters(candidates[ci][0]), ci),
+        key=lambda ci: (means[ci], count_parameters(candidates[ci]), ci),
     )
     return CvReport(
         candidates=tuple(candidates),

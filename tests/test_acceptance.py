@@ -294,24 +294,24 @@ def test_criterion_09_cross_validation_sanity():
     f = covnet.FieldMatrix(grid, scores @ phi)
     cfg = covnet.TrainConfig(epochs=600, seed=1)
     candidates = [
-        (covnet.Architecture.shallow(1, 2), cfg),
-        (covnet.Architecture.shallow(2, 2), cfg),
-        (covnet.Architecture.shallow(8, 2), cfg),
+        covnet.Architecture.shallow(1, 2),
+        covnet.Architecture.shallow(2, 2),
+        covnet.Architecture.shallow(8, 2),
     ]
-    report_cv = covnet.cross_validate(f, candidates, v=5, seed=11)
+    report_cv = covnet.cross_validate(f, candidates, cfg, v=5, seed=11)
     finite = [m for m in report_cv.mean_losses if np.isfinite(m)]
     assert report_cv.mean_losses[report_cv.selected] == min(finite)
 
     errors = []
-    for arch, c in candidates:
-        model, _ = covnet.fit(f, arch, c)
+    for arch in candidates:
+        model, _ = covnet.fit(f, arch, cfg)
         MODELS.append((f"criterion9-R{arch.r}", model))
         errors.append(covnet.relative_error_mc(model, truth, 2, 50_000, seed=12))
     gap = errors[report_cv.selected] - min(errors)
     assert gap <= 0.05  # pass threshold 5 percentage points
     report(
         9,
-        f"selected R={candidates[report_cv.selected][0].r}; "
+        f"selected R={candidates[report_cv.selected].r}; "
         f"errors {['%.3f' % e for e in errors]}, gap {100 * gap:.2f}pp (<= 5pp)",
     )
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from covnet.baselines import (
-    TrueKernel,
     ZeroCovariance,
     best_separable_2d,
     empirical_covariance,
@@ -58,6 +57,11 @@ def test_empirical_rank_one():
     x = np.array([[1.0, 2.0, -1.0, 0.5]])
     emp = empirical_covariance(FieldMatrix(grid, x))
     np.testing.assert_allclose(node_matrix(emp, grid), np.outer(x[0], x[0]))
+
+
+def test_empirical_needs_a_field():
+    with pytest.raises(ValueError, match="at least one field"):
+        empirical_covariance(FieldMatrix(make_grid(2, [3, 3]), np.zeros((0, 9))))
 
 
 def test_empirical_plus_minus_ones():
@@ -193,7 +197,7 @@ def test_relative_error_of_truth_is_zero():
         RotatedIntegratedBrownianSheet(rotation_2d_45()),
         Matern(0.7, 2),
     ):
-        err = relative_error_mc(TrueKernel(spec), spec, 2, m=2000, seed=5)
+        err = relative_error_mc(spec, spec, 2, m=2000, seed=5)
         assert err == 0.0
 
 

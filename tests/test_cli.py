@@ -435,6 +435,11 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
             "estimator = separable\nfields = {fields}\nkernel = brownian\nd = 3\n",
             "needs d = 2",
         ),
+        *(
+            ("eval", f"estimator = {e}\nfields = {{zero}}\nkernel = brownian\nd = 2\n",
+             "holds no field")
+            for e in ("empirical", "separable")
+        ),
         ("cv", "fields = {fields}\nV = 7\n", "into V = 7 folds"),
         ("cv", "fields = {three}\nV = 2\n", "fewer than 2"),
         ("cv", "fields = {fields}\narchs = ,\n", "at least one architecture"),
@@ -443,6 +448,7 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
     ids=[
         "sigma_negative", "sigma_nan", "sigma_inf", "nu_inf", "lr_nan", "lr_inf",
         "rel_tol_nan", "v0_nan", "lr_zero", "fit_one_field", "separable_d3",
+        "empirical_no_field", "separable_no_field",
         "cv_v_above_n", "cv_small_fold", "cv_no_archs", "cv_r_zero",
     ],
 )
@@ -451,6 +457,7 @@ def test_config_value_error_exits_2(tmp_path, capsys, command, cfg_text, message
         model=constant_model(tmp_path),
         fields=gaussian_fields(tmp_path, 6),
         one=gaussian_fields(tmp_path, 1),
+        zero=gaussian_fields(tmp_path, 0),
         three=gaussian_fields(tmp_path, 3),
     )
     code, out = run(tmp_path, command, text)

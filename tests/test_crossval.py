@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from covnet.crossval import cross_validate, cv_loss
+from covnet.crossval import CvCell, _cell_seed, cross_validate, cv_loss
 from covnet.fields import FieldMatrix, make_grid
 from covnet.model import (
     Architecture,
@@ -11,7 +13,7 @@ from covnet.model import (
     lambda_from_coefficients,
 )
 from covnet.rng import gaussian, make_rng
-from covnet.training import TrainConfig
+from covnet.training import TrainConfig, fit
 
 
 def test_cv_loss_zero_when_model_equals_validation_covariance():
@@ -90,7 +92,7 @@ def test_cross_validate_single_candidate():
     grid = make_grid(2, [5, 5])
     f = rank2_fields(20, grid, seed=11)
     cfg = TrainConfig(epochs=120, seed=1)
-    report = cross_validate(f, [(Architecture.shallow(2, 2), cfg)], v=4, seed=2)
+    report = cross_validate(f, [Architecture.shallow(2, 2)], cfg, v=4, seed=2)
     assert report.selected == 0
     assert len(report.cells) == 4
     assert all(np.isfinite(c.loss) for c in report.cells)
@@ -102,7 +104,7 @@ def test_cross_validate_tie_breaks_by_parameter_count_then_order():
     cfg = TrainConfig(epochs=60, seed=1)
     small = Architecture.shallow(2, 2)
     # identical candidates tie on the mean loss; list order decides
-    report = cross_validate(f, [(small, cfg), (small, cfg)], v=3, seed=4)
+    report = cross_validate(f, [small, small], cfg, v=3, seed=4)
     assert report.mean_losses[0] == report.mean_losses[1]
     assert report.selected == 0
 
@@ -112,11 +114,11 @@ def test_cross_validate_selection_consistent_with_table():
     f = rank2_fields(30, grid, seed=17)
     cfg = TrainConfig(epochs=250, seed=1)
     candidates = [
-        (Architecture.shallow(1, 2), cfg),
-        (Architecture.shallow(2, 2), cfg),
-        (Architecture.shallow(8, 2), cfg),
+        Architecture.shallow(1, 2),
+        Architecture.shallow(2, 2),
+        Architecture.shallow(8, 2),
     ]
-    report = cross_validate(f, candidates, v=5, seed=5)
+    report = cross_validate(f, candidates, cfg, v=5, seed=5)
     finite = [m for m in report.mean_losses if np.isfinite(m)]
     assert report.mean_losses[report.selected] == min(finite)
     per_cell = np.array([[c.candidate, c.fold] for c in report.cells])
@@ -127,21 +129,65 @@ def test_cross_validate_deterministic_and_parallel_equal():
     grid = make_grid(2, [4, 4])
     f = rank2_fields(16, grid, seed=19)
     cfg = TrainConfig(epochs=50, seed=1)
-    candidates = [
-        (Architecture.shallow(1, 2), cfg),
-        (Architecture.shallow(3, 2), cfg),
-    ]
-    a = cross_validate(f, candidates, v=4, seed=6)
-    b = cross_validate(f, candidates, v=4, seed=6)
+    candidates = [Architecture.shallow(1, 2), Architecture.shallow(3, 2)]
+    a = cross_validate(f, candidates, cfg, v=4, seed=6)
+    b = cross_validate(f, candidates, cfg, v=4, seed=6)
     assert a.mean_losses == b.mean_losses
     assert a.selected == b.selected
+
+
+def test_cross_validate_equals_the_documented_loop():
+    grid = make_grid(2, [4, 4])
+    f = rank2_fields(14, grid, seed=31)
+    cfg = TrainConfig(epochs=40, seed=3, batch=5)
+    candidates = [
+        Architecture.shallow(2, 2),
+        Architecture.deepshared(2, 2, 2),
+        Architecture.deep(1, 2, 2),
+    ]
+    v, seed = 4, 7
+    report = cross_validate(f, candidates, cfg, v=v, seed=seed)
+    # shuffle, split, sort each validation fold, seed by fold, fit, score
+    perm = make_rng(seed, stream=2).permutation(f.n)
+    expected = []
+    for ci, arch in enumerate(candidates):
+        for fold, part in enumerate(np.array_split(perm, v)):
+            va = np.sort(part)
+            tr = np.setdiff1d(np.arange(f.n), va)
+            fold_cfg = replace(cfg, seed=_cell_seed(seed, cfg.seed, fold))
+            model, _ = fit(FieldMatrix(grid, f.values[tr]), arch, fold_cfg)
+            x_va = f.values[va] - f.values[va].mean(axis=0)
+            expected.append(CvCell(ci, fold, cv_loss(model, FieldMatrix(grid, x_va))))
+    assert report.cells == tuple(expected)
+    assert report.mean_losses == tuple(
+        float(np.mean([c.loss for c in expected[ci * v : (ci + 1) * v]]))
+        for ci in range(len(candidates))
+    )
+
+
+def test_cross_validate_builds_each_fold_once(monkeypatch):
+    grid = make_grid(2, [4, 4])
+    f = rank2_fields(12, grid, seed=37)
+    real_post_init = FieldMatrix.__post_init__
+    calls = []
+
+    def counting_post_init(self):
+        calls.append(None)
+        real_post_init(self)
+
+    monkeypatch.setattr(FieldMatrix, "__post_init__", counting_post_init)
+    n_cand, v = 3, 4
+    candidates = [Architecture.shallow(r, 2) for r in range(1, n_cand + 1)]
+    cross_validate(f, candidates, TrainConfig(epochs=5, seed=1), v=v, seed=2)
+    # three per fold (training, validation, its centered copy) and one per fit
+    assert len(calls) <= 3 * v + n_cand * v
 
 
 def test_cross_validate_requires_enough_samples():
     grid = make_grid(1, [4])
     f = FieldMatrix(grid, np.ones((3, 4)))
     with pytest.raises(ValueError):
-        cross_validate(f, [(Architecture.shallow(1, 1), TrainConfig())], v=5, seed=1)
+        cross_validate(f, [Architecture.shallow(1, 1)], TrainConfig(), v=5, seed=1)
 
 
 def test_cross_validate_excludes_diverged_candidate(monkeypatch):
@@ -160,9 +206,7 @@ def test_cross_validate_excludes_diverged_candidate(monkeypatch):
         return real_fit(ftr, arch, c)
 
     monkeypatch.setattr(crossval_mod, "fit", flaky_fit)
-    report = cross_validate(
-        f, [(doomed, cfg), (Architecture.shallow(2, 2), cfg)], v=3, seed=9
-    )
+    report = cross_validate(f, [doomed, Architecture.shallow(2, 2)], cfg, v=3, seed=9)
     assert report.mean_losses[0] == np.inf
     assert report.selected == 1
     assert all(c.failed for c in report.cells if c.candidate == 0)
@@ -180,6 +224,4 @@ def test_cross_validate_all_failed_raises(monkeypatch):
 
     monkeypatch.setattr(crossval_mod, "fit", always_fails)
     with pytest.raises(CovnetError):
-        cross_validate(
-            f, [(Architecture.shallow(1, 2), TrainConfig(epochs=5))], v=3, seed=9
-        )
+        cross_validate(f, [Architecture.shallow(1, 2)], TrainConfig(epochs=5), v=3, seed=9)
