@@ -10,6 +10,8 @@ package.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -20,6 +22,8 @@ from .errors import FieldFormatError
 
 FIELD_MAGIC = b"CVNF"
 FIELD_VERSION = 1
+# largest header read, in bytes, that read_fields asks the file for at once
+_READ_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ class FieldMatrix:
             raise ValueError(
                 f"row length {vals.shape[1]} does not match grid size {self.grid.n_points}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not _all_finite(vals):
             raise ValueError("field values must all be finite")
         object.__setattr__(self, "values", vals)
 
@@ -99,6 +103,11 @@ class FieldMatrix:
         return FieldMatrix(self.grid, self.values - self.values.mean(axis=0))
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    # min and max propagate nan and show an infinity, so no N x D mask is made
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def cross_gram(f: FieldMatrix) -> np.ndarray:
     """All pairwise inner products between rows of `f`, as an N x N array.
 
@@ -108,10 +117,19 @@ def cross_gram(f: FieldMatrix) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def _read_exact(buf: bytes, offset: int, size: int, what: str) -> bytes:
-    if offset + size > len(buf):
-        raise FieldFormatError(f"truncated file while reading {what}", len(buf))
-    return buf[offset : offset + size]
+def _read_exact(fh, offset: int, n: int, what: str) -> bytes:
+    """The next n bytes of fh, whose position is `offset`.
+
+    Reads at most _READ_CHUNK bytes at a time, so a header that declares a
+    huge length costs no more memory than the bytes the stream holds.
+    """
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = fh.read(min(n - len(buf), _READ_CHUNK))
+        if not chunk:
+            raise FieldFormatError(f"truncated file while reading {what}", offset + len(buf))
+        buf += chunk
+    return bytes(buf)
 
 
 def write_fields(path, f: FieldMatrix) -> None:
@@ -125,40 +143,53 @@ def write_fields(path, f: FieldMatrix) -> None:
         fh.write(struct.pack("<II", FIELD_VERSION, f.grid.d))
         fh.write(struct.pack(f"<{f.grid.d}I", *f.grid.sizes))
         fh.write(struct.pack("<Q", f.n))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        # the array's own buffer, not a bytes copy of it
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8"))
 
 
 def read_fields(path) -> FieldMatrix:
-    """Read a CVNF field file, validating structure and payload."""
+    """Read a CVNF field file, validating structure and payload.
+
+    The file is read front to back, so a pipe works too, and the values are
+    read straight into the one array the result holds.  A regular file's
+    size is checked against the payload before that array is allocated.
+    """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if _read_exact(buf, 0, 4, "magic") != FIELD_MAGIC:
-        raise FieldFormatError(f"bad magic {buf[:4]!r}, expected {FIELD_MAGIC!r}", 0)
-    (version,) = struct.unpack("<I", _read_exact(buf, 4, 4, "version"))
-    if version != FIELD_VERSION:
-        raise FieldFormatError(f"unsupported version {version}", 4)
-    (d,) = struct.unpack("<I", _read_exact(buf, 8, 4, "dimension"))
-    if d < 1:
-        raise FieldFormatError("dimension must be positive", 8)
-    sizes = struct.unpack(f"<{d}I", _read_exact(buf, 12, 4 * d, "grid sizes"))
-    offset = 12 + 4 * d
-    for k, size in enumerate(sizes):
-        if size == 0:
-            raise FieldFormatError(f"zero grid size on axis {k}", 12 + 4 * k)
-    (n,) = struct.unpack("<Q", _read_exact(buf, offset, 8, "sample count"))
-    offset += 8
-    n_points = math.prod(sizes)
-    if 8 * n_points > sys.maxsize:
-        raise FieldFormatError(f"grid of {n_points} points is too large", 12)
-    end = offset + 8 * n * n_points
-    if end > len(buf):
-        raise FieldFormatError("truncated file while reading field values", len(buf))
-    if len(buf) != end:
-        raise FieldFormatError("trailing bytes after field values", end)
-    # a read-only view of the file bytes; astype makes the one owned copy
-    values = np.frombuffer(buf, "<f8", n * n_points, offset).reshape(n, n_points)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        first = int(np.flatnonzero(bad.ravel())[0])
+        magic = _read_exact(fh, 0, 4, "magic")
+        if magic != FIELD_MAGIC:
+            raise FieldFormatError(f"bad magic {magic!r}, expected {FIELD_MAGIC!r}", 0)
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, 4, "version"))
+        if version != FIELD_VERSION:
+            raise FieldFormatError(f"unsupported version {version}", 4)
+        (d,) = struct.unpack("<I", _read_exact(fh, 8, 4, "dimension"))
+        if d < 1:
+            raise FieldFormatError("dimension must be positive", 8)
+        sizes = struct.unpack(f"<{d}I", _read_exact(fh, 12, 4 * d, "grid sizes"))
+        offset = 12 + 4 * d
+        for k, k_size in enumerate(sizes):
+            if k_size == 0:
+                raise FieldFormatError(f"zero grid size on axis {k}", 12 + 4 * k)
+        (n,) = struct.unpack("<Q", _read_exact(fh, offset, 8, "sample count"))
+        offset += 8
+        n_points = math.prod(sizes)
+        if 8 * n_points > sys.maxsize:
+            raise FieldFormatError(f"grid of {n_points} points is too large", 12)
+        end = offset + 8 * n * n_points
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and end > st.st_size:
+            raise FieldFormatError("truncated file while reading field values", st.st_size)
+        try:
+            values = np.empty((n, n_points), "<f8")
+        except (MemoryError, ValueError):
+            raise FieldFormatError(
+                f"{n} fields of {n_points} points do not fit in memory", offset - 8
+            ) from None
+        got = fh.readinto(values)
+        if got < values.nbytes:
+            raise FieldFormatError("truncated file while reading field values", offset + got)
+        if fh.read(1):
+            raise FieldFormatError("trailing bytes after field values", end)
+    if not _all_finite(values):
+        first = int(np.flatnonzero(~np.isfinite(values.ravel()))[0])
         raise FieldFormatError("non-finite field value", offset + 8 * first)
-    return FieldMatrix(make_grid(d, sizes), values.astype(np.float64))
+    return FieldMatrix(make_grid(d, sizes), values)

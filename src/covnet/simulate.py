@@ -15,9 +15,12 @@ matrix at the grid midpoints, optionally adding i.i.d. pointwise measurement
 noise.  For the unrotated product kernels the D x D matrix is never formed:
 on a tensor grid it is C_1 (x) ... (x) C_d with C_k the 1-D kernel matrix of
 axis k, and chol(A (x) B) = chol(A) (x) chol(B), so L is applied as one
-K_k x K_k factor per axis.  Rotated sheets and Matern are not separable; they
-take the dense factor of the whole grid, capped at KERNEL_MATRIX_CAP points;
-that path holds the kernel matrix and its factor, two D x D arrays.
+K_k x K_k factor per axis.  Rotated sheets and Matern are not separable;
+they take the dense factor of the whole grid.  Either way each factor
+overwrites the N x D draw block by block, so beside a noise draw that is
+the only N x D array a sample holds.  The dense path holds three D x D
+arrays, the kernel matrix, LAPACK's working copy and the factor, so it is
+capped at KERNEL_MATRIX_CAP points, checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -30,9 +33,13 @@ from scipy.special import gamma, kv
 
 from .errors import NumericError, ResourceLimitError
 from .fields import FieldMatrix, Grid, make_grid
+from .model import _POINT_BLOCK, _point_blocks
 from .rng import gaussian, make_rng
 
-KERNEL_MATRIX_CAP = 20000
+# The dense sampler holds three D x D float64 arrays at its peak (the kernel
+# matrix, the working copy LAPACK factors in and the factor); the cap keeps
+# them within 4 GiB: 24 D^2 <= 2^32 gives D <= 13377.
+KERNEL_MATRIX_CAP = math.isqrt((4 << 30) // (3 * 8))
 # kernel values per row block in kernel_matrix, so that its temporaries stay
 # about _MATRIX_BLOCK floats whatever the grid size
 _MATRIX_BLOCK = 1 << 16
@@ -278,28 +285,54 @@ def sample_gaussian_fields(
     Rows are L z with z standard normal and L L^T the kernel matrix plus a
     diagonal jitter (Brownian-type matrices are numerically semidefinite);
     the jitter starts at 1e-12 times the mean diagonal and escalates by
-    factors of 10.  For BrownianSheet and IntegratedBrownianSheet, L is the
-    Kronecker product of the jittered per-axis factors and costs O(sum K_k^3)
-    to build, with no D x D array; every other kernel factors its dense
-    kernel matrix, which is capped at KERNEL_MATRIX_CAP points.
+    factors of 10.  For BrownianSheet and IntegratedBrownianSheet on a grid
+    of two or more axes, L is the Kronecker product of the jittered per-axis
+    factors and costs O(sum K_k^3) to build, with no D x D array; every
+    other kernel factors its dense kernel matrix, which holds three D x D
+    arrays and is capped at KERNEL_MATRIX_CAP points.  The factors are
+    applied in place to the standard normal draw, which becomes the
+    returned values, and the noise is added in place, so the sample holds
+    one N x D array beside its noise draw.
     Deterministic for a fixed seed; noise, when given, uses its own seed so
     the field draw is unchanged.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     factors = _block_factors(spec, grid)
-    sizes = [f.shape[0] for f in factors]
     n_points = grid.n_points
-    y = gaussian(make_rng(seed), (n, n_points))
+    values = gaussian(make_rng(seed), (n, n_points))
+    _kronecker_in_place(factors, values)
+    if noise is not None and noise.sigma > 0:
+        e = gaussian(make_rng(noise.seed), (n, n_points))
+        e *= noise.sigma
+        values += e
+    return FieldMatrix(grid, values)
+
+
+def _kronecker_in_place(factors: list[np.ndarray], y: np.ndarray) -> None:
+    """Overwrite each row of y with (F_1 (x) ... (x) F_d) applied to it.
+
+    A single factor (a dense kernel, or a 1-D grid) is the fastest axis.
+
+    Axis k maps every (K_k, after) slice of y, after the product of the
+    later axis sizes, in blocks of slices holding about _POINT_BLOCK x K_k
+    values, so one block's product is the only temporary; each slice is its
+    own product, so that blocking changes no bit.  Once every later axis has
+    size 1, axis k varies fastest and is one (rows, K_k) product, taken in
+    the row blocks of _point_blocks; past _POINT_BLOCK rows that rounds like
+    the whole product for some K_k (up to 256, and 512) but not for others
+    (300, 625).
+    """
+    sizes = [f.shape[0] for f in factors]
     for k, f in enumerate(factors):
         after = math.prod(sizes[k + 1 :])
         if after == 1:
-            # every later block has size 1, so block k varies fastest: one
-            # (n * rest, K_k) product
-            y = y.reshape(-1, sizes[k]) @ f.T
+            rows = y.reshape(-1, sizes[k])
+            for block in _point_blocks(rows.shape[0]):
+                rows[block] = rows[block] @ f.T
         else:
-            y = np.matmul(f, y.reshape(-1, sizes[k], after))
-    values = y.reshape(n, n_points)
-    if noise is not None and noise.sigma > 0:
-        values = values + noise.sigma * gaussian(make_rng(noise.seed), (n, n_points))
-    return FieldMatrix(grid, values)
+            y3 = y.reshape(-1, sizes[k], after)
+            step = max(1, _POINT_BLOCK // after)
+            for start in range(0, y3.shape[0], step):
+                block = slice(start, start + step)
+                y3[block] = np.matmul(f, y3[block])

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -16,3 +22,36 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def rss_growth():
+    """growth(snippet): the bytes by which running `snippet` raises peak RSS.
+
+    The snippet runs in a fresh `python -c` with one BLAS thread, after
+    `import numpy as np` and `import covnet`; the growth is the peak resident
+    set size after it less the peak after those imports.  Unlike tracemalloc
+    it counts what native code allocates, such as LAPACK's working copies.
+    """
+
+    def growth(snippet: str) -> int:
+        code = "\n".join(
+            [
+                "import resource",
+                "import numpy as np",
+                "import covnet",
+                "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+                snippet,
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)",
+            ]
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        return int(out.stdout.split()[-1]) * (1 if sys.platform == "darwin" else 1024)
+
+    return growth

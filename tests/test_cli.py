@@ -69,6 +69,16 @@ def test_simulate_product_kernel_beyond_kernel_matrix_cap(tmp_path, capsys):
     assert "exceeds kernel matrix cap" in capsys.readouterr().err
 
 
+def test_simulate_beyond_dense_cap_exits_2(tmp_path, capsys):
+    cfg = "kernel = rotated_brownian\nd = 2\nK = 116\nN = 4\nseed = 2\n"  # D = 13456
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "exceeds kernel matrix cap 13377" in err[0]
+    assert not (out / "fields.cvnf").exists()
+
+
 def test_simulate_zero_variance_grid_exits_0(tmp_path):
     code, out = run(
         tmp_path, "simulate", "kernel = rotated_brownian\nd = 2\nK = 1\nN = 3\nseed = 1\n"

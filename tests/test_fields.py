@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -183,6 +185,42 @@ def test_read_rejects_nonfinite(tmp_path):
     assert err.value.offset == len(blob) - 8
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_reports_the_first_nonfinite_value(tmp_path, bad):
+    grid = make_grid(2, [3, 2])
+    values = np.arange(24.0).reshape(4, 6)
+    path = tmp_path / "n.cvnf"
+    write_fields(path, FieldMatrix(grid, values))
+    blob = bytearray(path.read_bytes())
+    payload = len(blob) - values.nbytes
+    for i in (17, 9):
+        blob[payload + 8 * i : payload + 8 * i + 8] = np.array([bad]).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FieldFormatError, match="non-finite field value") as err:
+        read_fields(path)
+    assert err.value.offset == payload + 8 * 9
+    with pytest.raises(ValueError, match="finite"):
+        FieldMatrix(grid, np.frombuffer(bytes(blob[payload:])).reshape(4, 6))
+
+
+@pytest.mark.parametrize("sizes, n", [([1], 1), ([3, 2], 0), ([2, 3, 4], 7), ([40, 40], 5)])
+def test_write_fields_bytes_are_the_tobytes_encoding(tmp_path, sizes, n):
+    grid = make_grid(len(sizes), sizes)
+    f = FieldMatrix(grid, gaussian(make_rng(3), (n, grid.n_points)))
+    path = tmp_path / "f.cvnf"
+    write_fields(path, f)
+    want = header(sizes, n) + np.ascontiguousarray(f.values, dtype="<f8").tobytes()
+    assert path.read_bytes() == want
+    assert np.array_equal(read_fields(path).values, f.values)
+
+
+def test_field_files_are_written_and_read_without_a_copy(tmp_path, traced_peak):
+    f = FieldMatrix(make_grid(2, [64, 64]), gaussian(make_rng(5), (400, 4096)))
+    path = tmp_path / "f.cvnf"
+    assert traced_peak(lambda: write_fields(path, f)) <= 2**20
+    assert traced_peak(lambda: read_fields(path)) <= f.values.nbytes + 2**20
+
+
 def header(sizes, n):
     """A CVNF header with no payload."""
     return (
@@ -216,3 +254,56 @@ def test_centered_removes_mean():
     grid = make_grid(1, [4])
     f = FieldMatrix(grid, np.array([[1.0, 2, 3, 4], [3.0, 4, 5, 6]]))
     np.testing.assert_allclose(f.centered().values.mean(axis=0), 0.0, atol=1e-15)
+
+
+def read_through_fifo(tmp_path, blob):
+    """read_fields on a named pipe that a thread fills with `blob`."""
+    fifo = tmp_path / "fields.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            try:
+                fh.write(blob)
+            except BrokenPipeError:  # the reader stopped early
+                pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return read_fields(fifo)
+    finally:
+        writer.join()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_fields_from_a_pipe(tmp_path):
+    f = FieldMatrix(make_grid(2, [40, 40]), gaussian(make_rng(8), (30, 1600)))
+    path = tmp_path / "f.cvnf"
+    write_fields(path, f)
+    blob = path.read_bytes()
+    assert np.array_equal(read_through_fifo(tmp_path, blob).values, f.values)
+    # the errors and offsets a regular file gets
+    cases = [
+        (blob[:3], "truncated file while reading magic", 3),
+        (blob[:14], "truncated file while reading grid sizes", 14),
+        (blob[:-5], "truncated file while reading field values", len(blob) - 5),
+        (blob + b"x", "trailing bytes after field values", len(blob)),
+    ]
+    for bad, msg, offset in cases:
+        (tmp_path / "fields.fifo").unlink(missing_ok=True)
+        with pytest.raises(FieldFormatError, match=msg) as err:
+            read_through_fifo(tmp_path, bad)
+        assert err.value.offset == offset
+        path.write_bytes(bad)
+        with pytest.raises(FieldFormatError, match=msg) as err:
+            read_fields(path)
+        assert err.value.offset == offset
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_fields_from_a_pipe_rejects_an_unallocatable_count(tmp_path):
+    # a pipe has no size to check the payload against before allocating
+    with pytest.raises(FieldFormatError, match="do not fit in memory") as err:
+        read_through_fifo(tmp_path, header([3, 2], 2**63))
+    assert err.value.offset == 20

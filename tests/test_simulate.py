@@ -1,3 +1,4 @@
+import math
 import re
 from functools import reduce
 
@@ -361,6 +362,94 @@ def test_product_kernel_sampling_memory_stays_far_below_one_kernel_matrix(traced
     grid = make_grid(2, [64, 64])
     peak = traced_peak(lambda: sample_gaussian_fields(BrownianSheet(2), grid, 4, seed=5))
     assert peak < grid.n_points**2 * 8 / 10
+
+
+def out_of_place_draw(spec, grid, n, seed, noise=None):
+    """Reference Kronecker draw: a new array for every factor and for the noise."""
+    factors = _block_factors(spec, grid)
+    sizes = [f.shape[0] for f in factors]
+    y = gaussian(make_rng(seed), (n, grid.n_points))
+    for k, f in enumerate(factors):
+        after = math.prod(sizes[k + 1 :])
+        if after == 1:
+            y = y.reshape(-1, sizes[k]) @ f.T
+        else:
+            y = np.matmul(f, y.reshape(-1, sizes[k], after))
+    values = y.reshape(n, grid.n_points)
+    if noise is not None:
+        values = values + noise.sigma * gaussian(make_rng(noise.seed), values.shape)
+    return values
+
+
+# (sizes, N): 64x64 at N = 1600 is a 102400-row last-axis product, and 3x5 at
+# N = 2731 has 8193 last-axis rows, so a 1-row remainder
+KRONECKER_DRAWS = [
+    ([6, 5], 40),
+    ([64, 64], 1600),
+    ([128, 128], 40),
+    ([3, 4, 2], 30),
+    ([16, 16, 16], 20),
+    ([32, 32, 32], 5),
+    ([3, 5], 2731),
+]
+
+
+@pytest.mark.parametrize("noise", [None, NoiseSpec(0.3, 9)], ids=["clean", "noisy"])
+@pytest.mark.parametrize("product", [BrownianSheet, IntegratedBrownianSheet])
+@pytest.mark.parametrize(
+    "sizes, n", KRONECKER_DRAWS, ids=[f"{'x'.join(map(str, k))}-N{n}" for k, n in KRONECKER_DRAWS]
+)
+def test_in_place_kronecker_draw_is_bit_identical_to_out_of_place(product, sizes, n, noise):
+    grid = make_grid(len(sizes), sizes)
+    got = sample_gaussian_fields(product(grid.d), grid, n, seed=7, noise=noise).values
+    assert np.array_equal(got, out_of_place_draw(product(grid.d), grid, n, 7, noise))
+
+
+def test_kronecker_draw_holds_one_output_array(traced_peak):
+    grid = make_grid(2, [64, 64])
+    output = 400 * grid.n_points * 8
+    peak = traced_peak(lambda: sample_gaussian_fields(BrownianSheet(2), grid, 400, seed=5))
+    assert peak <= output + 4 * 2**20
+    noise = NoiseSpec(0.1, 6)
+    peak = traced_peak(lambda: sample_gaussian_fields(BrownianSheet(2), grid, 400, 5, noise))
+    assert peak <= 2 * output + 4 * 2**20
+
+
+def test_kronecker_draw_rss_grows_by_about_one_output(rss_growth):
+    # 64x64, N = 1600: an out-of-place product per axis holds two outputs
+    growth = rss_growth(
+        "g = covnet.make_grid(2, [64, 64])\n"
+        "f = covnet.sample_gaussian_fields(covnet.BrownianSheet(2), g, 1600, seed=5)"
+    )
+    assert growth <= 1.3 * 1600 * 64 * 64 * 8
+
+
+def test_dense_draw_rss_grows_by_about_three_kernel_matrices(rss_growth):
+    # the kernel matrix, LAPACK's working copy and the factor, which
+    # tracemalloc sees only two of, and the N x D draw and its product
+    growth = rss_growth(
+        "g = covnet.make_grid(2, [40, 40])\n"
+        "spec = covnet.RotatedBrownianSheet(covnet.rotation_2d_45())\n"
+        "f = covnet.sample_gaussian_fields(spec, g, 300, seed=5)"
+    )
+    d = 40 * 40
+    assert growth <= 3.5 * d * d * 8 + 2 * 300 * d * 8
+
+
+def test_kernel_matrix_cap_bounds_the_dense_sampler_to_4_gib():
+    # three D x D float64 arrays: 24 D^2 <= 4 GiB
+    assert 24 * KERNEL_MATRIX_CAP**2 <= 4 * 2**30 < 24 * (KERNEL_MATRIX_CAP + 1) ** 2
+
+
+def test_dense_cap_fails_before_allocating(traced_peak):
+    grid = make_grid(2, [116, 116])  # D = 13456, just above the cap
+    spec = RotatedBrownianSheet(rotation_2d_45())
+
+    def draw():
+        with pytest.raises(ResourceLimitError, match="exceeds kernel matrix cap 13377"):
+            sample_gaussian_fields(spec, grid, 4, seed=1)
+
+    assert traced_peak(draw) < 2**20
 
 
 def test_dense_sampling_holds_about_two_kernel_matrices(traced_peak):
