@@ -131,8 +131,12 @@ def best_separable_2d(emp: EmpiricalCovariance) -> SeparableCovariance:
 
         op = LinearOperator((k1 * k1, k2 * k2), matvec, rmatvec, dtype=float)
         # ARPACK starts from vec(I) of the smaller factor, which is never
-        # orthogonal to the leading factor of a nonzero covariance
-        u, s, vt = svds(op, k=1, v0=np.eye(min(k1, k2)).ravel())
+        # orthogonal to the leading factor of a nonzero covariance.  Four
+        # Krylov vectors suffice for one singular pair: ARPACK's default 20
+        # took 43 operator products on a 40 x 40 grid, four take 11 to 23.
+        # svds needs k < ncv < min(K1^2, K2^2), hence 3 on a 2 x K grid
+        ncv = min(4, min(k1, k2) ** 2 - 1)
+        u, s, vt = svds(op, k=1, ncv=ncv, v0=np.eye(min(k1, k2)).ravel())
         a = np.sqrt(s[0]) * u[:, 0].reshape(k1, k1)
         b = np.sqrt(s[0]) * vt[0].reshape(k2, k2)
     if np.trace(a) < 0:

@@ -58,8 +58,16 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def flat_index(self, points: np.ndarray) -> np.ndarray:
-        """Nearest-voxel flat indices for points in [0,1]^d (rows)."""
+        """Nearest-voxel flat indices for points in [0,1]^d (rows).
+
+        Points outside the cube map to the nearest edge voxel; a point of
+        the wrong dimension or with a nan or infinite coordinate is an error.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != self.d:
+            raise ValueError(f"points must be (M, {self.d}), got {pts.shape}")
+        if not _all_finite(pts):
+            raise ValueError("evaluation points must be finite")
         idx = [
             np.clip((pts[:, k] * self.sizes[k]).astype(np.int64), 0, self.sizes[k] - 1)
             for k in range(self.d)

@@ -31,6 +31,7 @@ needs; evaluation walks the same layers in blocks of points and keeps none.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -105,16 +106,20 @@ class Architecture:
         return Architecture(DEEPSHARED, r, d, (r,) * depth)
 
 
-def _layer_shapes(arch: Architecture) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@functools.lru_cache(maxsize=None)
+def _layer_shapes(arch: Architecture) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(W, b) shapes of every layer in vector order: hidden layers, then output.
 
     Layer l holds W (G, p_l, p_{l-1}) and b (G, p_l), with G = R independent
     nets for deep and G = 1 shared trunk otherwise; the output layer's width
     is the R / G constituents each stack feeds.  Shallow has no hidden layers.
+    Memoized per architecture: every training step asks for it twice.
     """
     g = arch.groups
     dims = [arch.d, *arch.widths, arch.r // g]
-    return [((g, dims[l + 1], dims[l]), (g, dims[l + 1])) for l in range(arch.depth + 1)]
+    return tuple(
+        ((g, dims[l + 1], dims[l]), (g, dims[l + 1])) for l in range(arch.depth + 1)
+    )
 
 
 def _param_views(vec: np.ndarray, arch: Architecture) -> list[tuple[np.ndarray, np.ndarray]]:

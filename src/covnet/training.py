@@ -112,9 +112,11 @@ def _core(
 ):
     n, n_points = x.shape
     z, cache = forward_constituents(params, arch, points)
-    gz = z.T @ z / n_points
+    gz = z.T @ z
+    gz /= n_points
     s = xi.T @ xi
-    p = x @ z / n_points
+    p = x @ z
+    p /= n_points
 
     sgz = s @ gz
     term_gg = float((sgz * sgz.T).sum()) / n**2
@@ -136,14 +138,19 @@ def _core(
     if not want_grads:
         return breakdown, None, None
 
-    dxi = (4.0 / n**2) * (xi @ (gz @ s @ gz - ptp))
-    dz = (4.0 / (n**2 * n_points)) * (z @ (s @ gz @ s) - x.T @ (p @ s))
+    dxi = xi @ (gz @ s @ gz - ptp)
+    dxi *= 4.0 / n**2
+    # dZ^T = (S Gz S)^T Z^T - (P S)^T X, so that the R x N by N x D data
+    # product runs in BLAS's fast orientation rather than as X^T (P S)
+    dzt = (sgz @ s).T @ z.T
+    dzt -= (p @ s).T @ x
+    dzt *= 4.0 / (n**2 * n_points)
     if include_mean:
         dxibar = 4.0 * (m_yy * (gz @ xibar) - m_xy * pbar)
-        dxi = dxi + dxibar / n
+        dxi += dxibar / n
         ybar = z @ xibar
-        dz = dz + (4.0 / n_points) * np.outer(m_yy * ybar - m_xy * xbar, xibar)
-    dparams = backward_constituents(params, arch, cache, dz)
+        dzt += (4.0 / n_points) * np.outer(xibar, m_yy * ybar - m_xy * xbar)
+    dparams = backward_constituents(params, arch, cache, dzt.T)
     return breakdown, dparams, dxi
 
 
@@ -188,14 +195,28 @@ def gradients(
 def adam_step(
     theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, lr: float, t: int
 ) -> np.ndarray:
-    """Bias-corrected ADAM update; overwrites the moments m and v in place."""
+    """Bias-corrected ADAM update; overwrites the moments m and v in place.
+
+    Returns the updated parameters as a new array; theta is left as it is.
+    Each element is rounded exactly as in the textbook expression
+    theta - lr * mhat / (sqrt(vhat) + eps), through two temporaries.
+    """
     if t < 1:
         raise ValueError("adam step index starts at 1")
-    m[:] = BETA1 * m + (1.0 - BETA1) * grad
-    v[:] = BETA2 * v + (1.0 - BETA2) * grad * grad
-    mhat = m / (1.0 - BETA1**t)
-    vhat = v / (1.0 - BETA2**t)
-    return theta - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    step = np.multiply(grad, 1.0 - BETA1)
+    m *= BETA1
+    m += step
+    np.multiply(grad, 1.0 - BETA2, out=step)
+    step *= grad
+    v *= BETA2
+    v += step
+    denom = np.divide(v, 1.0 - BETA2**t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, 1.0 - BETA1**t, out=step)
+    step *= lr
+    step /= denom
+    return np.subtract(theta, step, out=step)
 
 
 def fit(
@@ -228,6 +249,10 @@ def fit(
     theta = np.concatenate([params, xi.ravel()])
     n_net = params.size
     m, v = np.zeros(theta.size), np.zeros(theta.size)
+    # one gradient buffer for the whole fit; its Xi part as an N x R view
+    grad = np.empty(theta.size)
+    grad_xi = grad[n_net:].reshape(f.n, arch.r)
+    minibatch = cfg.batch is not None and cfg.batch < f.n
     batch_rng = make_rng(cfg.seed, stream=1)
 
     trace_rows: list[tuple[float, float, float, float]] = []
@@ -238,7 +263,7 @@ def fit(
     for epoch in range(cfg.epochs):
         # (sample index, data self-term) per step; a minibatch's self-term
         # is its B x B block of the data Gram
-        if cfg.batch is None or cfg.batch >= f.n:
+        if not minibatch:
             batches = [(slice(None), term_xx)]
         else:
             perm = batch_rng.permutation(f.n)
@@ -257,19 +282,16 @@ def fit(
             )
             rows.append(breakdown)
             t += 1
-            grad = np.zeros(theta.size)
             grad[:n_net] = dparams
-            grad[n_net:].reshape(f.n, arch.r)[idx] = dxi
+            if minibatch:
+                grad_xi.fill(0.0)  # samples outside the batch get no gradient
+            grad_xi[idx] = dxi
             theta = adam_step(theta, grad, m, v, cfg.lr, t)
-        mean_total = float(np.mean([b.total for b in rows]))
-        trace_rows.append(
-            (
-                mean_total,
-                float(np.mean([b.term_xx for b in rows])),
-                float(np.mean([b.term_gg for b in rows])),
-                float(np.mean([b.term_xg for b in rows])),
-            )
-        )
+        # a one-batch epoch's row is its breakdown as it is
+        terms = [(b.total, b.term_xx, b.term_gg, b.term_xg) for b in rows]
+        row = terms[0] if len(terms) == 1 else tuple(float(np.mean(c)) for c in zip(*terms))
+        trace_rows.append(row)
+        mean_total = row[0]
         if initial_total is None:
             initial_total = mean_total
         if not np.isfinite(mean_total) or (

@@ -159,7 +159,9 @@ def test_separable_rejects_other_dims():
 
 
 @pytest.mark.parametrize(
-    "sizes", [(5, 7), (7, 5), (1, 6), (6, 1), (1, 1)], ids=["5x7", "7x5", "1x6", "6x1", "1x1"]
+    "sizes",
+    [(5, 7), (7, 5), (1, 6), (6, 1), (1, 1), (2, 2), (2, 3), (3, 2), (2, 9)],
+    ids=["5x7", "7x5", "1x6", "6x1", "1x1", "2x2", "2x3", "3x2", "2x9"],
 )
 def test_separable_matches_dense_svd_oracle(sizes):
     grid = make_grid(2, sizes)
@@ -169,6 +171,98 @@ def test_separable_matches_dense_svd_oracle(sizes):
     got = np.kron(sep.a, sep.b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.trace(sep.a) >= 0
+
+
+@pytest.fixture
+def svds_products(monkeypatch):
+    """Wraps scipy's svds: counts the operator products it asks for.
+
+    Returns a dict whose "products" entry is the number of matvec and
+    rmatvec calls since the last reset; with `default_krylov` set, the `ncv`
+    argument is dropped, so that svds runs with its default Krylov space.
+    """
+    import scipy.sparse.linalg as sparse_linalg
+
+    real_svds = sparse_linalg.svds
+    state = {"products": 0, "default_krylov": False}
+
+    def counted(op, **kwargs):
+        def matvec(x):
+            state["products"] += 1
+            return op.matvec(x)
+
+        def rmatvec(x):
+            state["products"] += 1
+            return op.rmatvec(x)
+
+        if state["default_krylov"]:
+            kwargs.pop("ncv", None)
+        wrapped = sparse_linalg.LinearOperator(op.shape, matvec, rmatvec, dtype=op.dtype)
+        return real_svds(wrapped, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "svds", counted)
+    return state
+
+
+SEPARABLE_CASES = {
+    "rotated40x40": (RotatedBrownianSheet(rotation_2d_45()), (40, 40), 300),
+    "brownian30x20": (BrownianSheet(2), (30, 20), 200),
+    "matern16x16": (Matern(0.7, 2), (16, 16), 100),
+}
+
+
+@pytest.mark.parametrize("case", list(SEPARABLE_CASES))
+def test_separable_small_krylov_space_matches_default(case, svds_products):
+    spec, sizes, n = SEPARABLE_CASES[case]
+    f = sample_gaussian_fields(spec, make_grid(2, sizes), n, seed=25).centered()
+    emp = empirical_covariance(f)
+    sep = best_separable_2d(emp)
+    svds_products["default_krylov"] = True
+    ref = best_separable_2d(emp)
+    for got, want in ((sep.a, ref.a), (sep.b, ref.b)):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_separable_needs_few_operator_products(svds_products):
+    spec, sizes, n = SEPARABLE_CASES["rotated40x40"]
+    f = sample_gaussian_fields(spec, make_grid(2, sizes), n, seed=26).centered()
+    emp = empirical_covariance(f)
+    best_separable_2d(emp)
+    products = svds_products["products"]
+    svds_products.update(products=0, default_krylov=True)
+    best_separable_2d(emp)
+    # ARPACK's default 20-vector Krylov space takes 43 products here
+    assert products <= 25 < svds_products["products"]
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
+)
+@pytest.mark.parametrize("baseline", ["empirical", "separable"])
+def test_baselines_reject_nonfinite_points(baseline, bad):
+    grid = make_grid(2, [4, 5])
+    emp = empirical_covariance(
+        sample_gaussian_fields(BrownianSheet(2), grid, 10, seed=27).centered()
+    )
+    est = emp if baseline == "empirical" else best_separable_2d(emp)
+    good = np.full((3, 2), 0.5)
+    broken = good.copy()
+    broken[1, 0] = bad
+    for u, v in ((broken, good), (good, broken)):
+        with pytest.raises(ValueError, match="evaluation points must be finite"):
+            est.kernel_pairs(u, v)
+
+
+@pytest.mark.parametrize("baseline", ["empirical", "separable"])
+def test_baselines_reject_points_of_the_wrong_dimension(baseline):
+    grid = make_grid(2, [4, 5])
+    emp = empirical_covariance(
+        sample_gaussian_fields(BrownianSheet(2), grid, 10, seed=28).centered()
+    )
+    est = emp if baseline == "empirical" else best_separable_2d(emp)
+    for pts in (np.full((3, 1), 0.5), np.full((3, 3), 0.5)):
+        with pytest.raises(ValueError, match="points must be"):
+            est.kernel_pairs(pts, pts)
 
 
 def test_separable_repeats_bit_identically():

@@ -50,6 +50,27 @@ def test_grid_rejects_wrong_length():
         make_grid(2, [4])
 
 
+def test_flat_index_clips_points_outside_the_cube():
+    grid = make_grid(2, [2, 3])
+    pts = np.array([[-0.5, 0.5], [1.5, 0.5], [0.0, 1.0], [0.99, 0.0]])
+    np.testing.assert_array_equal(grid.flat_index(pts), [1, 4, 2, 3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_flat_index_rejects_nonfinite_points(bad):
+    grid = make_grid(2, [2, 3])
+    pts = np.full((4, 2), 0.5)
+    pts[2, 1] = bad
+    with pytest.raises(ValueError, match="evaluation points must be finite"):
+        grid.flat_index(pts)
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (4, 3), (2, 2, 2)])
+def test_flat_index_rejects_points_of_the_wrong_dimension(shape):
+    with pytest.raises(ValueError, match=r"points must be \(M, 2\)"):
+        make_grid(2, [2, 3]).flat_index(np.full(shape, 0.5))
+
+
 def inner_product_loop(a, b):
     """Midpoint-quadrature L2 inner product as a scalar loop."""
     return sum(float(a[i]) * float(b[i]) for i in range(len(a))) / len(a)

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 
+from covnet import training
 from covnet.errors import TrainingDivergedError
 from covnet.fields import FieldMatrix, make_grid
 from covnet.model import (
     Architecture,
     eval_constituents,
+    forward_constituents,
     init_params,
 )
 from covnet.rng import gaussian, make_rng
 from covnet.simulate import BrownianSheet, sample_gaussian_fields
 from covnet.training import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     TrainConfig,
+    _core,
     adam_step,
     data_self_term,
     fit,
@@ -168,6 +174,75 @@ def test_gradients_match_central_differences(variant, include_mean):
             assert abs(a - g) / abs(g) < 1e-5
 
 
+def x_transpose_dz(x, points, params, arch, xi, include_mean):
+    """dl/dZ formed as Z (S Gz S) - X^T (P S), the orientation of the derivation."""
+    n, n_points = x.shape
+    z, _ = forward_constituents(params, arch, points)
+    gz = z.T @ z / n_points
+    s = xi.T @ xi
+    p = x @ z / n_points
+    dz = (4.0 / (n**2 * n_points)) * (z @ (s @ gz @ s) - x.T @ (p @ s))
+    if include_mean:
+        xibar = xi.mean(axis=0)
+        m_yy = float(xibar @ gz @ xibar)
+        m_xy = float(p.mean(axis=0) @ xibar)
+        ybar = z @ xibar
+        dz = dz + (4.0 / n_points) * np.outer(m_yy * ybar - m_xy * x.mean(axis=0), xibar)
+    return dz
+
+
+DZ_CASES = {
+    # architecture, include_mean, minibatch size
+    "shallow": (Architecture.shallow(6, 2), False, None),
+    "deep": (Architecture.deep(4, 2, 3), False, None),
+    "deepshared": (Architecture.deepshared(5, 2, 2), False, None),
+    "joint_mean": (Architecture.deepshared(5, 2, 2), True, None),
+    "minibatch": (Architecture.shallow(6, 2), False, 7),
+}
+
+
+@pytest.mark.parametrize("case", list(DZ_CASES))
+def test_core_dz_matches_the_x_transpose_orientation(case, monkeypatch):
+    arch, include_mean, batch = DZ_CASES[case]
+    grid = make_grid(2, [9, 8])
+    f = sample_gaussian_fields(BrownianSheet(2), grid, 30, seed=21)
+    x = f.values if include_mean else f.centered().values
+    params, xi = init_params(arch, f.n, seed=22)
+    if batch is not None:  # the rows fit passes for one minibatch
+        idx = make_rng(23).permutation(f.n)[:batch]
+        x, xi = x[idx], xi[idx]
+    points = grid.coordinates()
+    seen = []
+    backward = training.backward_constituents
+
+    def capture(params, arch, cache, dz):
+        seen.append(dz.copy())
+        return backward(params, arch, cache, dz)
+
+    monkeypatch.setattr(training, "backward_constituents", capture)
+    _, dparams, _ = _core(x, points, params, arch, xi, 0.0, include_mean, True)
+    [got] = seen
+    want = x_transpose_dz(x, points, params, arch, xi, include_mean)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    _, cache = forward_constituents(params, arch, points)
+    want_params = backward(params, arch, cache, want)
+    assert np.abs(dparams - want_params).max() <= 1e-13 * np.abs(want_params).max()
+
+
+@pytest.mark.parametrize("center_mode", ["pre_center", "joint_mean"])
+def test_fit_trace_row_zero_is_the_initial_loss_bit_for_bit(center_mode):
+    grid = make_grid(2, [6, 5])
+    f = sample_gaussian_fields(BrownianSheet(2), grid, 14, seed=24)
+    arch = Architecture.deepshared(3, 2, 2)
+    cfg = TrainConfig(epochs=3, seed=6, center_mode=center_mode)
+    _, trace = fit(f, arch, cfg)
+    joint = center_mode == "joint_mean"
+    params, xi = init_params(arch, f.n, cfg.seed)
+    b = loss(f if joint else f.centered(), params, arch, xi, include_mean=joint)
+    assert trace[0].tolist() == [b.total, b.term_xx, b.term_gg, b.term_xg]
+
+
 def test_gradient_scaling_with_doubled_data():
     rng = make_rng(13)
     grid = make_grid(1, [9])
@@ -211,6 +286,34 @@ def test_loss_quartic_scale_covariance_exact():
     assert scaled.term_xx == 16.0 * base.term_xx
     assert scaled.term_gg == 16.0 * base.term_gg
     assert scaled.term_xg == 16.0 * base.term_xg
+
+
+def adam_reference(theta, grad, m, v, lr, t):
+    """The textbook ADAM update, returning new (theta, m, v)."""
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
+    mhat = m / (1.0 - BETA1**t)
+    vhat = v / (1.0 - BETA2**t)
+    return theta - lr * mhat / (np.sqrt(vhat) + ADAM_EPS), m, v
+
+
+def test_adam_step_matches_reference_formula_bit_for_bit():
+    rng = make_rng(41)
+    theta = gaussian(rng, (257,))
+    m, v = np.zeros(257), np.zeros(257)
+    ref_theta, ref_m, ref_v = theta.copy(), m.copy(), v.copy()
+    for t in (1, 2, 3, 7, 50, 1000):
+        grad = gaussian(rng, (257,)) * 10.0 ** rng.integers(-8, 3, 257)
+        grad[:3] = 0.0
+        before = theta.copy()
+        new = adam_step(theta, grad, m, v, 3e-3, t)
+        np.testing.assert_array_equal(theta, before)
+        assert not np.shares_memory(new, theta)
+        theta = new
+        ref_theta, ref_m, ref_v = adam_reference(ref_theta, grad, ref_m, ref_v, 3e-3, t)
+        np.testing.assert_array_equal(theta, ref_theta)
+        np.testing.assert_array_equal(m, ref_m)
+        np.testing.assert_array_equal(v, ref_v)
 
 
 def test_adam_first_step_magnitude():
@@ -335,6 +438,34 @@ def test_fit_minibatch_self_term_matches_per_batch_data_term():
         ]
         assert trace[epoch, 1] == pytest.approx(np.mean(terms), rel=1e-12)
     assert trace[-1, 1] == pytest.approx(data_self_term(FieldMatrix(grid, x)), rel=1e-12)
+
+
+def test_fit_minibatch_gradient_is_zero_outside_the_batch(monkeypatch):
+    grid = make_grid(1, [10])
+    f = sample_gaussian_fields(BrownianSheet(1), grid, 11, seed=9)
+    arch = Architecture.shallow(2, 1)
+    cfg = TrainConfig(epochs=3, seed=5, batch=4, rel_tol=0.0)
+    grads = []
+    step = training.adam_step
+
+    def capture(theta, grad, m, v, lr, t):
+        grads.append(grad[-f.n * arch.r :].reshape(f.n, arch.r).copy())
+        return step(theta, grad, m, v, lr, t)
+
+    monkeypatch.setattr(training, "adam_step", capture)
+    fit(f, arch, cfg)
+    # fit's batches: 4, 4 and 3 samples per epoch from stream 1
+    batch_rng = make_rng(cfg.seed, stream=1)
+    batches = [
+        perm[s : s + cfg.batch]
+        for perm in (batch_rng.permutation(f.n) for _ in range(cfg.epochs))
+        for s in range(0, f.n, cfg.batch)
+    ]
+    assert len(grads) == len(batches) == 9
+    for grad_xi, idx in zip(grads, batches):
+        outside = np.setdiff1d(np.arange(f.n), idx)
+        np.testing.assert_array_equal(grad_xi[outside], 0.0)
+        assert np.all(np.abs(grad_xi[idx]).sum(axis=1) > 0)
 
 
 def test_train_config_rejects_batch_of_one():
