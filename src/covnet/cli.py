@@ -200,12 +200,12 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _write_point_csv(path: str, pts: np.ndarray, vals: np.ndarray) -> None:
-    """One `flat_index,u1..ud,value` row per grid point."""
-    _write_csv(
-        path,
-        ["flat_index", *(f"u{k + 1}" for k in range(pts.shape[1])), "value"],
-        [[str(j), *map(_fmt, p), _fmt(v)] for j, (p, v) in enumerate(zip(pts, vals))],
-    )
+    """One `flat_index,u1..ud,value` row per grid point, numbers as by _fmt."""
+    d = pts.shape[1]
+    row = "%d" + ",%.17g" * (d + 1)  # one template per row: "%.17g" % x == _fmt(x)
+    rows = np.column_stack([pts, vals]).tolist()
+    header = ",".join(["flat_index", *(f"u{k + 1}" for k in range(d)), "value"])
+    _write_lines(path, [header, *(row % (j, *r) for j, r in enumerate(rows))])
 
 
 def _grid_from(cfg: Config, default_d: int | None = None):

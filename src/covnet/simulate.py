@@ -18,9 +18,10 @@ axis k, and chol(A (x) B) = chol(A) (x) chol(B), so L is applied as one
 K_k x K_k factor per axis.  Rotated sheets and Matern are not separable;
 they take the dense factor of the whole grid.  Either way each factor
 overwrites the N x D draw block by block, so beside a noise draw that is
-the only N x D array a sample holds.  The dense path holds three D x D
-arrays, the kernel matrix, LAPACK's working copy and the factor, so it is
-capped at KERNEL_MATRIX_CAP points, checked before anything is allocated.
+the only N x D array a sample holds.  The dense factor is written over the
+kernel matrix by a blocked Cholesky, so the dense path holds one D x D array
+beside temporaries of a few _CHOLESKY_BLOCK^2 values; it is capped at
+KERNEL_MATRIX_CAP points, checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -36,13 +37,18 @@ from .fields import FieldMatrix, Grid, make_grid
 from .model import _POINT_BLOCK, _point_blocks
 from .rng import gaussian, make_rng
 
-# The dense sampler holds three D x D float64 arrays at its peak (the kernel
-# matrix, the working copy LAPACK factors in and the factor); the cap keeps
-# them within 4 GiB: 24 D^2 <= 2^32 gives D <= 13377.
+# The cap keeps three D x D float64 arrays within 4 GiB: 24 D^2 <= 2^32 gives
+# D <= 13377.  The dense sampler itself holds one, but a caller that factors
+# kernel_matrix with np.linalg.cholesky holds three (the matrix, LAPACK's
+# working copy and the factor); and a larger cap would admit larger dense
+# draws, whose O(D^3) factorization is already the sampler's slowest step.
 KERNEL_MATRIX_CAP = math.isqrt((4 << 30) // (3 * 8))
 # kernel values per row block in kernel_matrix, so that its temporaries stay
 # about _MATRIX_BLOCK floats whatever the grid size
 _MATRIX_BLOCK = 1 << 16
+# rows per diagonal block of the in-place Cholesky; a matrix of at most this
+# many rows is one block, factored by np.linalg.cholesky alone
+_CHOLESKY_BLOCK = 1024
 
 
 def _check_rotation(o: np.ndarray, d: int) -> np.ndarray:
@@ -239,24 +245,87 @@ def kernel_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
     return c
 
 
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each _CHOLESKY_BLOCK-row block of an n-row matrix."""
+    return [(k, min(k + _CHOLESKY_BLOCK, n)) for k in range(0, n, _CHOLESKY_BLOCK)]
+
+
+def _cholesky_in_place(c: np.ndarray) -> bool:
+    """Write the Cholesky factor of c over c's lower triangle.
+
+    Right-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
+    sec. 4.2): each diagonal block is factored by np.linalg.cholesky, the
+    panel below it solved against it a row block at a time, and the trailing
+    lower triangle updated one block x block tile at a time, so every
+    temporary holds O(_CHOLESKY_BLOCK^2) values.  A matrix of one block is
+    factored exactly as by np.linalg.cholesky(c).  Only the lower triangle
+    is read or written, so the strict upper triangle still holds the matrix.
+    Returns False, with the lower triangle partly overwritten, when c is not
+    numerically positive definite.
+    """
+    blocks = _row_blocks(c.shape[0])
+    if len(blocks) > 1:
+        # imported here: scipy.linalg adds about 60 ms and 5 MiB to every
+        # process that imports covnet, and only multi-block matrices need it
+        from scipy.linalg import solve_triangular
+    for k, e in blocks:
+        try:
+            l11 = np.linalg.cholesky(c[k:e, k:e])
+        except np.linalg.LinAlgError:
+            return False
+        np.copyto(c[k:e, k:e], l11, where=np.tri(e - k, dtype=bool))
+        panel, trailing = c[e:, k:e], c[e:, e:]
+        for r0, r1 in _row_blocks(panel.shape[0]):
+            rows = panel[r0:r1]
+            # L21 = A21 L11^-T, solved as L11 L21^T = A21^T
+            rows[...] = solve_triangular(l11, rows.T, lower=True, check_finite=False).T
+            for j0, j1 in _row_blocks(r1):
+                tile = trailing[r0:r1, j0:j1]
+                update = rows @ panel[j0:j1].T
+                if j1 <= r0:
+                    tile -= update
+                else:  # the diagonal tile: its lower triangle only
+                    np.subtract(tile, update, out=tile, where=np.tri(r1 - r0, dtype=bool))
+    return True
+
+
+def _mirror_upper(c: np.ndarray) -> None:
+    """Copy c's strict upper triangle over its strict lower one, tile by tile."""
+    for k, e in _row_blocks(c.shape[0]):
+        for j, f in _row_blocks(k):
+            c[k:e, j:f] = c[j:f, k:e].T
+        square = c[k:e, k:e]
+        np.copyto(square, square.T, where=np.tri(e - k, k=-1, dtype=bool))
+
+
+def _zero_upper(c: np.ndarray) -> None:
+    """Zero c's strict upper triangle, in row blocks."""
+    for k, e in _row_blocks(c.shape[0]):
+        c[k:e, e:] = 0.0
+        np.copyto(c[k:e, k:e], 0.0, where=~np.tri(e - k, dtype=bool))
+
+
 def _jittered_cholesky(c: np.ndarray) -> np.ndarray:
     """Cholesky factor of c + jitter I, escalating jitter from 1e-12 trace / n.
 
-    The jitter is written onto c's diagonal in place, so c is overwritten.
+    The factor is written over c, which must be exactly symmetric, and
+    returned.  A failed attempt leaves the strict upper triangle intact, so
+    the next one restores the lower triangle from it and the saved diagonal.
     """
     n = c.shape[0]
     base = 1e-12 * np.trace(c) / n
     if base == 0 and not c.any():
-        return np.zeros_like(c)  # a zero covariance has the zero factor
+        return c  # a zero covariance has the zero factor
     diag = c.diagonal().copy()
     jitter = 0.0
     for attempt in range(7):
+        if attempt:
+            _mirror_upper(c)
         jitter = base * 10.0**attempt
         np.fill_diagonal(c, diag + jitter)
-        try:
-            return np.linalg.cholesky(c)
-        except np.linalg.LinAlgError:
-            continue
+        if _cholesky_in_place(c):
+            _zero_upper(c)
+            return c
     raise NumericError(f"cholesky failed for kernel matrix even with jitter {jitter:g}")
 
 
@@ -288,8 +357,9 @@ def sample_gaussian_fields(
     factors of 10.  For BrownianSheet and IntegratedBrownianSheet on a grid
     of two or more axes, L is the Kronecker product of the jittered per-axis
     factors and costs O(sum K_k^3) to build, with no D x D array; every
-    other kernel factors its dense kernel matrix, which holds three D x D
-    arrays and is capped at KERNEL_MATRIX_CAP points.  The factors are
+    other kernel factors its dense kernel matrix in place, which holds one
+    D x D array beside a few 1024 x 1024 blocks and is capped at
+    KERNEL_MATRIX_CAP points.  The factors are
     applied in place to the standard normal draw, which becomes the
     returned values, and the noise is added in place, so the sample holds
     one N x D array beside its noise draw.

@@ -24,6 +24,19 @@ def traced_peak():
     return peak
 
 
+# the process's own peak resident set size, in bytes.  On Linux it is VmHWM:
+# ru_maxrss also carries the peak of the process that spawned this one across
+# exec, so under a test session larger than the snippet it hides the growth
+PEAK_RSS = """
+import resource, sys
+def peak_rss():
+    if sys.platform.startswith("linux"):
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS
+"""
+
+
 @pytest.fixture
 def rss_growth():
     """growth(snippet): the bytes by which running `snippet` raises peak RSS.
@@ -37,12 +50,12 @@ def rss_growth():
     def growth(snippet: str) -> int:
         code = "\n".join(
             [
-                "import resource",
+                PEAK_RSS,
                 "import numpy as np",
                 "import covnet",
-                "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+                "base = peak_rss()",
                 snippet,
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)",
+                "print(peak_rss() - base)",
             ]
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
@@ -51,7 +64,6 @@ def rss_growth():
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        # ru_maxrss is in KiB on Linux and in bytes on macOS
-        return int(out.stdout.split()[-1]) * (1 if sys.platform == "darwin" else 1024)
+        return int(out.stdout.split()[-1])
 
     return growth

@@ -333,6 +333,20 @@ def test_export_reproducible_bytes(tmp_path):
     assert (o1 / "kernel_slice.csv").read_bytes() == (o2 / "kernel_slice.csv").read_bytes()
 
 
+def test_point_csv_bytes_match_per_value_format(tmp_path):
+    # 3-D points with -0.0, 1e-300, subnormals, 1e300 and repeating binary fractions
+    pts = np.array([[0.0, -0.0, 1e-300], [5e-324, 0.1, 1 / 3], [2.5e-310, -1e300, 0.75]])
+    vals = np.array([-0.0, 1e-300, 2.2250738585072014e-308 / 3])
+    path = tmp_path / "points.csv"
+    cli._write_point_csv(str(path), pts, vals)
+    rows = [
+        ",".join([str(j), *map(cli._fmt, p), cli._fmt(v)]) for j, (p, v) in enumerate(zip(pts, vals))
+    ]
+    want = "".join(line + "\n" for line in ["flat_index,u1,u2,u3,value", *rows])
+    assert path.read_bytes() == want.encode()
+    assert b",-0," in path.read_bytes() and b"4.9406564584124654e-324" in path.read_bytes()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = "kernel = brownian\nd = 1\nK = 4\nN = 3\nseed = 1\n"
     _, o1 = run(tmp_path, "simulate", cfg, out=tmp_path / "s1")

@@ -1,6 +1,11 @@
 """Cross-module pipelines that the per-module tests do not exercise: 3-D
 domains, noisy measurements, and dimension guard rails through the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,3 +83,19 @@ def test_cli_rotated_kernel_needs_supported_dimension(tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("kernel = rotated_brownian\nd = 4\nK = 2\nN = 3\nseed = 1\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_importing_covnet_loads_no_scipy_linalg():
+    # scipy.linalg (the multi-block Cholesky) and scipy.sparse.linalg (the
+    # separable baseline) are imported where they are used: either one adds
+    # tens of milliseconds and several MiB to every process that imports covnet
+    src = str(Path(covnet.__file__).resolve().parent.parent)
+    code = (
+        "import sys, covnet\n"
+        "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

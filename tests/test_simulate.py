@@ -289,17 +289,34 @@ def test_noise_spec_rejects_negative_sigma():
         NoiseSpec(sigma=-0.1)
 
 
-def dense_factor_draw(spec, grid, n, seed):
-    """Reference draw: the jittered Cholesky factor of the full kernel matrix."""
-    c = kernel_matrix(spec, grid)
-    base = 1e-12 * np.trace(c) / grid.n_points
+def jittered_cholesky_oracle(c):
+    """np.linalg.cholesky of c + jitter I at the first jitter that succeeds, and that jitter."""
+    base = 1e-12 * np.trace(c) / c.shape[0]
     for attempt in range(7):
+        jitter = base * 10.0**attempt
         try:
-            chol = np.linalg.cholesky(c + base * 10.0**attempt * np.eye(grid.n_points))
-            break
+            return np.linalg.cholesky(c + jitter * np.eye(c.shape[0])), jitter
         except np.linalg.LinAlgError:
             continue
+    raise AssertionError("no jitter factors the matrix")
+
+
+def dense_factor_draw(spec, grid, n, seed):
+    """Reference draw: the jittered Cholesky factor of the full kernel matrix."""
+    chol, _ = jittered_cholesky_oracle(kernel_matrix(spec, grid))
     return gaussian(make_rng(seed), (n, grid.n_points)) @ chol.T
+
+
+def assert_factors_with_oracle_jitter(chol, c):
+    """chol is lower triangular and reconstructs c + jitter I, with the oracle's jitter."""
+    _, jitter = jittered_cholesky_oracle(c)
+    assert not np.triu(chol, 1).any()
+    # the jitter chol carries: the mean of diag(L L^T) - diag(c); attempts differ 10-fold
+    carried = np.mean(np.einsum("ij,ij->i", chol, chol) - c.diagonal())
+    assert carried == pytest.approx(jitter, rel=0.1)
+    target = c + jitter * np.eye(c.shape[0])
+    rel = np.linalg.norm(chol @ chol.T - target) / np.linalg.norm(target)
+    assert rel <= 2e-15
 
 
 @pytest.mark.parametrize("product", [BrownianSheet, IntegratedBrownianSheet])
@@ -341,6 +358,54 @@ def test_dense_factor_draws_are_bit_identical_to_oracle(spec, sizes):
     grid = make_grid(len(sizes), sizes)
     got = sample_gaussian_fields(spec, grid, 12, seed=4).values
     assert np.array_equal(got, dense_factor_draw(spec, grid, 12, seed=4))
+
+
+@pytest.mark.parametrize(
+    "spec, sizes",
+    [
+        (RotatedBrownianSheet(rotation_2d_45()), [33, 33]),
+        (RotatedIntegratedBrownianSheet(rotation_2d_45()), [33, 33]),
+        (Matern(0.7, 2), [33, 33]),
+        (IntegratedBrownianSheet(1), [1100]),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, list) else "x".join(map(str, v)),
+)
+def test_multi_block_factor_reconstructs_the_jittered_kernel_matrix(spec, sizes):
+    # D = 1089 and K = 1100 span two 1024-row blocks of the in-place Cholesky
+    grid = make_grid(len(sizes), sizes)
+    [chol] = _block_factors(spec, grid)
+    assert chol.shape[0] > simulate._CHOLESKY_BLOCK
+    assert_factors_with_oracle_jitter(chol, kernel_matrix(spec, grid))
+
+
+@pytest.mark.parametrize(
+    "spec", [RotatedBrownianSheet(rotation_2d_45()), Matern(0.7, 2)], ids=lambda v: type(v).__name__
+)
+@pytest.mark.parametrize("k", [25, 32])
+def test_one_block_dense_draws_are_bit_identical_to_oracle(spec, k):
+    # 32 x 32 is exactly one 1024-row block
+    grid = make_grid(2, [k, k])
+    got = sample_gaussian_fields(spec, grid, 6, seed=12).values
+    assert np.array_equal(got, dense_factor_draw(spec, grid, 6, seed=12))
+
+
+def test_jitter_escalation_restores_a_matrix_a_failed_attempt_overwrote():
+    # B B^T has rank 1050 < D = 1100, so B B^T - delta I is indefinite until
+    # the jitter exceeds delta, 50 times the first jitter: attempt 2.  Its
+    # leading 1024 x 1024 block, (B B^T)_11 - delta I, has smallest eigenvalue
+    # about (sqrt(1050) - sqrt(1024))^2 = 0.16, so each failed attempt has
+    # overwritten that block and its panel before it fails
+    d = 1100
+    b = gaussian(make_rng(21), (d, 1050))
+    c = b @ b.T
+    c = (c + c.T) / 2  # exactly symmetric
+    c[np.diag_indices(d)] -= 5e-11 * np.trace(c) / d
+    base = 1e-12 * np.trace(c) / d
+    block = simulate._CHOLESKY_BLOCK
+    np.linalg.cholesky(c[:block, :block] + base * np.eye(block))
+    _, jitter = jittered_cholesky_oracle(c)
+    assert jitter == base * 100.0
+    assert_factors_with_oracle_jitter(simulate._jittered_cholesky(c.copy()), c)
 
 
 def test_sampling_empirical_covariance_integrated_sheet():
@@ -424,20 +489,24 @@ def test_kronecker_draw_rss_grows_by_about_one_output(rss_growth):
     assert growth <= 1.3 * 1600 * 64 * 64 * 8
 
 
-def test_dense_draw_rss_grows_by_about_three_kernel_matrices(rss_growth):
-    # the kernel matrix, LAPACK's working copy and the factor, which
-    # tracemalloc sees only two of, and the N x D draw and its product
+def test_dense_draw_rss_grows_by_one_kernel_matrix_and_a_few_blocks(rss_growth):
+    # the kernel matrix, which the factor overwrites, the N x D draw and its
+    # product, and a few 1024 x 1024 blocks (the diagonal block's factor,
+    # LAPACK's working copy of it, the panel solve and the tile update) plus
+    # the scipy.linalg import; factoring into a new array held three kernel
+    # matrices, 3.2 of them at this size
     growth = rss_growth(
-        "g = covnet.make_grid(2, [40, 40])\n"
+        "g = covnet.make_grid(2, [48, 48])\n"
         "spec = covnet.RotatedBrownianSheet(covnet.rotation_2d_45())\n"
         "f = covnet.sample_gaussian_fields(spec, g, 300, seed=5)"
     )
-    d = 40 * 40
-    assert growth <= 3.5 * d * d * 8 + 2 * 300 * d * 8
+    d = 48 * 48
+    assert growth <= (d * d + 2 * 300 * d + 4 * 1024**2) * 8 + 16 * 2**20
 
 
 def test_kernel_matrix_cap_bounds_the_dense_sampler_to_4_gib():
-    # three D x D float64 arrays: 24 D^2 <= 4 GiB
+    # three D x D float64 arrays, what kernel_matrix and a caller's own
+    # np.linalg.cholesky hold: 24 D^2 <= 4 GiB
     assert 24 * KERNEL_MATRIX_CAP**2 <= 4 * 2**30 < 24 * (KERNEL_MATRIX_CAP + 1) ** 2
 
 
@@ -452,13 +521,15 @@ def test_dense_cap_fails_before_allocating(traced_peak):
     assert traced_peak(draw) < 2**20
 
 
-def test_dense_sampling_holds_about_two_kernel_matrices(traced_peak):
-    # the kernel matrix and its factor; the jitter goes onto the diagonal in
-    # place and the matrix is filled in row blocks
-    grid = make_grid(2, [40, 40])
+def test_dense_sampling_holds_one_kernel_matrix_and_a_few_blocks(traced_peak):
+    # the kernel matrix, filled in row blocks, with the jitter on its diagonal
+    # and the factor written over it; beside it the N x D draw and a few
+    # 1024 x 1024 blocks.  A factor in a new array held two kernel matrices
+    grid = make_grid(2, [48, 48])
     spec = RotatedBrownianSheet(rotation_2d_45())
     peak = traced_peak(lambda: sample_gaussian_fields(spec, grid, 300, seed=5))
-    assert peak <= 2.2 * grid.n_points**2 * 8
+    d = grid.n_points
+    assert peak <= (d * d + 300 * d + 3 * 1024**2) * 8
 
 
 def test_gaussian_holds_its_output_plus_a_few_blocks(traced_peak):
