@@ -10,7 +10,12 @@ Q = X_va Z / D,
 
 Fold assignment is a seeded shuffle followed by a contiguous V-way split.
 Every candidate architecture trains with one TrainConfig, reseeded per fold,
-so each fold's data and config are built once for all candidates.
+so on a fold they all train in lockstep (`training._fit_lockstep`): one
+centered training matrix and Gram per fold, and each step's two N x D data
+products formed once for all candidates side by side.  Each candidate still
+follows its own trace, early stop and divergence check, and each cell is
+scored by `cv_loss`.  Equal candidates train once per fold and share their
+cells, so they tie exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import CovnetError, TrainingDivergedError
 from .fields import FieldMatrix
 from .model import Architecture, FittedCovariance, count_parameters
 from .rng import make_rng
-from .training import LossBreakdown, TrainConfig, data_self_term, fit
+from .training import LossBreakdown, TrainConfig, _fit_lockstep, data_self_term
 
 
 def cv_loss(model: FittedCovariance, f_va: FieldMatrix) -> float:
@@ -98,25 +103,33 @@ def cross_validate(
         raise ValueError(f"cannot split {f.n} samples into {v} folds")
     if not candidates:
         raise ValueError("need at least one candidate")
-    # (training fields, centered validation fields, config) per fold; the
-    # training rows keep their sorted order
-    folds = [
-        (
-            FieldMatrix(f.grid, np.delete(f.values, rows, axis=0)),
-            FieldMatrix(f.grid, f.values[rows]).centered(),
-            replace(cfg, seed=_cell_seed(seed, cfg.seed, k)),
+    for arch in candidates:
+        if arch.d != f.grid.d:
+            raise ValueError(
+                f"candidate {arch} takes {arch.d}-dimensional points, "
+                f"the grid is {f.grid.d}-dimensional"
+            )
+    # equal candidates share one lockstep slot
+    slots = list(dict.fromkeys(candidates))
+    # (loss, failed) per fold and slot; the training rows keep their sorted order
+    scores = []
+    for k, rows in enumerate(_fold_indices(f.n, v, seed)):
+        f_tr = FieldMatrix(f.grid, np.delete(f.values, rows, axis=0))
+        f_va = FieldMatrix(f.grid, f.values[rows]).centered()
+        fold_cfg = replace(cfg, seed=_cell_seed(seed, cfg.seed, k))
+        scores.append(
+            [
+                (math.inf, True)
+                if isinstance(outcome, TrainingDivergedError)
+                else (cv_loss(outcome[0], f_va), False)
+                for outcome in _fit_lockstep(f_tr, slots, fold_cfg)
+            ]
         )
-        for k, rows in enumerate(_fold_indices(f.n, v, seed))
+    cells = [
+        CvCell(ci, k, *fold_scores[slots.index(arch)])
+        for ci, arch in enumerate(candidates)
+        for k, fold_scores in enumerate(scores)
     ]
-
-    cells = []
-    for ci, arch in enumerate(candidates):
-        for k, (f_tr, f_va, fold_cfg) in enumerate(folds):
-            try:
-                model, _ = fit(f_tr, arch, fold_cfg)
-                cells.append(CvCell(ci, k, cv_loss(model, f_va)))
-            except TrainingDivergedError:
-                cells.append(CvCell(ci, k, math.inf, failed=True))
 
     means = []
     for ci in range(len(candidates)):

@@ -18,9 +18,9 @@ axis k, and chol(A (x) B) = chol(A) (x) chol(B), so L is applied as one
 K_k x K_k factor per axis.  Rotated sheets and Matern are not separable;
 they take the dense factor of the whole grid.  Either way each factor
 overwrites the N x D draw block by block, so beside a noise draw that is
-the only N x D array a sample holds.  The dense factor is written over the
-kernel matrix by a blocked Cholesky, so the dense path holds one D x D array
-beside temporaries of a few _CHOLESKY_BLOCK^2 values; it is capped at
+the only N x D array a sample holds.  The dense factor of more than
+_CHOLESKY_BLOCK points is written over the kernel matrix by LAPACK, so the
+dense path holds one D x D array beside the draw; it is capped at
 KERNEL_MATRIX_CAP points, checked before anything is allocated.
 """
 
@@ -38,16 +38,18 @@ from .model import _POINT_BLOCK, _point_blocks
 from .rng import gaussian, make_rng
 
 # The cap keeps three D x D float64 arrays within 4 GiB: 24 D^2 <= 2^32 gives
-# D <= 13377.  The dense sampler itself holds one, but a caller that factors
-# kernel_matrix with np.linalg.cholesky holds three (the matrix, LAPACK's
-# working copy and the factor); and a larger cap would admit larger dense
-# draws, whose O(D^3) factorization is already the sampler's slowest step.
+# D <= 13377.  The dense sampler itself holds one, so for it the cap is
+# conservative; but a caller that factors kernel_matrix with
+# np.linalg.cholesky holds three (the matrix, LAPACK's working copy and the
+# factor), and a larger cap would admit larger dense draws, whose O(D^3)
+# factorization is already the sampler's slowest step.
 KERNEL_MATRIX_CAP = math.isqrt((4 << 30) // (3 * 8))
 # kernel values per row block in kernel_matrix, so that its temporaries stay
 # about _MATRIX_BLOCK floats whatever the grid size
 _MATRIX_BLOCK = 1 << 16
-# rows per diagonal block of the in-place Cholesky; a matrix of at most this
-# many rows is one block, factored by np.linalg.cholesky alone
+# a kernel matrix of at most this many rows is factored by np.linalg.cholesky
+# on a copy, a larger one in place by LAPACK; also the tile size in which a
+# failed attempt's triangle is restored
 _CHOLESKY_BLOCK = 1024
 
 
@@ -253,40 +255,28 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
 def _cholesky_in_place(c: np.ndarray) -> bool:
     """Write the Cholesky factor of c over c's lower triangle.
 
-    Right-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
-    sec. 4.2): each diagonal block is factored by np.linalg.cholesky, the
-    panel below it solved against it a row block at a time, and the trailing
-    lower triangle updated one block x block tile at a time, so every
-    temporary holds O(_CHOLESKY_BLOCK^2) values.  A matrix of one block is
-    factored exactly as by np.linalg.cholesky(c).  Only the lower triangle
-    is read or written, so the strict upper triangle still holds the matrix.
-    Returns False, with the lower triangle partly overwritten, when c is not
-    numerically positive definite.
+    A matrix of one _CHOLESKY_BLOCK is factored exactly as by
+    np.linalg.cholesky(c), which works on a copy.  A larger one is factored
+    in place by LAPACK's dpotrf on its transpose: c's lower triangle is the
+    Fortran-ordered upper triangle of c.T, so dpotrf needs no copy of c.
+    Only the lower triangle is read or written, so the strict upper triangle
+    still holds the matrix.  Returns False, with the lower triangle partly
+    overwritten, when c is not numerically positive definite.
     """
-    blocks = _row_blocks(c.shape[0])
-    if len(blocks) > 1:
-        # imported here: scipy.linalg adds about 60 ms and 5 MiB to every
-        # process that imports covnet, and only multi-block matrices need it
-        from scipy.linalg import solve_triangular
-    for k, e in blocks:
+    n = c.shape[0]
+    if n <= _CHOLESKY_BLOCK:
         try:
-            l11 = np.linalg.cholesky(c[k:e, k:e])
+            factor = np.linalg.cholesky(c)
         except np.linalg.LinAlgError:
             return False
-        np.copyto(c[k:e, k:e], l11, where=np.tri(e - k, dtype=bool))
-        panel, trailing = c[e:, k:e], c[e:, e:]
-        for r0, r1 in _row_blocks(panel.shape[0]):
-            rows = panel[r0:r1]
-            # L21 = A21 L11^-T, solved as L11 L21^T = A21^T
-            rows[...] = solve_triangular(l11, rows.T, lower=True, check_finite=False).T
-            for j0, j1 in _row_blocks(r1):
-                tile = trailing[r0:r1, j0:j1]
-                update = rows @ panel[j0:j1].T
-                if j1 <= r0:
-                    tile -= update
-                else:  # the diagonal tile: its lower triangle only
-                    np.subtract(tile, update, out=tile, where=np.tri(r1 - r0, dtype=bool))
-    return True
+        np.copyto(c, factor, where=np.tri(n, dtype=bool))
+        return True
+    # imported here: scipy.linalg.lapack adds about 70 ms and 5.4 MiB to a
+    # process that has imported covnet, and only larger matrices need it
+    from scipy.linalg.lapack import dpotrf
+
+    _, info = dpotrf(c.T, lower=False, overwrite_a=True, clean=False)
+    return info == 0
 
 
 def _mirror_upper(c: np.ndarray) -> None:
@@ -358,8 +348,8 @@ def sample_gaussian_fields(
     of two or more axes, L is the Kronecker product of the jittered per-axis
     factors and costs O(sum K_k^3) to build, with no D x D array; every
     other kernel factors its dense kernel matrix in place, which holds one
-    D x D array beside a few 1024 x 1024 blocks and is capped at
-    KERNEL_MATRIX_CAP points.  The factors are
+    D x D array (beyond 1024 points; np.linalg.cholesky's copy and factor
+    below) and is capped at KERNEL_MATRIX_CAP points.  The factors are
     applied in place to the standard normal draw, which becomes the
     returned values, and the noise is added in place, so the sample holds
     one N x D array beside its noise draw.

@@ -20,12 +20,19 @@ after which dl/dZ is pulled back through the constituent networks.  The
 joint-mean variant adds the mean-mismatch penalty of the uncentered
 criterion; its pieces are folded into the matching self/cross terms so the
 breakdown identity total = xx + gg - 2 xg is preserved.
+
+Several candidate architectures can train on the same fields in lockstep
+(`_fit_lockstep`, which cross-validation runs once per fold): same seed,
+epochs and minibatch order, one data Gram, and each step's two N x D data
+products X Z and (P S)^T X formed once for all candidates side by side.
+`fit` is its one-candidate case.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,58 +107,96 @@ def _gram_self_term(g: np.ndarray) -> float:
     return float((g * g).sum()) / g.shape[0] ** 2
 
 
+def _side_by_side(blocks: list[np.ndarray]) -> np.ndarray:
+    """Column blocks as one array; a single block is returned as it is."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+
+
+def _spans(sizes) -> list[slice]:
+    """Consecutive slices of the given sizes, starting at 0."""
+    edges = list(itertools.accumulate(sizes, initial=0))
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _core(
     x: np.ndarray,
     points: np.ndarray,
-    params: np.ndarray,
-    arch: Architecture,
+    params: list[np.ndarray],
+    archs: list[Architecture],
     xi: np.ndarray,
     term_xx: float,
     include_mean: bool,
     want_grads: bool,
 ):
+    """Loss terms, and optionally gradients, of candidates trained in lockstep.
+
+    Candidate c has parameters params[c], architecture archs[c] and its
+    coefficients in the c-th column block of xi, (n, sum R).  The two
+    N x D x R data products, X Z and (P S)^T X, are each formed once for all
+    candidates' constituents side by side; the Gram algebra is each
+    candidate's own, on its column block.  Returns the per-candidate
+    breakdowns and, with want_grads, the per-candidate parameter gradients
+    and the coefficient gradients, laid out like xi.
+    """
     n, n_points = x.shape
-    z, cache = forward_constituents(params, arch, points)
-    gz = z.T @ z
-    gz /= n_points
-    s = xi.T @ xi
-    p = x @ z
-    p /= n_points
-
-    sgz = s @ gz
-    term_gg = float((sgz * sgz.T).sum()) / n**2
-    ptp = p.T @ p
-    term_xg = float((s * ptp).sum()) / n**2
-
+    blocks = _spans(arch.r for arch in archs)
+    forwards = [forward_constituents(p, a, points) for p, a in zip(params, archs)]
+    p_all = x @ _side_by_side([z for z, _ in forwards])
+    p_all /= n_points
     if include_mean:
         xbar = x.mean(axis=0)
-        xibar = xi.mean(axis=0)
-        pbar = p.mean(axis=0)
         m_xx = float(xbar @ xbar) / n_points
-        m_yy = float(xibar @ gz @ xibar)
-        m_xy = float(pbar @ xibar)
-        term_xx = term_xx + m_xx**2
-        term_gg = term_gg + m_yy**2
-        term_xg = term_xg + m_xy**2
 
-    breakdown = LossBreakdown(term_xx, term_gg, term_xg)
+    breakdowns, algebra = [], []
+    for block, (z, _) in zip(blocks, forwards):
+        xi_c, p = xi[:, block], p_all[:, block]
+        gz = z.T @ z
+        gz /= n_points
+        s = xi_c.T @ xi_c
+        sgz = s @ gz
+        term_gg = float((sgz * sgz.T).sum()) / n**2
+        ptp = p.T @ p
+        term_xg = float((s * ptp).sum()) / n**2
+        means = None
+        if include_mean:
+            xibar = xi_c.mean(axis=0)
+            pbar = p.mean(axis=0)
+            m_yy = float(xibar @ gz @ xibar)
+            m_xy = float(pbar @ xibar)
+            breakdowns.append(
+                LossBreakdown(term_xx + m_xx**2, term_gg + m_yy**2, term_xg + m_xy**2)
+            )
+            means = (xibar, pbar, m_yy, m_xy)
+        else:
+            breakdowns.append(LossBreakdown(term_xx, term_gg, term_xg))
+        algebra.append((gz, s, sgz, ptp, means))
     if not want_grads:
-        return breakdown, None, None
+        return breakdowns, None, None
 
-    dxi = xi @ (gz @ s @ gz - ptp)
-    dxi *= 4.0 / n**2
     # dZ^T = (S Gz S)^T Z^T - (P S)^T X, so that the R x N by N x D data
-    # product runs in BLAS's fast orientation rather than as X^T (P S)
-    dzt = (sgz @ s).T @ z.T
-    dzt -= (p @ s).T @ x
-    dzt *= 4.0 / (n**2 * n_points)
-    if include_mean:
-        dxibar = 4.0 * (m_yy * (gz @ xibar) - m_xy * pbar)
-        dxi += dxibar / n
-        ybar = z @ xibar
-        dzt += (4.0 / n_points) * np.outer(xibar, m_yy * ybar - m_xy * xbar)
-    dparams = backward_constituents(params, arch, cache, dzt.T)
-    return breakdown, dparams, dxi
+    # product runs in BLAS's fast orientation rather than as X^T (P S); one
+    # such product serves every candidate, and each dZ^T is formed in place
+    # in its rows as -((P S)^T X - (S Gz S)^T Z^T), which rounds identically
+    psx = _side_by_side([p_all[:, b] @ s for b, (_, s, *_) in zip(blocks, algebra)]).T @ x
+    dparams, dxis = [], []
+    for param, arch, block, (z, cache), (gz, s, sgz, ptp, means) in zip(
+        params, archs, blocks, forwards, algebra
+    ):
+        xi_c = xi[:, block]
+        dxi = xi_c @ (gz @ s @ gz - ptp)
+        dxi *= 4.0 / n**2
+        dzt = psx[block]
+        dzt -= (sgz @ s).T @ z.T
+        dzt *= -4.0 / (n**2 * n_points)
+        if include_mean:
+            xibar, pbar, m_yy, m_xy = means
+            dxibar = 4.0 * (m_yy * (gz @ xibar) - m_xy * pbar)
+            dxi += dxibar / n
+            ybar = z @ xibar
+            dzt += (4.0 / n_points) * np.outer(xibar, m_yy * ybar - m_xy * xbar)
+        dparams.append(backward_constituents(param, arch, cache, dzt.T))
+        dxis.append(dxi)
+    return breakdowns, dparams, _side_by_side(dxis)
 
 
 def loss(
@@ -169,8 +214,8 @@ def loss(
     breakdown.
     """
     xi = np.asarray(xi, dtype=float)
-    breakdown, _, _ = _core(
-        f.values, f.grid.coordinates(), params, arch, xi,
+    [breakdown], _, _ = _core(
+        f.values, f.grid.coordinates(), [params], [arch], xi,
         data_self_term(f), include_mean=include_mean, want_grads=False,
     )
     return breakdown
@@ -185,8 +230,8 @@ def gradients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of the selected loss w.r.t. all parameters and Xi."""
     xi = np.asarray(xi, dtype=float)
-    _, dparams, dxi = _core(
-        f.values, f.grid.coordinates(), params, arch, xi,
+    _, [dparams], dxi = _core(
+        f.values, f.grid.coordinates(), [params], [arch], xi,
         0.0, include_mean=include_mean, want_grads=True,
     )
     return dparams, dxi
@@ -235,7 +280,40 @@ def fit(
     Stops early when the running-minimum total improves by less than
     rel_tol (relatively) over STOP_WINDOW epochs; raises
     TrainingDivergedError if the loss becomes non-finite or exceeds 1e6
-    times its initial value.
+    times its initial value.  This is the one-candidate case of
+    `_fit_lockstep`.
+    """
+    [outcome] = _fit_lockstep(f, [arch], cfg)
+    if isinstance(outcome, TrainingDivergedError):
+        raise outcome
+    return outcome
+
+
+@dataclass
+class _Candidate:
+    """One candidate's place in the lockstep stack and its stopping state."""
+
+    index: int
+    arch: Architecture
+    n_net: int
+    trace: list = field(default_factory=list)
+    running_min: list = field(default_factory=list)
+
+
+def _fit_lockstep(
+    f: FieldMatrix, archs: list[Architecture], cfg: TrainConfig
+) -> list[tuple[FittedCovariance, np.ndarray] | TrainingDivergedError]:
+    """Fit every architecture to the same fields with `cfg`, in lockstep.
+
+    Each candidate trains exactly as `fit` trains it alone: the same seed,
+    epochs and minibatch order, its own trace, early stop and divergence
+    check.  They share the centered data, its Gram, each step's data
+    products (see `_core`) and one ADAM state: ADAM is elementwise, so one
+    update over the stacked vector [params_1, ..., params_K, Xi_1 | ... |
+    Xi_K] with a shared step count moves every element as separate updates
+    would.  A candidate that stops or diverges leaves the stack and the
+    others go on.  Returns, per candidate in order, (model, trace) or the
+    TrainingDivergedError that ended it.
     """
     if f.n < 2:
         raise ValueError("need at least two fields to fit a covariance")
@@ -245,21 +323,29 @@ def fit(
     gram = cross_gram(FieldMatrix(f.grid, x))
     term_xx = _gram_self_term(gram)
 
-    params, xi = init_params(arch, f.n, cfg.seed)
-    theta = np.concatenate([params, xi.ravel()])
-    n_net = params.size
+    inits = [init_params(arch, f.n, cfg.seed) for arch in archs]
+    live = [_Candidate(i, arch, p.size) for i, (arch, (p, _)) in enumerate(zip(archs, inits))]
+    theta = np.concatenate(
+        [*(p for p, _ in inits), _side_by_side([xi for _, xi in inits]).ravel()]
+    )
     m, v = np.zeros(theta.size), np.zeros(theta.size)
-    # one gradient buffer for the whole fit; its Xi part as an N x R view
-    grad = np.empty(theta.size)
-    grad_xi = grad[n_net:].reshape(f.n, arch.r)
+    outcomes: list = [None] * len(archs)
     minibatch = cfg.batch is not None and cfg.batch < f.n
     batch_rng = make_rng(cfg.seed, stream=1)
-
-    trace_rows: list[tuple[float, float, float, float]] = []
-    running_min: list[float] = []
-    initial_total: float | None = None
     t = 0
 
+    def restack():
+        """The live stack's layout: parameter spans and coefficient column blocks."""
+        return _spans(c.n_net for c in live), _spans(c.arch.r for c in live)
+
+    def unstack(vec):
+        """Per-candidate parameter views and the N x sum R coefficient view."""
+        return [vec[span] for span in net_spans], vec[net_spans[-1].stop :].reshape(f.n, -1)
+
+    net_spans, column_blocks = restack()
+    # one gradient buffer per stack; its parts as views
+    grad = np.empty(theta.size)
+    grad_nets, grad_xi = unstack(grad)
     for epoch in range(cfg.epochs):
         # (sample index, data self-term) per step; a minibatch's self-term
         # is its B x B block of the data Gram
@@ -273,42 +359,69 @@ def fit(
                 # a 1-sample remainder has no covariance signal
                 if idx.size >= 2
             ]
-        rows = []
+        archs_live = [c.arch for c in live]
+        rows: list[list[LossBreakdown]] = [[] for _ in live]
         for idx, sub_xx in batches:
-            params = theta[:n_net]
-            xi = theta[n_net:].reshape(f.n, arch.r)
-            breakdown, dparams, dxi = _core(
-                x[idx], points, params, arch, xi[idx], sub_xx, include_mean, True
+            params, xi = unstack(theta)
+            breakdowns, dparams, dxi = _core(
+                x[idx], points, params, archs_live, xi[idx], sub_xx, include_mean, True
             )
-            rows.append(breakdown)
+            for row, b in zip(rows, breakdowns):
+                row.append(b)
             t += 1
-            grad[:n_net] = dparams
+            for buf, dp in zip(grad_nets, dparams):
+                buf[...] = dp
             if minibatch:
                 grad_xi.fill(0.0)  # samples outside the batch get no gradient
             grad_xi[idx] = dxi
             theta = adam_step(theta, grad, m, v, cfg.lr, t)
-        # a one-batch epoch's row is its breakdown as it is
-        terms = [(b.total, b.term_xx, b.term_gg, b.term_xg) for b in rows]
-        row = terms[0] if len(terms) == 1 else tuple(float(np.mean(c)) for c in zip(*terms))
-        trace_rows.append(row)
-        mean_total = row[0]
-        if initial_total is None:
-            initial_total = mean_total
-        if not np.isfinite(mean_total) or (
-            initial_total > 0 and mean_total > DIVERGENCE_FACTOR * initial_total
-        ):
-            raise TrainingDivergedError("training diverged", epoch)
-        running_min.append(
-            mean_total if not running_min else min(running_min[-1], mean_total)
-        )
-        if len(running_min) > STOP_WINDOW:
-            prev = running_min[-STOP_WINDOW - 1]
-            if prev - running_min[-1] < cfg.rel_tol * max(prev, 1e-300):
-                break
 
-    params = theta[:n_net]
-    xi = theta[n_net:].reshape(f.n, arch.r)
-    breakdown, _, _ = _core(x, points, params, arch, xi, term_xx, include_mean, False)
+        leaving = set()
+        for c, row in zip(live, rows):
+            # a one-batch epoch's row is its breakdown as it is
+            terms = [(b.total, b.term_xx, b.term_gg, b.term_xg) for b in row]
+            mean = terms[0] if len(terms) == 1 else tuple(float(np.mean(k)) for k in zip(*terms))
+            c.trace.append(mean)
+            total, initial = mean[0], c.trace[0][0]
+            if not np.isfinite(total) or (initial > 0 and total > DIVERGENCE_FACTOR * initial):
+                outcomes[c.index] = TrainingDivergedError("training diverged", epoch)
+                leaving.add(c.index)
+                continue
+            c.running_min.append(total if not c.running_min else min(c.running_min[-1], total))
+            if len(c.running_min) > STOP_WINDOW:
+                prev = c.running_min[-STOP_WINDOW - 1]
+                if prev - c.running_min[-1] < cfg.rel_tol * max(prev, 1e-300):
+                    leaving.add(c.index)
+        if epoch == cfg.epochs - 1:
+            leaving = {c.index for c in live}
+        if not leaving:
+            continue
+        # freeze the leavers and drop their elements from the stack
+        params, xi = unstack(theta)
+        keep = np.ones(theta.size, dtype=bool)
+        keep_nets, keep_xi = unstack(keep)
+        for c, p, block, keep_net in zip(live, params, column_blocks, keep_nets):
+            if c.index not in leaving:
+                continue
+            if outcomes[c.index] is None:
+                outcomes[c.index] = _freeze(
+                    x, points, p, c.arch, xi[:, block], term_xx, include_mean, c.trace
+                )
+            keep_net[...] = False
+            keep_xi[:, block] = False
+        live = [c for c in live if c.index not in leaving]
+        if not live:
+            break
+        theta, m, v = theta[keep], m[keep], v[keep]
+        net_spans, column_blocks = restack()
+        grad = np.empty(theta.size)
+        grad_nets, grad_xi = unstack(grad)
+    return outcomes
+
+
+def _freeze(x, points, params, arch, xi, term_xx, include_mean, trace_rows):
+    """A candidate's model, and its trace with the row of its final parameters."""
+    [breakdown], _, _ = _core(x, points, [params], [arch], xi, term_xx, include_mean, False)
     trace_rows.append(
         (breakdown.total, breakdown.term_xx, breakdown.term_gg, breakdown.term_xg)
     )
@@ -324,4 +437,3 @@ def fit(
             mean_coeffs = -mean_coeffs
     model = FittedCovariance(arch, params, lam, mean_coeffs)
     return model, np.array(trace_rows)
-

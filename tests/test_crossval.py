@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from covnet import training
 from covnet.crossval import CvCell, _cell_seed, cross_validate, cv_loss
 from covnet.fields import FieldMatrix, make_grid
 from covnet.model import (
     Architecture,
     FittedCovariance,
+    count_parameters,
     eval_constituents,
     init_params,
     lambda_from_coefficients,
@@ -158,11 +160,16 @@ def test_cross_validate_equals_the_documented_loop():
             model, _ = fit(FieldMatrix(grid, f.values[tr]), arch, fold_cfg)
             x_va = f.values[va] - f.values[va].mean(axis=0)
             expected.append(CvCell(ci, fold, cv_loss(model, FieldMatrix(grid, x_va))))
-    assert report.cells == tuple(expected)
-    assert report.mean_losses == tuple(
-        float(np.mean([c.loss for c in expected[ci * v : (ci + 1) * v]]))
-        for ci in range(len(candidates))
-    )
+    # each fold's candidates train in lockstep, whose stacked data products
+    # BLAS may round differently from one candidate's own
+    assert [(c.candidate, c.fold, c.failed) for c in report.cells] == [
+        (c.candidate, c.fold, c.failed) for c in expected
+    ]
+    for got, want in zip(report.cells, expected):
+        assert got.loss == pytest.approx(want.loss, rel=1e-12)
+    means = [float(np.mean([c.loss for c in expected[ci * v : (ci + 1) * v]])) for ci in range(3)]
+    assert report.mean_losses == pytest.approx(means, rel=1e-12)
+    assert report.selected == min(range(3), key=lambda ci: (means[ci], count_parameters(candidates[ci])))
 
 
 def test_cross_validate_builds_each_fold_once(monkeypatch):
@@ -179,8 +186,9 @@ def test_cross_validate_builds_each_fold_once(monkeypatch):
     n_cand, v = 3, 4
     candidates = [Architecture.shallow(r, 2) for r in range(1, n_cand + 1)]
     cross_validate(f, candidates, TrainConfig(epochs=5, seed=1), v=v, seed=2)
-    # three per fold (training, validation, its centered copy) and one per fit
-    assert len(calls) <= 3 * v + n_cand * v
+    # per fold: training, validation, its centered copy, and the centered
+    # training fields that all candidates share
+    assert len(calls) <= 4 * v
 
 
 def test_cross_validate_requires_enough_samples():
@@ -190,38 +198,54 @@ def test_cross_validate_requires_enough_samples():
         cross_validate(f, [Architecture.shallow(1, 1)], TrainConfig(), v=5, seed=1)
 
 
-def test_cross_validate_excludes_diverged_candidate(monkeypatch):
-    import covnet.crossval as crossval_mod
-    from covnet.errors import TrainingDivergedError
-    from covnet.training import fit as real_fit
+def poison_constituents(monkeypatch, doomed, after=0):
+    """Make every training forward of a `doomed` architecture NaN after `after` calls."""
+    real = training.forward_constituents
+    seen = []
 
+    def forward(params, arch, points):
+        z, cache = real(params, arch, points)
+        if doomed(arch):
+            seen.append(None)
+            if len(seen) > after:
+                z = np.full_like(z, np.nan)
+        return z, cache
+
+    monkeypatch.setattr(training, "forward_constituents", forward)
+
+
+def test_cross_validate_excludes_diverged_candidate(monkeypatch):
     grid = make_grid(2, [4, 4])
     f = rank2_fields(12, grid, seed=23)
     cfg = TrainConfig(epochs=40, seed=1)
-    doomed = Architecture.shallow(4, 2)
-
-    def flaky_fit(ftr, arch, c):
-        if arch.r == doomed.r:
-            raise TrainingDivergedError("injected", 0)
-        return real_fit(ftr, arch, c)
-
-    monkeypatch.setattr(crossval_mod, "fit", flaky_fit)
-    report = cross_validate(f, [doomed, Architecture.shallow(2, 2)], cfg, v=3, seed=9)
+    doomed, healthy = Architecture.shallow(4, 2), Architecture.shallow(2, 2)
+    want = cross_validate(f, [healthy], cfg, v=3, seed=9)
+    # diverges mid-run on the first fold, while it trains beside `healthy`
+    poison_constituents(monkeypatch, lambda arch: arch == doomed, after=10)
+    report = cross_validate(f, [doomed, healthy], cfg, v=3, seed=9)
     assert report.mean_losses[0] == np.inf
     assert report.selected == 1
     assert all(c.failed for c in report.cells if c.candidate == 0)
+    kept = [c for c in report.cells if c.candidate == 1]
+    assert [c.loss for c in kept] == pytest.approx([c.loss for c in want.cells], rel=1e-12)
 
 
 def test_cross_validate_all_failed_raises(monkeypatch):
-    import covnet.crossval as crossval_mod
-    from covnet.errors import CovnetError, TrainingDivergedError
+    from covnet.errors import CovnetError
 
     grid = make_grid(2, [4, 4])
     f = rank2_fields(12, grid, seed=29)
-
-    def always_fails(ftr, arch, c):
-        raise TrainingDivergedError("injected", 0)
-
-    monkeypatch.setattr(crossval_mod, "fit", always_fails)
+    poison_constituents(monkeypatch, lambda arch: True)
     with pytest.raises(CovnetError):
         cross_validate(f, [Architecture.shallow(1, 2)], TrainConfig(epochs=5), v=3, seed=9)
+
+
+def test_cross_validate_checks_every_dimension_before_training(monkeypatch):
+    grid = make_grid(2, [4, 4])
+    f = rank2_fields(12, grid, seed=41)
+    trained = []
+    poison_constituents(monkeypatch, lambda arch: trained.append(arch) and False)
+    candidates = [Architecture.shallow(2, 2), Architecture.shallow(2, 3)]
+    with pytest.raises(ValueError, match="3-dimensional points, the grid is 2-dimensional"):
+        cross_validate(f, candidates, TrainConfig(epochs=5, seed=1), v=3, seed=2)
+    assert trained == []

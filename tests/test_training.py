@@ -18,6 +18,7 @@ from covnet.training import (
     BETA2,
     TrainConfig,
     _core,
+    _fit_lockstep,
     adam_step,
     data_self_term,
     fit,
@@ -220,7 +221,7 @@ def test_core_dz_matches_the_x_transpose_orientation(case, monkeypatch):
         return backward(params, arch, cache, dz)
 
     monkeypatch.setattr(training, "backward_constituents", capture)
-    _, dparams, _ = _core(x, points, params, arch, xi, 0.0, include_mean, True)
+    _, [dparams], _ = _core(x, points, [params], [arch], xi, 0.0, include_mean, True)
     [got] = seen
     want = x_transpose_dz(x, points, params, arch, xi, include_mean)
     assert got.shape == want.shape
@@ -466,6 +467,97 @@ def test_fit_minibatch_gradient_is_zero_outside_the_batch(monkeypatch):
         outside = np.setdiff1d(np.arange(f.n), idx)
         np.testing.assert_array_equal(grad_xi[outside], 0.0)
         assert np.all(np.abs(grad_xi[idx]).sum(axis=1) > 0)
+
+
+def assert_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def assert_same_fit(got, want, rtol=1e-12):
+    """Two (model, trace) outcomes agree to rtol: trace rows, parameters, Lambda."""
+    (got_model, got_trace), (want_model, want_trace) = got, want
+    assert got_model.arch == want_model.arch
+    assert_close(got_trace, want_trace, rtol)
+    assert_close(got_model.params, want_model.params, rtol)
+    assert_close(got_model.lam, want_model.lam, rtol)
+    if want_model.mean_coeffs is None:
+        assert got_model.mean_coeffs is None
+    else:
+        assert_close(got_model.mean_coeffs, want_model.mean_coeffs, rtol)
+
+
+LOCKSTEP_ARCHS = [
+    Architecture.shallow(5, 2),
+    Architecture.deep(3, 2, 2),
+    Architecture.deepshared(4, 2, 2),
+    Architecture.shallow(2, 2),
+]
+LOCKSTEP_CONFIGS = {
+    "full_batch": TrainConfig(epochs=60, seed=3, rel_tol=0.0),
+    "joint_mean": TrainConfig(epochs=60, seed=3, rel_tol=0.0, center_mode="joint_mean"),
+    "minibatch": TrainConfig(epochs=30, seed=3, rel_tol=0.0, batch=7),
+}
+
+
+@pytest.mark.parametrize("case", list(LOCKSTEP_CONFIGS))
+def test_lockstep_fit_matches_each_solo_fit(case):
+    grid = make_grid(2, [9, 8])
+    f = sample_gaussian_fields(BrownianSheet(2), grid, 23, seed=31)
+    cfg = LOCKSTEP_CONFIGS[case]
+    outcomes = _fit_lockstep(f, LOCKSTEP_ARCHS, cfg)
+    for arch, got in zip(LOCKSTEP_ARCHS, outcomes):
+        assert_same_fit(got, fit(f, arch, cfg))
+
+
+def test_lockstep_candidates_stop_when_their_solo_fits_stop():
+    grid = make_grid(2, [7, 6])
+    f = sample_gaussian_fields(BrownianSheet(2), grid, 20, seed=33)
+    cfg = TrainConfig(epochs=400, seed=4, rel_tol=0.03)
+    solo = [fit(f, arch, cfg) for arch in LOCKSTEP_ARCHS]
+    lengths = [len(trace) for _, trace in solo]
+    # some stop early, at different epochs, while others run out of epochs
+    assert len(set(lengths)) > 2 and max(lengths) == cfg.epochs + 1
+    for got, want in zip(_fit_lockstep(f, LOCKSTEP_ARCHS, cfg), solo):
+        assert len(got[1]) == len(want[1])
+        assert_same_fit(got, want)
+
+
+def poison_constituents(monkeypatch, doomed: Architecture, after: int) -> None:
+    """Make `doomed`'s training constituents NaN from its after-th forward pass on."""
+    real = training.forward_constituents
+    seen = []
+
+    def forward(params, arch, points):
+        z, cache = real(params, arch, points)
+        if arch == doomed:
+            seen.append(None)
+            if len(seen) > after:
+                z = np.full_like(z, np.nan)
+        return z, cache
+
+    monkeypatch.setattr(training, "forward_constituents", forward)
+
+
+@pytest.mark.parametrize("batch", [None, 6])
+def test_lockstep_candidate_that_diverges_leaves_the_others_as_they_were(batch, monkeypatch):
+    grid = make_grid(2, [8, 8])
+    f = sample_gaussian_fields(BrownianSheet(2), grid, 18, seed=35)
+    cfg = TrainConfig(epochs=40, seed=5, rel_tol=0.0, batch=batch)
+    others = [Architecture.shallow(4, 2), Architecture.deepshared(3, 2, 2)]
+    doomed = Architecture.deep(2, 2, 2)
+    want = _fit_lockstep(f, others, cfg)
+    steps_per_epoch = 1 if batch is None else 3
+    poison_constituents(monkeypatch, doomed, after=12 * steps_per_epoch)
+    got = _fit_lockstep(f, [others[0], doomed, others[1]], cfg)
+    assert isinstance(got[1], TrainingDivergedError)
+    assert got[1].epoch == 12
+    assert_same_fit(got[0], want[0])
+    assert_same_fit(got[2], want[1])
+    # the one-candidate case raises what the lockstep run records
+    with pytest.raises(TrainingDivergedError):
+        fit(f, doomed, cfg)
 
 
 def test_train_config_rejects_batch_of_one():
