@@ -230,6 +230,8 @@ def _model_grid(cfg: Config, model):
 
 def _kernel_from(cfg: Config, d: int):
     name = cfg.str_("kernel", required=True, choices=KERNEL_NAMES)
+    if name != "matern" and "nu" in cfg.raw:
+        raise ConfigError(f"nu applies to the matern kernel only, not {name}")
     if name == "brownian":
         return BrownianSheet(d)
     if name == "integrated_brownian":
@@ -412,6 +414,8 @@ def run_eigen(raw: dict[str, str], out_dir: str) -> None:
     grid = None
     if "K" in cfg.raw or "sizes" in cfg.raw:
         grid = _model_grid(cfg, model)
+    elif "n_funcs" in cfg.raw:
+        raise ConfigError("n_funcs needs a grid to evaluate on: give K or sizes")
     system = eigendecompose(model, constituent_gram(model, m, seed))
     n_funcs = 0
     if grid is not None:

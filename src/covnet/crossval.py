@@ -13,9 +13,11 @@ Every candidate architecture trains with one TrainConfig, reseeded per fold,
 so on a fold they all train in lockstep (`training._fit_lockstep`): one
 centered training matrix and Gram per fold, and each step's two N x D data
 products formed once for all candidates side by side.  Each candidate still
-follows its own trace, early stop and divergence check, and each cell is
-scored by `cv_loss`.  Equal candidates train once per fold and share their
-cells, so they tie exactly.
+has its own parameters, ADAM moments, trace, early stop and divergence
+check.  Every cell of a fold is scored as by `cv_loss`, against one
+validation self-term, so a fold computes one training and one validation
+Gram.  Equal candidates train once per fold and share their cells, so they
+tie exactly.
 """
 
 from __future__ import annotations
@@ -38,13 +40,18 @@ def cv_loss(model: FittedCovariance, f_va: FieldMatrix) -> float:
     Expects pre-centered validation fields (their empirical covariance is
     the reference being matched).
     """
+    return _cv_loss(model, f_va, data_self_term(f_va))
+
+
+def _cv_loss(model: FittedCovariance, f_va: FieldMatrix, term_xx: float) -> float:
+    """`cv_loss`, given the validation fields' self-term, which a fold's cells share."""
     z = model.constituents(f_va.grid.coordinates())
     gz = z.T @ z / f_va.grid.n_points
     gl = gz @ model.lam
     gg = float((gl * gl.T).sum())
     q = f_va.values @ z / f_va.grid.n_points
     xg = float(((q @ model.lam) * q).sum()) / f_va.n
-    return LossBreakdown(data_self_term(f_va), gg, xg).total
+    return LossBreakdown(term_xx, gg, xg).total
 
 
 @dataclass(frozen=True)
@@ -117,11 +124,12 @@ def cross_validate(
         f_tr = FieldMatrix(f.grid, np.delete(f.values, rows, axis=0))
         f_va = FieldMatrix(f.grid, f.values[rows]).centered()
         fold_cfg = replace(cfg, seed=_cell_seed(seed, cfg.seed, k))
+        term_xx = data_self_term(f_va)
         scores.append(
             [
                 (math.inf, True)
                 if isinstance(outcome, TrainingDivergedError)
-                else (cv_loss(outcome[0], f_va), False)
+                else (_cv_loss(outcome[0], f_va, term_xx), False)
                 for outcome in _fit_lockstep(f_tr, slots, fold_cfg)
             ]
         )

@@ -23,9 +23,10 @@ breakdown identity total = xx + gg - 2 xg is preserved.
 
 Several candidate architectures can train on the same fields in lockstep
 (`_fit_lockstep`, which cross-validation runs once per fold): same seed,
-epochs and minibatch order, one data Gram, and each step's two N x D data
-products X Z and (P S)^T X formed once for all candidates side by side.
-`fit` is its one-candidate case.
+epochs and minibatch order.  They share the data, its Gram and each step's
+two N x D data products X Z and (P S)^T X, formed once for all candidates
+side by side, and nothing else: each candidate has its own parameters,
+coefficients and ADAM moments.  `fit` is its one-candidate case.
 """
 
 from __future__ import annotations
@@ -123,20 +124,19 @@ def _core(
     points: np.ndarray,
     params: list[np.ndarray],
     archs: list[Architecture],
-    xi: np.ndarray,
+    xis: list[np.ndarray],
     term_xx: float,
     include_mean: bool,
     want_grads: bool,
 ):
     """Loss terms, and optionally gradients, of candidates trained in lockstep.
 
-    Candidate c has parameters params[c], architecture archs[c] and its
-    coefficients in the c-th column block of xi, (n, sum R).  The two
-    N x D x R data products, X Z and (P S)^T X, are each formed once for all
-    candidates' constituents side by side; the Gram algebra is each
-    candidate's own, on its column block.  Returns the per-candidate
-    breakdowns and, with want_grads, the per-candidate parameter gradients
-    and the coefficient gradients, laid out like xi.
+    Candidate c has parameters params[c], architecture archs[c] and
+    coefficients xis[c], (n, R_c).  The two N x D x R data products, X Z and
+    (P S)^T X, are each formed once for all candidates' constituents side by
+    side; the Gram algebra is each candidate's own, on its column block.
+    Returns the per-candidate breakdowns and, with want_grads, the
+    per-candidate parameter and coefficient gradients.
     """
     n, n_points = x.shape
     blocks = _spans(arch.r for arch in archs)
@@ -148,18 +148,18 @@ def _core(
         m_xx = float(xbar @ xbar) / n_points
 
     breakdowns, algebra = [], []
-    for block, (z, _) in zip(blocks, forwards):
-        xi_c, p = xi[:, block], p_all[:, block]
+    for xi, block, (z, _) in zip(xis, blocks, forwards):
+        p = p_all[:, block]
         gz = z.T @ z
         gz /= n_points
-        s = xi_c.T @ xi_c
+        s = xi.T @ xi
         sgz = s @ gz
         term_gg = float((sgz * sgz.T).sum()) / n**2
         ptp = p.T @ p
         term_xg = float((s * ptp).sum()) / n**2
         means = None
         if include_mean:
-            xibar = xi_c.mean(axis=0)
+            xibar = xi.mean(axis=0)
             pbar = p.mean(axis=0)
             m_yy = float(xibar @ gz @ xibar)
             m_xy = float(pbar @ xibar)
@@ -179,11 +179,10 @@ def _core(
     # in its rows as -((P S)^T X - (S Gz S)^T Z^T), which rounds identically
     psx = _side_by_side([p_all[:, b] @ s for b, (_, s, *_) in zip(blocks, algebra)]).T @ x
     dparams, dxis = [], []
-    for param, arch, block, (z, cache), (gz, s, sgz, ptp, means) in zip(
-        params, archs, blocks, forwards, algebra
+    for param, arch, xi, block, (z, cache), (gz, s, sgz, ptp, means) in zip(
+        params, archs, xis, blocks, forwards, algebra
     ):
-        xi_c = xi[:, block]
-        dxi = xi_c @ (gz @ s @ gz - ptp)
+        dxi = xi @ (gz @ s @ gz - ptp)
         dxi *= 4.0 / n**2
         dzt = psx[block]
         dzt -= (sgz @ s).T @ z.T
@@ -196,7 +195,7 @@ def _core(
             dzt += (4.0 / n_points) * np.outer(xibar, m_yy * ybar - m_xy * xbar)
         dparams.append(backward_constituents(param, arch, cache, dzt.T))
         dxis.append(dxi)
-    return breakdowns, dparams, _side_by_side(dxis)
+    return breakdowns, dparams, dxis
 
 
 def loss(
@@ -215,7 +214,7 @@ def loss(
     """
     xi = np.asarray(xi, dtype=float)
     [breakdown], _, _ = _core(
-        f.values, f.grid.coordinates(), [params], [arch], xi,
+        f.values, f.grid.coordinates(), [params], [arch], [xi],
         data_self_term(f), include_mean=include_mean, want_grads=False,
     )
     return breakdown
@@ -230,8 +229,8 @@ def gradients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of the selected loss w.r.t. all parameters and Xi."""
     xi = np.asarray(xi, dtype=float)
-    _, [dparams], dxi = _core(
-        f.values, f.grid.coordinates(), [params], [arch], xi,
+    _, [dparams], [dxi] = _core(
+        f.values, f.grid.coordinates(), [params], [arch], [xi],
         0.0, include_mean=include_mean, want_grads=True,
     )
     return dparams, dxi
@@ -291,13 +290,25 @@ def fit(
 
 @dataclass
 class _Candidate:
-    """One candidate's place in the lockstep stack and its stopping state."""
+    """One candidate's ADAM state over theta = [params, Xi.ravel()], and its stopping state."""
 
     index: int
     arch: Architecture
     n_net: int
+    theta: np.ndarray
+    m: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
+    grad: np.ndarray = field(init=False)
     trace: list = field(default_factory=list)
     running_min: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.m, self.v = np.zeros(self.theta.size), np.zeros(self.theta.size)
+        self.grad = np.empty(self.theta.size)
+
+    def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of a theta-shaped vector's parameters and its (n, R) coefficients."""
+        return vec[: self.n_net], vec[self.n_net :].reshape(-1, self.arch.r)
 
 
 def _fit_lockstep(
@@ -306,12 +317,10 @@ def _fit_lockstep(
     """Fit every architecture to the same fields with `cfg`, in lockstep.
 
     Each candidate trains exactly as `fit` trains it alone: the same seed,
-    epochs and minibatch order, its own trace, early stop and divergence
-    check.  They share the centered data, its Gram, each step's data
-    products (see `_core`) and one ADAM state: ADAM is elementwise, so one
-    update over the stacked vector [params_1, ..., params_K, Xi_1 | ... |
-    Xi_K] with a shared step count moves every element as separate updates
-    would.  A candidate that stops or diverges leaves the stack and the
+    epochs and minibatch order, its own parameters, coefficients and ADAM
+    moments, its own trace, early stop and divergence check.  They share the
+    centered data, its Gram and each step's two data products (see `_core`),
+    and nothing else.  A candidate that stops or diverges is frozen and the
     others go on.  Returns, per candidate in order, (model, trace) or the
     TrainingDivergedError that ended it.
     """
@@ -323,29 +332,14 @@ def _fit_lockstep(
     gram = cross_gram(FieldMatrix(f.grid, x))
     term_xx = _gram_self_term(gram)
 
-    inits = [init_params(arch, f.n, cfg.seed) for arch in archs]
-    live = [_Candidate(i, arch, p.size) for i, (arch, (p, _)) in enumerate(zip(archs, inits))]
-    theta = np.concatenate(
-        [*(p for p, _ in inits), _side_by_side([xi for _, xi in inits]).ravel()]
-    )
-    m, v = np.zeros(theta.size), np.zeros(theta.size)
+    live = []
+    for i, arch in enumerate(archs):
+        params, xi = init_params(arch, f.n, cfg.seed)
+        live.append(_Candidate(i, arch, params.size, np.concatenate([params, xi.ravel()])))
     outcomes: list = [None] * len(archs)
     minibatch = cfg.batch is not None and cfg.batch < f.n
     batch_rng = make_rng(cfg.seed, stream=1)
     t = 0
-
-    def restack():
-        """The live stack's layout: parameter spans and coefficient column blocks."""
-        return _spans(c.n_net for c in live), _spans(c.arch.r for c in live)
-
-    def unstack(vec):
-        """Per-candidate parameter views and the N x sum R coefficient view."""
-        return [vec[span] for span in net_spans], vec[net_spans[-1].stop :].reshape(f.n, -1)
-
-    net_spans, column_blocks = restack()
-    # one gradient buffer per stack; its parts as views
-    grad = np.empty(theta.size)
-    grad_nets, grad_xi = unstack(grad)
     for epoch in range(cfg.epochs):
         # (sample index, data self-term) per step; a minibatch's self-term
         # is its B x B block of the data Gram
@@ -362,21 +356,22 @@ def _fit_lockstep(
         archs_live = [c.arch for c in live]
         rows: list[list[LossBreakdown]] = [[] for _ in live]
         for idx, sub_xx in batches:
-            params, xi = unstack(theta)
-            breakdowns, dparams, dxi = _core(
-                x[idx], points, params, archs_live, xi[idx], sub_xx, include_mean, True
+            views = [c.split(c.theta) for c in live]
+            breakdowns, dparams, dxis = _core(
+                x[idx], points, [p for p, _ in views], archs_live,
+                [xi[idx] for _, xi in views], sub_xx, include_mean, True,
             )
-            for row, b in zip(rows, breakdowns):
-                row.append(b)
             t += 1
-            for buf, dp in zip(grad_nets, dparams):
-                buf[...] = dp
-            if minibatch:
-                grad_xi.fill(0.0)  # samples outside the batch get no gradient
-            grad_xi[idx] = dxi
-            theta = adam_step(theta, grad, m, v, cfg.lr, t)
+            for c, row, b, dp, dxi in zip(live, rows, breakdowns, dparams, dxis):
+                row.append(b)
+                grad_net, grad_xi = c.split(c.grad)
+                grad_net[...] = dp
+                if minibatch:
+                    grad_xi.fill(0.0)  # samples outside the batch get no gradient
+                grad_xi[idx] = dxi
+                c.theta = adam_step(c.theta, c.grad, c.m, c.v, cfg.lr, t)
 
-        leaving = set()
+        going_on = []
         for c, row in zip(live, rows):
             # a one-batch epoch's row is its breakdown as it is
             terms = [(b.total, b.term_xx, b.term_gg, b.term_xg) for b in row]
@@ -385,43 +380,28 @@ def _fit_lockstep(
             total, initial = mean[0], c.trace[0][0]
             if not np.isfinite(total) or (initial > 0 and total > DIVERGENCE_FACTOR * initial):
                 outcomes[c.index] = TrainingDivergedError("training diverged", epoch)
-                leaving.add(c.index)
                 continue
             c.running_min.append(total if not c.running_min else min(c.running_min[-1], total))
+            stalled = False
             if len(c.running_min) > STOP_WINDOW:
                 prev = c.running_min[-STOP_WINDOW - 1]
-                if prev - c.running_min[-1] < cfg.rel_tol * max(prev, 1e-300):
-                    leaving.add(c.index)
-        if epoch == cfg.epochs - 1:
-            leaving = {c.index for c in live}
-        if not leaving:
-            continue
-        # freeze the leavers and drop their elements from the stack
-        params, xi = unstack(theta)
-        keep = np.ones(theta.size, dtype=bool)
-        keep_nets, keep_xi = unstack(keep)
-        for c, p, block, keep_net in zip(live, params, column_blocks, keep_nets):
-            if c.index not in leaving:
-                continue
-            if outcomes[c.index] is None:
+                stalled = prev - c.running_min[-1] < cfg.rel_tol * max(prev, 1e-300)
+            if stalled or epoch == cfg.epochs - 1:
+                params, xi = c.split(c.theta)
                 outcomes[c.index] = _freeze(
-                    x, points, p, c.arch, xi[:, block], term_xx, include_mean, c.trace
+                    x, points, params, c.arch, xi, term_xx, include_mean, c.trace
                 )
-            keep_net[...] = False
-            keep_xi[:, block] = False
-        live = [c for c in live if c.index not in leaving]
+            else:
+                going_on.append(c)
+        live = going_on
         if not live:
             break
-        theta, m, v = theta[keep], m[keep], v[keep]
-        net_spans, column_blocks = restack()
-        grad = np.empty(theta.size)
-        grad_nets, grad_xi = unstack(grad)
     return outcomes
 
 
 def _freeze(x, points, params, arch, xi, term_xx, include_mean, trace_rows):
     """A candidate's model, and its trace with the row of its final parameters."""
-    [breakdown], _, _ = _core(x, points, [params], [arch], xi, term_xx, include_mean, False)
+    [breakdown], _, _ = _core(x, points, [params], [arch], [xi], term_xx, include_mean, False)
     trace_rows.append(
         (breakdown.total, breakdown.term_xx, breakdown.term_gg, breakdown.term_xg)
     )

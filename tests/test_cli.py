@@ -468,12 +468,23 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         ("cv", "fields = {three}\nV = 2\n", "fewer than 2"),
         ("cv", "fields = {fields}\narchs = ,\n", "at least one architecture"),
         ("cv", "fields = {fields}\narchs = shallow\nR_list = 0\n", "must be >= 1"),
+        # keys that would be ignored
+        ("simulate", SIMULATE + "nu = -3\n", "nu applies to the matern kernel only"),
+        (
+            "eval",
+            "estimator = zero\nkernel = rotated_brownian\nnu = 0.5\nd = 2\nM = 100\n",
+            "nu applies to the matern kernel only",
+        ),
+        ("eigen", "model = {model}\nM = 100\nn_funcs = 2\n", "n_funcs needs a grid"),
+        ("eigen", "model = {model}\nM = 100\nn_funcs = 0\n", "n_funcs needs a grid"),
     ],
     ids=[
         "sigma_negative", "sigma_nan", "sigma_inf", "nu_inf", "lr_nan", "lr_inf",
         "rel_tol_nan", "v0_nan", "lr_zero", "fit_one_field", "separable_d3",
         "empirical_no_field", "separable_no_field",
         "cv_v_above_n", "cv_small_fold", "cv_no_archs", "cv_r_zero",
+        "simulate_nu_not_matern", "eval_nu_not_matern",
+        "eigen_n_funcs_without_grid", "eigen_n_funcs_zero_without_grid",
     ],
 )
 def test_config_value_error_exits_2(tmp_path, capsys, command, cfg_text, message):

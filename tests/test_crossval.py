@@ -160,7 +160,7 @@ def test_cross_validate_equals_the_documented_loop():
             model, _ = fit(FieldMatrix(grid, f.values[tr]), arch, fold_cfg)
             x_va = f.values[va] - f.values[va].mean(axis=0)
             expected.append(CvCell(ci, fold, cv_loss(model, FieldMatrix(grid, x_va))))
-    # each fold's candidates train in lockstep, whose stacked data products
+    # each fold's candidates train in lockstep, whose side-by-side data products
     # BLAS may round differently from one candidate's own
     assert [(c.candidate, c.fold, c.failed) for c in report.cells] == [
         (c.candidate, c.fold, c.failed) for c in expected
@@ -189,6 +189,24 @@ def test_cross_validate_builds_each_fold_once(monkeypatch):
     # per fold: training, validation, its centered copy, and the centered
     # training fields that all candidates share
     assert len(calls) <= 4 * v
+
+
+def test_cross_validate_computes_two_grams_per_fold(monkeypatch):
+    grid = make_grid(2, [4, 4])
+    f = rank2_fields(12, grid, seed=39)
+    real_cross_gram = training.cross_gram
+    calls = []
+
+    def counting_cross_gram(*args):
+        calls.append(None)
+        return real_cross_gram(*args)
+
+    monkeypatch.setattr(training, "cross_gram", counting_cross_gram)
+    candidates = [Architecture.shallow(r, 2) for r in (1, 2, 3)]
+    v = 4
+    cross_validate(f, candidates, TrainConfig(epochs=5, seed=1), v=v, seed=2)
+    # per fold: the training Gram and the validation Gram every cell scores against
+    assert len(calls) == 2 * v
 
 
 def test_cross_validate_requires_enough_samples():

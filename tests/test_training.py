@@ -221,7 +221,7 @@ def test_core_dz_matches_the_x_transpose_orientation(case, monkeypatch):
         return backward(params, arch, cache, dz)
 
     monkeypatch.setattr(training, "backward_constituents", capture)
-    _, [dparams], _ = _core(x, points, [params], [arch], xi, 0.0, include_mean, True)
+    _, [dparams], _ = _core(x, points, [params], [arch], [xi], 0.0, include_mean, True)
     [got] = seen
     want = x_transpose_dz(x, points, params, arch, xi, include_mean)
     assert got.shape == want.shape
