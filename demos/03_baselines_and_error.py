@@ -19,7 +19,7 @@ def main():
     model, _ = covnet.fit(
         fields, covnet.Architecture.shallow(16, 2), covnet.TrainConfig(seed=3)
     )
-    emp = covnet.empirical_covariance(fields.centered())
+    emp = covnet.EmpiricalCovariance(fields.centered())
     sep = covnet.best_separable_2d(emp)
 
     m, seed = 50_000, 13

@@ -53,7 +53,7 @@ def main(argv=None):
             for run in range(args.runs):
                 seed = 1000 * run + 17
                 fields = covnet.sample_gaussian_fields(spec, grid, args.n, seed=seed)
-                emp = covnet.empirical_covariance(fields.centered())
+                emp = covnet.EmpiricalCovariance(fields.centered())
                 sep = covnet.best_separable_2d(emp)
                 scored = {
                     "empirical": emp,

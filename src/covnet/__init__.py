@@ -14,7 +14,6 @@ from .baselines import (
     SeparableCovariance,
     ZeroCovariance,
     best_separable_2d,
-    empirical_covariance,
     relative_error_mc,
 )
 from .crossval import CvReport, cross_validate, cv_loss
@@ -54,7 +53,6 @@ from .simulate import (
     NoiseSpec,
     RotatedBrownianSheet,
     RotatedIntegratedBrownianSheet,
-    kernel_eval,
     kernel_matrix,
     kernel_pairs,
     rotation_2d_45,
@@ -114,13 +112,11 @@ __all__ = [
     "cross_validate",
     "cv_loss",
     "eigendecompose",
-    "empirical_covariance",
     "eval_constituents",
     "eval_eigenfunction",
     "fit",
     "gradients",
     "init_params",
-    "kernel_eval",
     "kernel_matrix",
     "kernel_pairs",
     "lambda_from_coefficients",

@@ -80,11 +80,6 @@ class ZeroCovariance:
         return np.zeros(np.atleast_2d(u).shape[0])
 
 
-def empirical_covariance(f: FieldMatrix) -> EmpiricalCovariance:
-    """Empirical covariance of the fields; expects pre-centered fields."""
-    return EmpiricalCovariance(f)
-
-
 def best_separable_2d(emp: EmpiricalCovariance) -> SeparableCovariance:
     """Frobenius-nearest Kronecker product A (x) B of a 2-D empirical covariance.
 

@@ -3,10 +3,12 @@
 Every subcommand reads a `key = value` text config (flags override), checks
 all of it before it writes anything, then writes its artifacts plus a
 resolved-config copy into the output directory, which is made with the first
-file.  Outputs are byte-reproducible for a fixed config, seed and BLAS thread
-count: BLAS products over many rows round differently with a different
-number of threads.  Exit codes: 0 success, 2 config error, 3 I/O or
-file-format error, 4 numeric failure.
+file.  A key is declared where a subcommand reads it: a given key that the
+subcommand never reads would take no effect, so it is a config error.
+Outputs are byte-reproducible for a fixed config, seed and BLAS thread count:
+BLAS products over many rows round differently with a different number of
+threads.  Exit codes: 0 success, 2 config error, 3 I/O or file-format error,
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import sys
 import numpy as np
 
 from .baselines import (
+    EmpiricalCovariance,
     ZeroCovariance,
     best_separable_2d,
-    empirical_covariance,
     relative_error_mc,
 )
 from .crossval import cross_validate
@@ -93,16 +95,18 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 class Config:
-    """Typed view over the merged config with unknown-key rejection."""
+    """Typed view over the merged config; a key is declared by reading it."""
 
-    def __init__(self, raw: dict[str, str], allowed: set[str], command: str):
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ConfigError(
-                f"unknown config key(s) for {command}: {', '.join(sorted(unknown))}"
-            )
+    def __init__(self, raw: dict[str, str], command: str):
         self.raw = dict(raw)
+        self.command = command
         self.used: dict[str, str] = {}
+
+    def reject_unread(self) -> None:
+        """Raise for every given key that was never read: it would take no effect."""
+        unread = sorted(set(self.raw) - set(self.used))
+        if unread:
+            raise ConfigError(f"{self.command} does not use config key(s): {', '.join(unread)}")
 
     def _get(self, key: str, default=None, required=False):
         if key in self.raw:
@@ -230,8 +234,6 @@ def _model_grid(cfg: Config, model):
 
 def _kernel_from(cfg: Config, d: int):
     name = cfg.str_("kernel", required=True, choices=KERNEL_NAMES)
-    if name != "matern" and "nu" in cfg.raw:
-        raise ConfigError(f"nu applies to the matern kernel only, not {name}")
     if name == "brownian":
         return BrownianSheet(d)
     if name == "integrated_brownian":
@@ -250,11 +252,7 @@ def _kernel_from(cfg: Config, d: int):
 
 
 def run_simulate(raw: dict[str, str], out_dir: str) -> None:
-    cfg = Config(
-        raw,
-        {"kernel", "nu", "d", "K", "sizes", "N", "seed", "sigma", "noise_seed", "name"},
-        "simulate",
-    )
+    cfg = Config(raw, "simulate")
     grid = _grid_from(cfg)
     spec = _kernel_from(cfg, grid.d)
     n = cfg.int_("N", required=True, minimum=1)
@@ -266,6 +264,7 @@ def run_simulate(raw: dict[str, str], out_dir: str) -> None:
     if sigma > 0:
         noise = NoiseSpec(sigma, cfg.seed_("noise_seed", default=seed + 1))
     name = cfg.str_("name", default="fields")
+    cfg.reject_unread()
     fields_ = sample_gaussian_fields(spec, grid, n, seed, noise)
     path = _out_path(out_dir, f"{name}.cvnf")
     write_fields(path, fields_)
@@ -315,20 +314,14 @@ def _train_config(cfg: Config) -> TrainConfig:
 
 
 def run_fit(raw: dict[str, str], out_dir: str) -> None:
-    cfg = Config(
-        raw,
-        {
-            "fields", "arch", "R", "L", "lr", "epochs", "seed",
-            "center_mode", "batch", "rel_tol", "name",
-        },
-        "fit",
-    )
+    cfg = Config(raw, "fit")
     f = read_fields(cfg.str_("fields", required=True))
     if f.n < 2:
         raise ConfigError(f"fit needs at least two fields, got {f.n}")
     arch = _arch_from(cfg, f.grid.d)
     train_cfg = _train_config(cfg)
     name = cfg.str_("name", default="model")
+    cfg.reject_unread()
     model, trace = fit(f, arch, train_cfg)
     model_path = _out_path(out_dir, f"{name}.cvn")
     save_model(model_path, model)
@@ -345,11 +338,7 @@ def run_fit(raw: dict[str, str], out_dir: str) -> None:
 
 
 def run_eval(raw: dict[str, str], out_dir: str) -> None:
-    cfg = Config(
-        raw,
-        {"estimator", "model", "fields", "kernel", "nu", "d", "M", "seed", "name"},
-        "eval",
-    )
+    cfg = Config(raw, "eval")
     d = cfg.int_("d", required=True, minimum=1)
     truth = _kernel_from(cfg, d)
     m = cfg.int_("M", default=100_000, minimum=1)
@@ -381,7 +370,7 @@ def run_eval(raw: dict[str, str], out_dir: str) -> None:
                     raise ConfigError(
                         f"field dimension {f.grid.d} does not match truth dimension {d}"
                     )
-                emp = empirical_covariance(f.centered())
+                emp = EmpiricalCovariance(f.centered())
             if est_name == "empirical":
                 estimators.append(("empirical", emp))
             else:
@@ -390,6 +379,7 @@ def run_eval(raw: dict[str, str], out_dir: str) -> None:
                 )
         else:
             raise ConfigError(f"unknown estimator {est_name!r}")
+    cfg.reject_unread()
     rows = []
     for label, est in estimators:
         err = relative_error_mc(est, truth, d, m, seed)
@@ -404,23 +394,21 @@ def run_eval(raw: dict[str, str], out_dir: str) -> None:
 
 
 def run_eigen(raw: dict[str, str], out_dir: str) -> None:
-    cfg = Config(
-        raw, {"model", "M", "seed", "d", "K", "sizes", "n_funcs", "name"}, "eigen"
-    )
+    cfg = Config(raw, "eigen")
     model = load_model(cfg.str_("model", required=True))
     m = cfg.int_("M", default=100_000, minimum=1)
     seed = cfg.seed_("seed")
     name = cfg.str_("name", default="eigen")
     grid = None
+    n_funcs = 0
     if "K" in cfg.raw or "sizes" in cfg.raw:
         grid = _model_grid(cfg, model)
-    elif "n_funcs" in cfg.raw:
-        raise ConfigError("n_funcs needs a grid to evaluate on: give K or sizes")
+        n_funcs = cfg.int_("n_funcs", minimum=1)
+    cfg.reject_unread()
     system = eigendecompose(model, constituent_gram(model, m, seed))
-    n_funcs = 0
     if grid is not None:
-        # resolved after the eigensolve: its default is the rank found there
-        n_funcs = cfg.int_("n_funcs", default=system.rank, minimum=1)
+        # resolved after the eigensolve: the default is the rank found there
+        n_funcs = n_funcs or cfg.int_("n_funcs", default=system.rank)
         pts = grid.coordinates()
     _write_csv(
         _out_path(out_dir, f"{name}_values.csv"),
@@ -443,21 +431,16 @@ DEFAULT_DEPTHS = [2, 3, 4]
 
 
 def run_cv(raw: dict[str, str], out_dir: str) -> None:
-    cfg = Config(
-        raw,
-        {
-            "fields", "V", "seed", "archs", "R_list", "L_list", "lr", "epochs",
-            "center_mode", "batch", "rel_tol", "name",
-        },
-        "cv",
-    )
+    cfg = Config(raw, "cv")
     f = read_fields(cfg.str_("fields", required=True))
     v = cfg.int_("V", default=5, minimum=2)
     seed = cfg.seed_("seed")
     name = cfg.str_("name", default="cv")
     archs = cfg.list_("archs", default=",".join(VARIANTS))
     r_list = cfg.list_("R_list", item=int)
-    l_list = cfg.list_("L_list", item=int) or DEFAULT_DEPTHS
+    # depths apply to the deep variants only
+    deep = any(variant != SHALLOW for variant in archs)
+    l_list = (cfg.list_("L_list", item=int) if deep else None) or DEFAULT_DEPTHS
     base = _train_config(cfg)
     if v > f.n:
         raise ConfigError(f"cannot split {f.n} fields into V = {v} folds")
@@ -475,6 +458,7 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
         for depth in [0] if shallow else l_list:
             for r in r_list or (DEFAULT_SHALLOW_R if shallow else DEFAULT_DEEP_R):
                 candidates.append(Architecture(variant, r, f.grid.d, (r,) * depth))
+    cfg.reject_unread()
     report = cross_validate(f, candidates, base, v, seed)
 
     def columns(ci: int) -> list[str]:
@@ -507,13 +491,14 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
 
 
 def run_export(raw: dict[str, str], out_dir: str) -> None:
-    cfg = Config(raw, {"model", "d", "K", "sizes", "v0", "name", "seed"}, "export")
+    cfg = Config(raw, "export")
     model = load_model(cfg.str_("model", required=True))
     grid = _model_grid(cfg, model)
     v0 = np.array(cfg.list_("v0", item=float, required=True), dtype=float)
     if v0.shape != (model.arch.d,):
         raise ConfigError(f"v0 must list {model.arch.d} coordinates")
     name = cfg.str_("name", default="kernel_slice")
+    cfg.reject_unread()
     pts = grid.coordinates()
     vals = model.kernel_pairs(pts, np.broadcast_to(v0, pts.shape))
     path = _out_path(out_dir, f"{name}.csv")

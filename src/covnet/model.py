@@ -357,12 +357,6 @@ class FittedCovariance:
         b = ((zv @ self.lam) * zu).sum(axis=1)
         return (a + b) / 2.0
 
-    def kernel_at(self, u, v) -> float:
-        """Kernel value at a single pair of points."""
-        u = np.asarray(u, dtype=float)[None, :]
-        v = np.asarray(v, dtype=float)[None, :]
-        return float(self.kernel_pairs(u, v)[0])
-
     def mean_at(self, points: np.ndarray) -> np.ndarray:
         """Estimated mean field at the given points (zero if not estimated)."""
         z = self.constituents(points)

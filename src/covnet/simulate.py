@@ -216,11 +216,6 @@ def kernel_pairs(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _evaluate(spec, u, v)
 
 
-def kernel_eval(spec: KernelSpec, u, v) -> float:
-    """Kernel value c(u, v) at a single pair of points."""
-    return float(kernel_pairs(spec, np.asarray(u)[None, :], np.asarray(v)[None, :])[0])
-
-
 def _check_dimension(spec: KernelSpec, grid: Grid) -> None:
     if grid.d != spec.d:
         raise ValueError(f"kernel is {spec.d}-dimensional, grid is {grid.d}-dimensional")

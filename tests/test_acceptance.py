@@ -182,7 +182,7 @@ def test_criterion_05_rotated_brownian_direction():
     MODELS.append(("criterion5-shallow", model))
     m, eval_seed = 50_000, 99
     err_net = covnet.relative_error_mc(model, spec, 2, m, eval_seed)
-    emp = covnet.empirical_covariance(f.centered())
+    emp = covnet.EmpiricalCovariance(f.centered())
     err_emp = covnet.relative_error_mc(emp, spec, 2, m, eval_seed)
     sep = covnet.best_separable_2d(emp)
     err_sep = covnet.relative_error_mc(sep, spec, 2, m, eval_seed)
@@ -209,7 +209,7 @@ def test_criterion_06_matern_roughness_direction():
     MODELS.append(("criterion6-deepshared", model))
     m, eval_seed = 50_000, 99
     err_net = covnet.relative_error_mc(model, spec, 2, m, eval_seed)
-    emp = covnet.empirical_covariance(f.centered())
+    emp = covnet.EmpiricalCovariance(f.centered())
     err_emp = covnet.relative_error_mc(emp, spec, 2, m, eval_seed)
     assert err_emp > 0.35
     assert err_net < 0.25

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from covnet.baselines import (
+    EmpiricalCovariance,
     ZeroCovariance,
     best_separable_2d,
-    empirical_covariance,
     relative_error_mc,
 )
 from covnet.errors import DegenerateTruthError
@@ -55,19 +55,19 @@ def kronecker_fields(grid, p, q):
 def test_empirical_rank_one():
     grid = make_grid(1, [4])
     x = np.array([[1.0, 2.0, -1.0, 0.5]])
-    emp = empirical_covariance(FieldMatrix(grid, x))
+    emp = EmpiricalCovariance(FieldMatrix(grid, x))
     np.testing.assert_allclose(node_matrix(emp, grid), np.outer(x[0], x[0]))
 
 
 def test_empirical_needs_a_field():
     with pytest.raises(ValueError, match="at least one field"):
-        empirical_covariance(FieldMatrix(make_grid(2, [3, 3]), np.zeros((0, 9))))
+        EmpiricalCovariance(FieldMatrix(make_grid(2, [3, 3]), np.zeros((0, 9))))
 
 
 def test_empirical_plus_minus_ones():
     grid = make_grid(1, [3])
     x = np.array([[1.0] * 3, [-1.0] * 3, [1.0] * 3, [-1.0] * 3])
-    emp = empirical_covariance(FieldMatrix(grid, x))
+    emp = EmpiricalCovariance(FieldMatrix(grid, x))
     np.testing.assert_allclose(node_matrix(emp, grid), np.ones((3, 3)))
 
 
@@ -75,7 +75,7 @@ def test_empirical_matches_triple_loop():
     grid = make_grid(1, [30])
     x = gaussian(make_rng(1), (7, 30))
     x = x - x.mean(axis=0)
-    emp = empirical_covariance(FieldMatrix(grid, x))
+    emp = EmpiricalCovariance(FieldMatrix(grid, x))
     oracle = np.zeros((30, 30))
     for i in range(30):
         for j in range(30):
@@ -90,7 +90,7 @@ def test_empirical_matches_dense_lookup():
     rng = make_rng(13)
     u = rng.random((3000, 2))
     v = rng.random((3000, 2))
-    got = empirical_covariance(f).kernel_pairs(u, v)
+    got = EmpiricalCovariance(f).kernel_pairs(u, v)
     want = dense_covariance(f)[grid.flat_index(u), grid.flat_index(v)]
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -103,7 +103,7 @@ def test_separable_recovers_exact_kronecker():
     b0 = gaussian(rng, (5, 5))
     b0 = b0 @ b0.T + np.eye(5)
     f = kronecker_fields(grid, np.linalg.cholesky(a0), np.linalg.cholesky(b0))
-    sep = best_separable_2d(empirical_covariance(f))
+    sep = best_separable_2d(EmpiricalCovariance(f))
     out = np.kron(sep.a, sep.b)
     c = np.kron(a0, b0)
     assert np.linalg.norm(out - c) / np.linalg.norm(c) < 1e-10
@@ -112,7 +112,7 @@ def test_separable_recovers_exact_kronecker():
 def test_separable_identity():
     grid = make_grid(2, [3, 4])
     f = kronecker_fields(grid, np.eye(3), np.eye(4))
-    sep = best_separable_2d(empirical_covariance(f))
+    sep = best_separable_2d(EmpiricalCovariance(f))
     np.testing.assert_allclose(np.kron(sep.a, sep.b), np.eye(12), atol=1e-12)
 
 
@@ -121,7 +121,7 @@ def test_separable_beats_random_probes():
     rng = make_rng(4)
     f = FieldMatrix(grid, gaussian(rng, (20, 36)))
     c = dense_covariance(f)
-    sep = best_separable_2d(empirical_covariance(f))
+    sep = best_separable_2d(EmpiricalCovariance(f))
     best_err = np.linalg.norm(c - np.kron(sep.a, sep.b))
     for _ in range(1000):
         pa = gaussian(rng, (6, 6))
@@ -138,7 +138,7 @@ def test_separable_no_worse_than_constant_candidate():
     grid = make_grid(2, [5, 5])
     f = sample_gaussian_fields(IntegratedBrownianSheet(2), grid, 60, seed=14).centered()
     c = dense_covariance(f)
-    sep = best_separable_2d(empirical_covariance(f))
+    sep = best_separable_2d(EmpiricalCovariance(f))
     err = np.linalg.norm(c - np.kron(sep.a, sep.b))
     trivial = np.full_like(c, c.mean())
     assert err <= np.linalg.norm(c - trivial) + 1e-12
@@ -147,13 +147,13 @@ def test_separable_no_worse_than_constant_candidate():
 def test_separable_equal_factor_norms():
     grid = make_grid(2, [4, 4])
     f = sample_gaussian_fields(BrownianSheet(2), grid, 30, seed=15).centered()
-    sep = best_separable_2d(empirical_covariance(f))
+    sep = best_separable_2d(EmpiricalCovariance(f))
     assert np.linalg.norm(sep.a) == pytest.approx(np.linalg.norm(sep.b), rel=1e-12)
 
 
 def test_separable_rejects_other_dims():
     grid = make_grid(3, [2, 2, 2])
-    emp = empirical_covariance(FieldMatrix(grid, np.eye(8)))
+    emp = EmpiricalCovariance(FieldMatrix(grid, np.eye(8)))
     with pytest.raises(ValueError):
         best_separable_2d(emp)
 
@@ -166,7 +166,7 @@ def test_separable_rejects_other_dims():
 def test_separable_matches_dense_svd_oracle(sizes):
     grid = make_grid(2, sizes)
     f = sample_gaussian_fields(BrownianSheet(2), grid, 30, seed=16).centered()
-    sep = best_separable_2d(empirical_covariance(f))
+    sep = best_separable_2d(EmpiricalCovariance(f))
     want = dense_separable_oracle(f)
     got = np.kron(sep.a, sep.b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -215,7 +215,7 @@ SEPARABLE_CASES = {
 def test_separable_small_krylov_space_matches_default(case, svds_products):
     spec, sizes, n = SEPARABLE_CASES[case]
     f = sample_gaussian_fields(spec, make_grid(2, sizes), n, seed=25).centered()
-    emp = empirical_covariance(f)
+    emp = EmpiricalCovariance(f)
     sep = best_separable_2d(emp)
     svds_products["default_krylov"] = True
     ref = best_separable_2d(emp)
@@ -226,7 +226,7 @@ def test_separable_small_krylov_space_matches_default(case, svds_products):
 def test_separable_needs_few_operator_products(svds_products):
     spec, sizes, n = SEPARABLE_CASES["rotated40x40"]
     f = sample_gaussian_fields(spec, make_grid(2, sizes), n, seed=26).centered()
-    emp = empirical_covariance(f)
+    emp = EmpiricalCovariance(f)
     best_separable_2d(emp)
     products = svds_products["products"]
     svds_products.update(products=0, default_krylov=True)
@@ -241,7 +241,7 @@ def test_separable_needs_few_operator_products(svds_products):
 @pytest.mark.parametrize("baseline", ["empirical", "separable"])
 def test_baselines_reject_nonfinite_points(baseline, bad):
     grid = make_grid(2, [4, 5])
-    emp = empirical_covariance(
+    emp = EmpiricalCovariance(
         sample_gaussian_fields(BrownianSheet(2), grid, 10, seed=27).centered()
     )
     est = emp if baseline == "empirical" else best_separable_2d(emp)
@@ -256,7 +256,7 @@ def test_baselines_reject_nonfinite_points(baseline, bad):
 @pytest.mark.parametrize("baseline", ["empirical", "separable"])
 def test_baselines_reject_points_of_the_wrong_dimension(baseline):
     grid = make_grid(2, [4, 5])
-    emp = empirical_covariance(
+    emp = EmpiricalCovariance(
         sample_gaussian_fields(BrownianSheet(2), grid, 10, seed=28).centered()
     )
     est = emp if baseline == "empirical" else best_separable_2d(emp)
@@ -268,8 +268,8 @@ def test_baselines_reject_points_of_the_wrong_dimension(baseline):
 def test_separable_repeats_bit_identically():
     grid = make_grid(2, [8, 6])
     f = sample_gaussian_fields(BrownianSheet(2), grid, 25, seed=17).centered()
-    first = best_separable_2d(empirical_covariance(f))
-    second = best_separable_2d(empirical_covariance(f))
+    first = best_separable_2d(EmpiricalCovariance(f))
+    second = best_separable_2d(EmpiricalCovariance(f))
     np.testing.assert_array_equal(first.a, second.a)
     np.testing.assert_array_equal(first.b, second.b)
 
@@ -277,7 +277,7 @@ def test_separable_repeats_bit_identically():
 def test_separable_of_zero_fields_is_zero():
     grid = make_grid(2, [3, 4])
     f = FieldMatrix(grid, np.ones((1, 12))).centered()
-    sep = best_separable_2d(empirical_covariance(f))
+    sep = best_separable_2d(EmpiricalCovariance(f))
     np.testing.assert_array_equal(np.kron(sep.a, sep.b), 0.0)
 
 
@@ -303,7 +303,7 @@ def test_relative_error_of_zero_is_one():
 def test_relative_error_deterministic():
     grid = make_grid(2, [6, 6])
     f = FieldMatrix(grid, gaussian(make_rng(7), (9, 36)))
-    emp = empirical_covariance(f.centered())
+    emp = EmpiricalCovariance(f.centered())
     a = relative_error_mc(emp, BrownianSheet(2), 2, m=4000, seed=8)
     b = relative_error_mc(emp, BrownianSheet(2), 2, m=4000, seed=8)
     assert a == b
@@ -323,7 +323,7 @@ def test_brownian_hs_norm_monte_carlo():
 
 def test_degenerate_truth_rejected():
     grid = make_grid(2, [3, 3])
-    emp = empirical_covariance(FieldMatrix(grid, np.zeros((2, 9))))
+    emp = EmpiricalCovariance(FieldMatrix(grid, np.zeros((2, 9))))
     with pytest.raises(DegenerateTruthError):
         relative_error_mc(emp, emp, 2, m=100, seed=1)
 
@@ -331,7 +331,7 @@ def test_degenerate_truth_rejected():
 def test_nearest_voxel_lookup_matches_grid_nodes():
     grid = make_grid(2, [4, 4])
     x = sample_gaussian_fields(BrownianSheet(2), grid, 12, seed=18).centered().values
-    emp = empirical_covariance(FieldMatrix(grid, x))
+    emp = EmpiricalCovariance(FieldMatrix(grid, x))
     # points anywhere inside a voxel read that voxel's node value
     pts = grid.coordinates() + 0.1 / 4
     idx = [0, 5, 11, 15]
@@ -366,7 +366,7 @@ def rank_three_fields_70x70():
 def test_baselines_beyond_4096_points_match_pair_oracles():
     f, p, q = rank_three_fields_70x70()
     x = f.values
-    emp = empirical_covariance(f)
+    emp = EmpiricalCovariance(f)
     emp_oracle = PairLoopOracle(f.grid, lambda i, j: np.mean(x[:, i] * x[:, j]))
     assert relative_error_mc(emp, emp_oracle, 2, m=3000, seed=20) <= 1e-13
 
@@ -391,7 +391,7 @@ def test_baselines_memory_stays_far_below_one_dense_covariance(traced_peak):
     f = FieldMatrix(grid, gaussian(make_rng(23), (3, grid.n_points)))
 
     def build_and_score():
-        emp = empirical_covariance(f.centered())
+        emp = EmpiricalCovariance(f.centered())
         sep = best_separable_2d(emp)
         for est in (emp, sep):
             relative_error_mc(est, BrownianSheet(2), 2, m=20_000, seed=24)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from covnet import cli
-from covnet.cli import main, parse_config_text, run_fit
+from covnet.cli import main, parse_config_text
 from covnet.errors import ConfigError, ModelFormatError
 from covnet.fields import FieldMatrix, make_grid, read_fields, write_fields
 from covnet.model import (
@@ -92,11 +92,13 @@ def test_simulate_rejects_zero_resolution(tmp_path):
     assert code == 2
 
 
-def test_simulate_rejects_unknown_key(tmp_path):
-    code, _ = run(
+def test_simulate_rejects_unknown_key(tmp_path, capsys):
+    code, out = run(
         tmp_path, "simulate", "kernel = brownian\nd = 2\nK = 4\nN = 5\nbogus = 1\n"
     )
     assert code == 2
+    assert capsys.readouterr().err == "config error: simulate does not use config key(s): bogus\n"
+    assert not out.exists()
 
 
 def fit_smoke(tmp_path):
@@ -322,7 +324,8 @@ def test_export_matches_kernel_loop(tmp_path):
     for line in rows[1:20]:
         parts = line.split(",")
         u = np.array([float(parts[1]), float(parts[2])])
-        assert float(parts[3]) == pytest.approx(model.kernel_at(u, v0), rel=1e-15)
+        want = model.kernel_pairs(u[None], v0[None])[0]
+        assert float(parts[3]) == pytest.approx(want, rel=1e-15)
 
 
 def test_export_reproducible_bytes(tmp_path):
@@ -469,14 +472,50 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         ("cv", "fields = {fields}\narchs = ,\n", "at least one architecture"),
         ("cv", "fields = {fields}\narchs = shallow\nR_list = 0\n", "must be >= 1"),
         # keys that would be ignored
-        ("simulate", SIMULATE + "nu = -3\n", "nu applies to the matern kernel only"),
+        ("simulate", SIMULATE + "nu = -3\n", "simulate does not use config key(s): nu"),
         (
             "eval",
             "estimator = zero\nkernel = rotated_brownian\nnu = 0.5\nd = 2\nM = 100\n",
-            "nu applies to the matern kernel only",
+            "eval does not use config key(s): nu",
         ),
-        ("eigen", "model = {model}\nM = 100\nn_funcs = 2\n", "n_funcs needs a grid"),
-        ("eigen", "model = {model}\nM = 100\nn_funcs = 0\n", "n_funcs needs a grid"),
+        (
+            "eigen",
+            "model = {model}\nM = 100\nn_funcs = 2\n",
+            "eigen does not use config key(s): n_funcs",
+        ),
+        (
+            "eigen",
+            "model = {model}\nM = 100\nn_funcs = 0\n",
+            "eigen does not use config key(s): n_funcs",
+        ),
+        (
+            "simulate",
+            SIMULATE + "noise_seed = 5\n",
+            "simulate does not use config key(s): noise_seed",
+        ),
+        ("fit", FIT + "L = 3\n", "fit does not use config key(s): L"),
+        (
+            "cv",
+            "fields = {fields}\narchs = shallow\nR_list = 2\nL_list = 9\n",
+            "cv does not use config key(s): L_list",
+        ),
+        (
+            "eval",
+            "estimator = zero\nmodel = {model}\nkernel = brownian\nd = 2\nM = 100\n",
+            "eval does not use config key(s): model",
+        ),
+        (
+            "eval",
+            "estimator = zero,covnet\nmodel = {model}\nfields = {fields}\nkernel = brownian\n"
+            "d = 2\nM = 100\n",
+            "eval does not use config key(s): fields",
+        ),
+        ("eigen", "model = {model}\nM = 100\nd = 7\n", "eigen does not use config key(s): d"),
+        (
+            "export",
+            "model = {model}\nK = 3\nv0 = 0.5,0.5\nseed = 4\n",
+            "export does not use config key(s): seed",
+        ),
     ],
     ids=[
         "sigma_negative", "sigma_nan", "sigma_inf", "nu_inf", "lr_nan", "lr_inf",
@@ -485,6 +524,9 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         "cv_v_above_n", "cv_small_fold", "cv_no_archs", "cv_r_zero",
         "simulate_nu_not_matern", "eval_nu_not_matern",
         "eigen_n_funcs_without_grid", "eigen_n_funcs_zero_without_grid",
+        "simulate_noise_seed_without_sigma", "fit_L_with_shallow", "cv_L_list_with_shallow",
+        "eval_model_without_covnet", "eval_fields_without_baselines", "eigen_d_without_grid",
+        "export_seed",
     ],
 )
 def test_config_value_error_exits_2(tmp_path, capsys, command, cfg_text, message):
@@ -514,10 +556,18 @@ def test_value_error_inside_a_subcommand_is_not_a_config_error(tmp_path, capsys,
 
 
 def test_every_train_config_field_is_a_fit_key(tmp_path):
-    # Config rejects unknown keys first, so a known key reaches the missing-fields error
-    for name in (f.name for f in dataclasses.fields(TrainConfig)):
-        with pytest.raises(ConfigError, match="missing required config key 'fields'"):
-            run_fit({name: "1"}, str(tmp_path / "out"))
+    settings = {
+        "epochs": "3", "lr": "0.02", "rel_tol": "0", "seed": "5",
+        "center_mode": "joint_mean", "batch": "4",
+    }
+    assert set(settings) == {f.name for f in dataclasses.fields(TrainConfig)}
+    text = FIT.format(fields=gaussian_fields(tmp_path, 6)).replace("epochs = 5\n", "")
+    text += "".join(f"{key} = {value}\n" for key, value in settings.items())
+    code, out = run(tmp_path, "fit", text)
+    assert code == 0
+    resolved = (out / "resolved_fit.cfg").read_text().splitlines()
+    for key, value in settings.items():
+        assert f"{key} = {value}" in resolved
 
 
 @pytest.mark.parametrize(

@@ -248,7 +248,7 @@ def test_lambda_is_psd():
 def test_kernel_constant_model():
     arch = Architecture.shallow(1, 2)
     model = FittedCovariance(arch, np.zeros(3), np.array([[4.0]]))
-    assert model.kernel_at([0.1, 0.2], [0.9, 0.3]) == 1.0
+    assert model.kernel_pairs([[0.1, 0.2]], [[0.9, 0.3]])[0] == 1.0
 
 
 def test_lambda_near_float_max_stays_finite():
@@ -275,7 +275,7 @@ def test_kernel_matches_double_sum_oracle():
         oracle = sum(
             model.lam[r, s] * gu[r] * gv[s] for r in range(3) for s in range(3)
         )
-        assert model.kernel_at(u, v) == pytest.approx(oracle, rel=1e-13)
+        assert model.kernel_pairs(u[None], v[None])[0] == pytest.approx(oracle, rel=1e-13)
 
 
 def test_kernel_swap_symmetry_bit_exact():
