@@ -152,17 +152,20 @@ class Config:
     def list_(self, key, item=str, default=None, required=False):
         """Comma-separated values of type `item`; blank entries are skipped.
 
-        Float items must be finite.
+        Float items must be finite, and a given list must name at least one.
         """
         what = "finite float" if item is float else item.__name__
         parse = _finite_float if item is float else item
-        return self._parse(
+        val = self._parse(
             key,
             lambda val: [parse(p.strip()) for p in val.split(",") if p.strip()],
             f"a comma-separated list of {what}",
             default,
             required,
         )
+        if val == []:
+            raise ConfigError(f"{key} must name at least one value, got {self.used[key]!r}")
+        return val
 
 
 def _merge_config(args) -> dict[str, str]:
@@ -446,8 +449,6 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
         raise ConfigError(f"cannot split {f.n} fields into V = {v} folds")
     if f.n - math.ceil(f.n / v) < 2:
         raise ConfigError(f"V = {v} leaves a training fold of fewer than 2 of {f.n} fields")
-    if not archs:
-        raise ConfigError("archs must name at least one architecture")
     if any(k < 1 for k in [*(r_list or []), *l_list]):
         raise ConfigError("R_list and L_list entries must be >= 1")
     candidates = []

@@ -495,7 +495,9 @@ def load_model(path) -> FittedCovariance:
         lam[: i + 1, i] = row
     mean_coeffs = None
     line = take("trailer")
-    if line.startswith("mean"):
+    if line.split()[:1] == ["mean"]:
+        if ints(line.split()[1:], "mean R") != (r,):
+            raise ModelFormatError("expected 'mean R' block")
         mean_coeffs = floats(take("mean values"), r, "mean coefficients")
         line = take("trailer")
     if line != "end":

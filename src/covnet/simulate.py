@@ -18,9 +18,10 @@ axis k, and chol(A (x) B) = chol(A) (x) chol(B), so L is applied as one
 K_k x K_k factor per axis.  Rotated sheets and Matern are not separable;
 they take the dense factor of the whole grid.  Either way each factor
 overwrites the N x D draw block by block, so beside a noise draw that is
-the only N x D array a sample holds.  The dense factor of more than
-_CHOLESKY_BLOCK points is written over the kernel matrix by LAPACK, so the
-dense path holds one D x D array beside the draw; it is capped at
+the only N x D array a sample holds.  The dense factor is written over the
+kernel matrix (by LAPACK beyond _CHOLESKY_BLOCK points), and a failed
+attempt is retried from the matrix its strict upper triangle still holds,
+so the dense path holds one D x D array beside the draw; it is capped at
 KERNEL_MATRIX_CAP points, checked before anything is allocated.
 """
 
@@ -48,8 +49,7 @@ KERNEL_MATRIX_CAP = math.isqrt((4 << 30) // (3 * 8))
 # about _MATRIX_BLOCK floats whatever the grid size
 _MATRIX_BLOCK = 1 << 16
 # a kernel matrix of at most this many rows is factored by np.linalg.cholesky
-# on a copy, a larger one in place by LAPACK; also the tile size in which a
-# failed attempt's triangle is restored
+# on a copy, a larger one in place by LAPACK
 _CHOLESKY_BLOCK = 1024
 
 
@@ -242,60 +242,45 @@ def kernel_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
     return c
 
 
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """(start, stop) of each _CHOLESKY_BLOCK-row block of an n-row matrix."""
-    return [(k, min(k + _CHOLESKY_BLOCK, n)) for k in range(0, n, _CHOLESKY_BLOCK)]
-
-
 def _cholesky_in_place(c: np.ndarray) -> bool:
-    """Write the Cholesky factor of c over c's lower triangle.
+    """Overwrite c with its Cholesky factor, zeros above the diagonal.
 
-    A matrix of one _CHOLESKY_BLOCK is factored exactly as by
+    A matrix of at most _CHOLESKY_BLOCK points is factored exactly as by
     np.linalg.cholesky(c), which works on a copy.  A larger one is factored
     in place by LAPACK's dpotrf on its transpose: c's lower triangle is the
-    Fortran-ordered upper triangle of c.T, so dpotrf needs no copy of c.
-    Only the lower triangle is read or written, so the strict upper triangle
-    still holds the matrix.  Returns False, with the lower triangle partly
-    overwritten, when c is not numerically positive definite.
+    Fortran-ordered upper triangle of c.T, so dpotrf needs no copy of c and
+    reads or writes only that triangle; on success each row's strict upper
+    part is then zeroed.  Returns False when c is not numerically positive
+    definite, with the strict upper triangle still holding the matrix and
+    the lower triangle possibly overwritten.
     """
     n = c.shape[0]
     if n <= _CHOLESKY_BLOCK:
         try:
-            factor = np.linalg.cholesky(c)
+            c[...] = np.linalg.cholesky(c)
         except np.linalg.LinAlgError:
             return False
-        np.copyto(c, factor, where=np.tri(n, dtype=bool))
         return True
     # imported here: scipy.linalg.lapack adds about 70 ms and 5.4 MiB to a
     # process that has imported covnet, and only larger matrices need it
     from scipy.linalg.lapack import dpotrf
 
+    # clean=False: a failed attempt must leave the matrix above the diagonal
     _, info = dpotrf(c.T, lower=False, overwrite_a=True, clean=False)
-    return info == 0
-
-
-def _mirror_upper(c: np.ndarray) -> None:
-    """Copy c's strict upper triangle over its strict lower one, tile by tile."""
-    for k, e in _row_blocks(c.shape[0]):
-        for j, f in _row_blocks(k):
-            c[k:e, j:f] = c[j:f, k:e].T
-        square = c[k:e, k:e]
-        np.copyto(square, square.T, where=np.tri(e - k, k=-1, dtype=bool))
-
-
-def _zero_upper(c: np.ndarray) -> None:
-    """Zero c's strict upper triangle, in row blocks."""
-    for k, e in _row_blocks(c.shape[0]):
-        c[k:e, e:] = 0.0
-        np.copyto(c[k:e, k:e], 0.0, where=~np.tri(e - k, dtype=bool))
+    if info:
+        return False
+    for i in range(n - 1):
+        c[i, i + 1 :] = 0.0
+    return True
 
 
 def _jittered_cholesky(c: np.ndarray) -> np.ndarray:
     """Cholesky factor of c + jitter I, escalating jitter from 1e-12 trace / n.
 
-    The factor is written over c, which must be exactly symmetric, and
-    returned.  A failed attempt leaves the strict upper triangle intact, so
-    the next one restores the lower triangle from it and the saved diagonal.
+    The factor, zero above the diagonal, is written over c, which must be
+    exactly symmetric, and returned.  A failed attempt leaves the matrix in
+    the strict upper triangle, so the next one restores the lower triangle
+    from it row by row, and the diagonal from a saved copy.
     """
     n = c.shape[0]
     base = 1e-12 * np.trace(c) / n
@@ -305,11 +290,11 @@ def _jittered_cholesky(c: np.ndarray) -> np.ndarray:
     jitter = 0.0
     for attempt in range(7):
         if attempt:
-            _mirror_upper(c)
+            for i in range(1, n):
+                c[i, :i] = c[:i, i]
         jitter = base * 10.0**attempt
         np.fill_diagonal(c, diag + jitter)
         if _cholesky_in_place(c):
-            _zero_upper(c)
             return c
     raise NumericError(f"cholesky failed for kernel matrix even with jitter {jitter:g}")
 

@@ -469,7 +469,7 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         ),
         ("cv", "fields = {fields}\nV = 7\n", "into V = 7 folds"),
         ("cv", "fields = {three}\nV = 2\n", "fewer than 2"),
-        ("cv", "fields = {fields}\narchs = ,\n", "at least one architecture"),
+        ("cv", "fields = {fields}\narchs = ,\n", "archs must name at least one value"),
         ("cv", "fields = {fields}\narchs = shallow\nR_list = 0\n", "must be >= 1"),
         # keys that would be ignored
         ("simulate", SIMULATE + "nu = -3\n", "simulate does not use config key(s): nu"),
@@ -516,6 +516,16 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
             "model = {model}\nK = 3\nv0 = 0.5,0.5\nseed = 4\n",
             "export does not use config key(s): seed",
         ),
+        # a list key that is given but names no value
+        *(
+            ("eval", f"estimator = {e}\nkernel = brownian\nd = 2\nM = 100\n",
+             "estimator must name at least one value")
+            for e in ("", ",")
+        ),
+        *(
+            ("cv", f"fields = {{fields}}\n{key} = {e}\n", f"{key} must name at least one value")
+            for key, e in (("R_list", ""), ("R_list", ","), ("L_list", ""))
+        ),
     ],
     ids=[
         "sigma_negative", "sigma_nan", "sigma_inf", "nu_inf", "lr_nan", "lr_inf",
@@ -526,7 +536,8 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         "eigen_n_funcs_without_grid", "eigen_n_funcs_zero_without_grid",
         "simulate_noise_seed_without_sigma", "fit_L_with_shallow", "cv_L_list_with_shallow",
         "eval_model_without_covnet", "eval_fields_without_baselines", "eigen_d_without_grid",
-        "export_seed",
+        "export_seed", "eval_estimator_empty", "eval_estimator_comma", "cv_R_list_empty",
+        "cv_R_list_comma", "cv_L_list_empty",
     ],
 )
 def test_config_value_error_exits_2(tmp_path, capsys, command, cfg_text, message):

@@ -421,6 +421,20 @@ def test_load_rejects_tampered_lambda(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("header", ["mean 7", "meanwhile", "mean"])
+def test_load_rejects_tampered_mean_header(tmp_path, header):
+    arch = Architecture.shallow(2, 2)
+    params, xi = init_params(arch, 5, seed=1)
+    model = FittedCovariance(arch, params, lambda_from_coefficients(xi), np.array([0.5, -0.25]))
+    path = tmp_path / "m.cvn"
+    save_model(path, model)
+    text = path.read_text().splitlines()
+    text[text.index("mean 2")] = header
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "m.cvn"
     path.write_text("covnet-model v9\n")
