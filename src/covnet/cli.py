@@ -1,10 +1,14 @@
 """Config-driven command line: simulate, fit, eval, eigen, cv, export.
 
-Every subcommand reads a `key = value` text config (flags override), checks
-all of it before it writes anything, then writes its artifacts plus a
-resolved-config copy into the output directory, which is made with the first
-file.  A key is declared where a subcommand reads it: a given key that the
-subcommand never reads would take no effect, so it is a config error.
+Every subcommand reads a `key = value` text config (flags override) and
+checks all of it before it writes anything; `main` then writes a
+resolved-config copy beside its artifacts in the output directory, which is
+made with the first file.  A key is declared where a subcommand reads it: a
+given key that the subcommand never reads would take no effect, so it is a
+config error.  The value rules are the library's own: the library objects a
+subcommand builds from its config refuse bad values, and a ValueError raised
+before the config is accepted (`Config.reject_unread`) is a config error.  A
+size that cannot be allocated is one too.
 Outputs are byte-reproducible for a fixed config, seed and BLAS thread count:
 BLAS products over many rows round differently with a different number of
 threads.  Exit codes: 0 success, 2 config error, 3 I/O or file-format error,
@@ -36,7 +40,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .fields import make_grid, read_fields, write_fields
-from .model import SHALLOW, VARIANTS, Architecture, load_model, save_model
+from .model import DEEP, DEEPSHARED, SHALLOW, VARIANTS, Architecture, load_model, save_model
 from .simulate import (
     BrownianSheet,
     IntegratedBrownianSheet,
@@ -49,7 +53,7 @@ from .simulate import (
     sample_gaussian_fields,
 )
 from .spectral import constituent_gram, eigendecompose, eval_eigenfunction
-from .training import JOINT_MEAN, PRE_CENTER, TrainConfig, fit
+from .training import TrainConfig, fit
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -95,18 +99,24 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 class Config:
-    """Typed view over the merged config; a key is declared by reading it."""
+    """Typed view over the merged config; a key is declared by reading it.
+
+    The config phase lasts until `reject_unread` accepts the config: until
+    then, a ValueError from a library object built from it is a config error.
+    """
 
     def __init__(self, raw: dict[str, str], command: str):
         self.raw = dict(raw)
         self.command = command
         self.used: dict[str, str] = {}
+        self.accepted = False
 
     def reject_unread(self) -> None:
-        """Raise for every given key that was never read: it would take no effect."""
+        """Raise for every given key that was never read, else accept the config."""
         unread = sorted(set(self.raw) - set(self.used))
         if unread:
             raise ConfigError(f"{self.command} does not use config key(s): {', '.join(unread)}")
+        self.accepted = True
 
     def _get(self, key: str, default=None, required=False):
         if key in self.raw:
@@ -197,9 +207,9 @@ def _write_lines(path: str, lines) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-def _write_resolved(cfg: Config, out_dir: str, command: str) -> None:
+def _write_resolved(cfg: Config, out_dir: str) -> None:
     lines = [f"{k} = {v}" for k, v in sorted(cfg.used.items())]
-    _write_lines(_out_path(out_dir, f"resolved_{command}.cfg"), lines)
+    _write_lines(_out_path(out_dir, f"resolved_{cfg.command}.cfg"), lines)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -219,9 +229,7 @@ def _grid_from(cfg: Config, default_d: int | None = None):
     d = cfg.int_("d", default=default_d, required=default_d is None, minimum=1)
     sizes = cfg.list_("sizes", item=int)
     if sizes is None:
-        sizes = [cfg.int_("K", required=True, minimum=1)] * d
-    if len(sizes) != d or any(s < 1 for s in sizes):
-        raise ConfigError(f"sizes must list {d} positive integers")
+        sizes = [cfg.int_("K", required=True)] * d
     return make_grid(d, sizes)
 
 
@@ -242,10 +250,7 @@ def _kernel_from(cfg: Config, d: int):
     if name == "integrated_brownian":
         return IntegratedBrownianSheet(d)
     if name == "matern":
-        nu = cfg.float_("nu", required=True)
-        if nu <= 0:
-            raise ConfigError("matern needs nu > 0")
-        return Matern(nu, d)
+        return Matern(cfg.float_("nu", required=True), d)
     if d not in (2, 3):
         raise ConfigError(f"rotated kernels are defined for d in (2, 3), got {d}")
     rot = rotation_2d_45() if d == 2 else rotation_3d_composed()
@@ -254,17 +259,14 @@ def _kernel_from(cfg: Config, d: int):
     return RotatedIntegratedBrownianSheet(rot)
 
 
-def run_simulate(raw: dict[str, str], out_dir: str) -> None:
-    cfg = Config(raw, "simulate")
+def run_simulate(cfg: Config, out_dir: str) -> None:
     grid = _grid_from(cfg)
     spec = _kernel_from(cfg, grid.d)
     n = cfg.int_("N", required=True, minimum=1)
     seed = cfg.seed_("seed")
     sigma = cfg.float_("sigma", default=0.0)
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
     noise = None
-    if sigma > 0:
+    if sigma:
         noise = NoiseSpec(sigma, cfg.seed_("noise_seed", default=seed + 1))
     name = cfg.str_("name", default="fields")
     cfg.reject_unread()
@@ -282,42 +284,28 @@ def run_simulate(raw: dict[str, str], out_dir: str) -> None:
     if "nu" in cfg.used:
         meta.insert(1, f"nu = {cfg.used['nu']}")
     _write_lines(_out_path(out_dir, f"{name}.meta.txt"), meta)
-    _write_resolved(cfg, out_dir, "simulate")
     print(f"wrote {path} (N={n}, D={grid.n_points})")
 
 
 def _arch_from(cfg: Config, d: int) -> Architecture:
-    variant = cfg.str_("arch", required=True, choices=VARIANTS)
-    r = cfg.int_("R", required=True, minimum=1)
-    depth = 0
-    if variant != SHALLOW:
-        depth = cfg.int_("L", minimum=1)
-        if depth is None:
-            raise ConfigError(f"arch={variant} requires L")
+    variant = cfg.str_("arch", required=True)
+    r = cfg.int_("R", required=True)
+    depth = cfg.int_("L", required=True) if variant in (DEEP, DEEPSHARED) else 0
     return Architecture(variant, r, d, (r,) * depth)
 
 
 def _train_config(cfg: Config) -> TrainConfig:
-    settings = dict(
-        epochs=cfg.int_("epochs", default=TrainConfig.epochs, minimum=1),
+    return TrainConfig(
+        epochs=cfg.int_("epochs", default=TrainConfig.epochs),
         lr=cfg.float_("lr", default=TrainConfig.lr),
         rel_tol=cfg.float_("rel_tol", default=TrainConfig.rel_tol),
         seed=cfg.seed_("seed"),
-        center_mode=cfg.str_(
-            "center_mode",
-            default=TrainConfig.center_mode,
-            choices=(PRE_CENTER, JOINT_MEAN),
-        ),
-        batch=cfg.int_("batch", minimum=2),
+        center_mode=cfg.str_("center_mode", default=TrainConfig.center_mode),
+        batch=cfg.int_("batch"),
     )
-    try:
-        return TrainConfig(**settings)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
-def run_fit(raw: dict[str, str], out_dir: str) -> None:
-    cfg = Config(raw, "fit")
+def run_fit(cfg: Config, out_dir: str) -> None:
     f = read_fields(cfg.str_("fields", required=True))
     if f.n < 2:
         raise ConfigError(f"fit needs at least two fields, got {f.n}")
@@ -333,15 +321,13 @@ def run_fit(raw: dict[str, str], out_dir: str) -> None:
         ["epoch", "total", "term_xx", "term_gg", "term_xg"],
         [[str(e), *map(_fmt, t)] for e, t in enumerate(trace)],
     )
-    _write_resolved(cfg, out_dir, "fit")
     print(
         f"wrote {model_path} (loss {_fmt(trace[0, 0])} -> {_fmt(trace[-1, 0])}"
         f" over {len(trace) - 1} epochs)"
     )
 
 
-def run_eval(raw: dict[str, str], out_dir: str) -> None:
-    cfg = Config(raw, "eval")
+def run_eval(cfg: Config, out_dir: str) -> None:
     d = cfg.int_("d", required=True, minimum=1)
     truth = _kernel_from(cfg, d)
     m = cfg.int_("M", default=100_000, minimum=1)
@@ -393,11 +379,9 @@ def run_eval(raw: dict[str, str], out_dir: str) -> None:
         ["estimator", "relative_error", "M", "seed"],
         rows,
     )
-    _write_resolved(cfg, out_dir, "eval")
 
 
-def run_eigen(raw: dict[str, str], out_dir: str) -> None:
-    cfg = Config(raw, "eigen")
+def run_eigen(cfg: Config, out_dir: str) -> None:
     model = load_model(cfg.str_("model", required=True))
     m = cfg.int_("M", default=100_000, minimum=1)
     seed = cfg.seed_("seed")
@@ -424,7 +408,6 @@ def run_eigen(raw: dict[str, str], out_dir: str) -> None:
             pts,
             eval_eigenfunction(model, system, i, pts),
         )
-    _write_resolved(cfg, out_dir, "eigen")
     print(f"rank {system.rank}, leading eigenvalue {_fmt(system.values[0])}")
 
 
@@ -433,8 +416,7 @@ DEFAULT_DEEP_R = [5, 10, 20, 40]
 DEFAULT_DEPTHS = [2, 3, 4]
 
 
-def run_cv(raw: dict[str, str], out_dir: str) -> None:
-    cfg = Config(raw, "cv")
+def run_cv(cfg: Config, out_dir: str) -> None:
     f = read_fields(cfg.str_("fields", required=True))
     v = cfg.int_("V", default=5, minimum=2)
     seed = cfg.seed_("seed")
@@ -449,12 +431,8 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
         raise ConfigError(f"cannot split {f.n} fields into V = {v} folds")
     if f.n - math.ceil(f.n / v) < 2:
         raise ConfigError(f"V = {v} leaves a training fold of fewer than 2 of {f.n} fields")
-    if any(k < 1 for k in [*(r_list or []), *l_list]):
-        raise ConfigError("R_list and L_list entries must be >= 1")
     candidates = []
     for variant in archs:
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown architecture {variant!r} in archs")
         shallow = variant == SHALLOW
         for depth in [0] if shallow else l_list:
             for r in r_list or (DEFAULT_SHALLOW_R if shallow else DEFAULT_DEEP_R):
@@ -487,12 +465,10 @@ def run_cv(raw: dict[str, str], out_dir: str) -> None:
             for ci, mean in enumerate(report.mean_losses)
         ],
     )
-    _write_resolved(cfg, out_dir, "cv")
     print(f"selected candidate {report.selected}: {report.candidate_label(report.selected)}")
 
 
-def run_export(raw: dict[str, str], out_dir: str) -> None:
-    cfg = Config(raw, "export")
+def run_export(cfg: Config, out_dir: str) -> None:
     model = load_model(cfg.str_("model", required=True))
     grid = _model_grid(cfg, model)
     v0 = np.array(cfg.list_("v0", item=float, required=True), dtype=float)
@@ -504,7 +480,6 @@ def run_export(raw: dict[str, str], out_dir: str) -> None:
     vals = model.kernel_pairs(pts, np.broadcast_to(v0, pts.shape))
     path = _out_path(out_dir, f"{name}.csv")
     _write_point_csv(path, pts, vals)
-    _write_resolved(cfg, out_dir, "export")
     print(f"wrote {path} ({grid.n_points} rows)")
 
 
@@ -541,9 +516,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = _merge_config(args)
-        COMMANDS[args.command](raw, args.out)
-    except (ConfigError, ResourceLimitError) as exc:
+        cfg = Config(_merge_config(args), args.command)
+        try:
+            COMMANDS[args.command](cfg, args.out)
+        except ValueError as exc:
+            if cfg.accepted:
+                raise  # a value the accepted config let through: a program defect
+            raise ConfigError(str(exc)) from exc
+        _write_resolved(cfg, args.out)
+    except (ConfigError, ResourceLimitError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FieldFormatError, ModelFormatError, OSError) as exc:

@@ -66,7 +66,7 @@ class Architecture:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.r < 1 or self.d < 1:
-            raise ValueError("need r >= 1 and d >= 1")
+            raise ValueError(f"R and d must be >= 1, got R = {self.r}, d = {self.d}")
         object.__setattr__(self, "widths", tuple(int(p) for p in self.widths))
         if self.variant == SHALLOW:
             if self.widths:

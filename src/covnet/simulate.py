@@ -28,6 +28,7 @@ KERNEL_MATRIX_CAP points, checked before anything is allocated.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +132,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.sigma < 0:
-            raise ValueError(f"noise s.d. must be nonnegative, got {self.sigma}")
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
 def rotation_2d_45() -> np.ndarray:
@@ -231,7 +232,7 @@ def kernel_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
     n = grid.n_points
     if n > KERNEL_MATRIX_CAP:
         raise ResourceLimitError(
-            f"grid size {n} exceeds kernel matrix cap {KERNEL_MATRIX_CAP}"
+            f"kernel matrix of {n} points exceeds kernel matrix cap {KERNEL_MATRIX_CAP}"
         )
     pts = _rotate(spec, grid.coordinates())
     c = np.empty((n, n))
@@ -308,7 +309,12 @@ def _block_factors(spec: KernelSpec, grid: Grid) -> list[np.ndarray]:
     if isinstance(spec, (BrownianSheet, IntegratedBrownianSheet)):
         _check_dimension(spec, grid)
         axis = type(spec)(1)
-        return [_jittered_cholesky(kernel_matrix(axis, make_grid(1, [k]))) for k in grid.sizes]
+        try:
+            return [_jittered_cholesky(kernel_matrix(axis, make_grid(1, [k]))) for k in grid.sizes]
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(
+                f"{exc}: one axis factor of a grid of {grid.n_points} points"
+            ) from None
     return [_jittered_cholesky(kernel_matrix(spec, grid))]
 
 
@@ -338,8 +344,10 @@ def sample_gaussian_fields(
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    factors = _block_factors(spec, grid)
     n_points = grid.n_points
+    if n * n_points > sys.maxsize // 8:
+        raise ResourceLimitError(f"{n} fields of {n_points} points do not fit in memory")
+    factors = _block_factors(spec, grid)
     values = gaussian(make_rng(seed), (n, n_points))
     _kronecker_in_place(factors, values)
     if noise is not None and noise.sigma > 0:

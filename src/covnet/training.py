@@ -95,7 +95,7 @@ class TrainConfig:
         if self.center_mode not in (PRE_CENTER, JOINT_MEAN):
             raise ValueError(f"unknown center_mode {self.center_mode!r}")
         if self.batch is not None and self.batch < 2:
-            raise ValueError("batch size must be at least 2 when given")
+            raise ValueError(f"batch must be >= 2 (at least 2 fields per step), got {self.batch}")
 
 
 def data_self_term(f: FieldMatrix) -> float:
@@ -290,25 +290,18 @@ def fit(
 
 @dataclass
 class _Candidate:
-    """One candidate's ADAM state over theta = [params, Xi.ravel()], and its stopping state."""
+    """One candidate's parameters, (n, R) coefficients, their ADAM moments, and stopping state."""
 
     index: int
     arch: Architecture
-    n_net: int
-    theta: np.ndarray
-    m: np.ndarray = field(init=False)
-    v: np.ndarray = field(init=False)
-    grad: np.ndarray = field(init=False)
+    params: np.ndarray
+    xi: np.ndarray
+    moments: list = field(init=False)  # (m, v) of params, then of xi
     trace: list = field(default_factory=list)
     running_min: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.m, self.v = np.zeros(self.theta.size), np.zeros(self.theta.size)
-        self.grad = np.empty(self.theta.size)
-
-    def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Views of a theta-shaped vector's parameters and its (n, R) coefficients."""
-        return vec[: self.n_net], vec[self.n_net :].reshape(-1, self.arch.r)
+        self.moments = [(np.zeros_like(a), np.zeros_like(a)) for a in (self.params, self.xi)]
 
 
 def _fit_lockstep(
@@ -334,8 +327,7 @@ def _fit_lockstep(
 
     live = []
     for i, arch in enumerate(archs):
-        params, xi = init_params(arch, f.n, cfg.seed)
-        live.append(_Candidate(i, arch, params.size, np.concatenate([params, xi.ravel()])))
+        live.append(_Candidate(i, arch, *init_params(arch, f.n, cfg.seed)))
     outcomes: list = [None] * len(archs)
     minibatch = cfg.batch is not None and cfg.batch < f.n
     batch_rng = make_rng(cfg.seed, stream=1)
@@ -356,20 +348,20 @@ def _fit_lockstep(
         archs_live = [c.arch for c in live]
         rows: list[list[LossBreakdown]] = [[] for _ in live]
         for idx, sub_xx in batches:
-            views = [c.split(c.theta) for c in live]
             breakdowns, dparams, dxis = _core(
-                x[idx], points, [p for p, _ in views], archs_live,
-                [xi[idx] for _, xi in views], sub_xx, include_mean, True,
+                x[idx], points, [c.params for c in live], archs_live,
+                [c.xi[idx] for c in live], sub_xx, include_mean, True,
             )
             t += 1
             for c, row, b, dp, dxi in zip(live, rows, breakdowns, dparams, dxis):
                 row.append(b)
-                grad_net, grad_xi = c.split(c.grad)
-                grad_net[...] = dp
-                if minibatch:
-                    grad_xi.fill(0.0)  # samples outside the batch get no gradient
-                grad_xi[idx] = dxi
-                c.theta = adam_step(c.theta, c.grad, c.m, c.v, cfg.lr, t)
+                if minibatch:  # samples outside the batch get no gradient
+                    full = np.zeros_like(c.xi)
+                    full[idx] = dxi
+                    dxi = full
+                (m_net, v_net), (m_xi, v_xi) = c.moments
+                c.params = adam_step(c.params, dp, m_net, v_net, cfg.lr, t)
+                c.xi = adam_step(c.xi, dxi, m_xi, v_xi, cfg.lr, t)
 
         going_on = []
         for c, row in zip(live, rows):
@@ -387,9 +379,8 @@ def _fit_lockstep(
                 prev = c.running_min[-STOP_WINDOW - 1]
                 stalled = prev - c.running_min[-1] < cfg.rel_tol * max(prev, 1e-300)
             if stalled or epoch == cfg.epochs - 1:
-                params, xi = c.split(c.theta)
                 outcomes[c.index] = _freeze(
-                    x, points, params, c.arch, xi, term_xx, include_mean, c.trace
+                    x, points, c.params, c.arch, c.xi, term_xx, include_mean, c.trace
                 )
             else:
                 going_on.append(c)

@@ -79,6 +79,17 @@ def test_simulate_beyond_dense_cap_exits_2(tmp_path, capsys):
     assert not (out / "fields.cvnf").exists()
 
 
+def test_product_kernel_cap_names_the_axis_factor(tmp_path, capsys):
+    # the grid has 10^10 points; the matrix refused is one 10^5-point axis factor
+    code, out = run(tmp_path, "simulate", "kernel = brownian\nd = 2\nK = 100000\nN = 1\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: kernel matrix of 100000 points exceeds kernel matrix cap 13377:"
+        " one axis factor of a grid of 10000000000 points\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_zero_variance_grid_exits_0(tmp_path):
     code, out = run(
         tmp_path, "simulate", "kernel = rotated_brownian\nd = 2\nK = 1\nN = 3\nseed = 1\n"
@@ -454,7 +465,7 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         ("fit", FIT + "lr = inf\n", "lr must be"),
         ("fit", FIT + "rel_tol = nan\n", "rel_tol must be"),
         ("export", "model = {model}\nK = 3\nv0 = nan,0.5\n", "v0 must be"),
-        # values the library would reject, caught by the CLI first
+        # values refused while the config is read, by a library object or the CLI
         ("fit", FIT + "lr = 0\n", "learning rate"),
         ("fit", FIT.replace("{fields}", "{one}"), "at least two fields"),
         (
@@ -471,6 +482,12 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         ("cv", "fields = {three}\nV = 2\n", "fewer than 2"),
         ("cv", "fields = {fields}\narchs = ,\n", "archs must name at least one value"),
         ("cv", "fields = {fields}\narchs = shallow\nR_list = 0\n", "must be >= 1"),
+        # sizes beyond the address space, refused before any memory is touched
+        ("simulate", SIMULATE.replace("N = 4", f"N = {10**17}"), "do not fit in memory"),
+        ("eval", f"estimator = zero\nkernel = brownian\nd = 2\nM = {10**17}\n",
+         "Unable to allocate"),
+        ("eigen", f"model = {{model}}\nM = {10**17}\n", "Unable to allocate"),
+        ("fit", FIT.replace("R = 2", f"R = {10**14}"), "Unable to allocate"),
         # keys that would be ignored
         ("simulate", SIMULATE + "nu = -3\n", "simulate does not use config key(s): nu"),
         (
@@ -532,6 +549,7 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         "rel_tol_nan", "v0_nan", "lr_zero", "fit_one_field", "separable_d3",
         "empirical_no_field", "separable_no_field",
         "cv_v_above_n", "cv_small_fold", "cv_no_archs", "cv_r_zero",
+        "simulate_huge_N", "eval_huge_M", "eigen_huge_M", "fit_huge_R",
         "simulate_nu_not_matern", "eval_nu_not_matern",
         "eigen_n_funcs_without_grid", "eigen_n_funcs_zero_without_grid",
         "simulate_noise_seed_without_sigma", "fit_L_with_shallow", "cv_L_list_with_shallow",
@@ -553,6 +571,19 @@ def test_config_value_error_exits_2(tmp_path, capsys, command, cfg_text, message
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     # nothing is written, not even the output directory
+    assert not out.exists()
+
+
+def test_value_error_before_the_config_is_accepted_is_a_config_error(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise ValueError("refused by the library")
+
+    monkeypatch.setattr(cli, "make_grid", refuse)
+    code, out = run(tmp_path, "simulate", SIMULATE)
+    assert code == 2
+    assert capsys.readouterr().err == "config error: refused by the library\n"
     assert not out.exists()
 
 
