@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTruthError
+from .errors import DegenerateTruthError, _check_memory
 from .fields import FieldMatrix, Grid
 from .rng import make_rng, uniform
 from .simulate import kernel_pairs
@@ -120,8 +120,8 @@ def best_separable_2d(emp: EmpiricalCovariance) -> SeparableCovariance:
         s = np.linalg.norm(a)
         a, b = a.reshape(k1, k1) / np.sqrt(s), np.full((1, 1), np.sqrt(s))
     else:
-        # imported here: scipy.sparse.linalg adds about 0.15 s and 10 MiB to
-        # every process that imports covnet, and only this call needs it
+        # imported here: scipy.sparse.linalg adds about 0.3 s and 30 MiB to a
+        # process that has imported covnet, and only this call needs it
         from scipy.sparse.linalg import LinearOperator, svds
 
         op = LinearOperator((k1 * k1, k2 * k2), matvec, rmatvec, dtype=float)
@@ -151,9 +151,11 @@ def relative_error_mc(estimate, truth, d: int, m: int = 100_000, seed: int = 0) 
 
     sqrt(mean (chat - c)^2 / mean c^2) over m uniform point pairs on the
     cube.  Each side is a KernelSpec or anything exposing kernel_pairs(U, V).
+    Pairs that exceed memory raise ResourceLimitError before allocating.
     """
     if m < 1:
         raise ValueError("need at least one Monte-Carlo pair")
+    _check_memory(2 * m * d, f"M = {m} Monte-Carlo point pairs in {d} dimensions")
     rng = make_rng(seed)
     u = uniform(rng, (m, d))
     v = uniform(rng, (m, d))

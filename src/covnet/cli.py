@@ -38,8 +38,9 @@ from .errors import (
     ModelFormatError,
     NumericError,
     ResourceLimitError,
+    _check_memory,
 )
-from .fields import make_grid, read_fields, write_fields
+from .fields import _MAX_AXES, make_grid, read_fields, write_fields
 from .model import DEEP, DEEPSHARED, SHALLOW, VARIANTS, Architecture, load_model, save_model
 from .simulate import (
     BrownianSheet,
@@ -229,6 +230,9 @@ def _grid_from(cfg: Config, default_d: int | None = None):
     d = cfg.int_("d", default=default_d, required=default_d is None, minimum=1)
     sizes = cfg.list_("sizes", item=int)
     if sizes is None:
+        # checked before the list of d sizes is built
+        if d > _MAX_AXES:
+            raise ConfigError(f"d must be <= {_MAX_AXES}, got {d}")
         sizes = [cfg.int_("K", required=True)] * d
     return make_grid(d, sizes)
 
@@ -287,11 +291,23 @@ def run_simulate(cfg: Config, out_dir: str) -> None:
     print(f"wrote {path} (N={n}, D={grid.n_points})")
 
 
+def _architecture(variant: str, r: int, d: int, depth: int) -> Architecture:
+    """Architecture with `depth` hidden layers of width r.
+
+    Its parameters number at least depth * r * (r + 1), which is checked
+    against memory before the widths tuple is built; an r below 1, which
+    Architecture refuses, counts as 1 here.
+    """
+    width = max(r, 1)
+    _check_memory(depth * width * (width + 1), f"L = {depth} hidden layers of width R = {r}")
+    return Architecture(variant, r, d, (r,) * depth)
+
+
 def _arch_from(cfg: Config, d: int) -> Architecture:
     variant = cfg.str_("arch", required=True)
     r = cfg.int_("R", required=True)
     depth = cfg.int_("L", required=True) if variant in (DEEP, DEEPSHARED) else 0
-    return Architecture(variant, r, d, (r,) * depth)
+    return _architecture(variant, r, d, depth)
 
 
 def _train_config(cfg: Config) -> TrainConfig:
@@ -436,7 +452,7 @@ def run_cv(cfg: Config, out_dir: str) -> None:
         shallow = variant == SHALLOW
         for depth in [0] if shallow else l_list:
             for r in r_list or (DEFAULT_SHALLOW_R if shallow else DEFAULT_DEEP_R):
-                candidates.append(Architecture(variant, r, f.grid.d, (r,) * depth))
+                candidates.append(_architecture(variant, r, f.grid.d, depth))
     cfg.reject_unread()
     report = cross_validate(f, candidates, base, v, seed)
 

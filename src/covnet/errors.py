@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the memory check."""
 
 from __future__ import annotations
+
+import os
+import sys
 
 
 class CovnetError(Exception):
@@ -20,7 +23,28 @@ class ModelFormatError(CovnetError):
 
 
 class ResourceLimitError(CovnetError):
-    """A configured size cap would be exceeded."""
+    """A configured size cap, or the machine's memory, would be exceeded."""
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, or the address space where that is unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+
+
+_MEMORY_BYTES = _physical_memory()
+
+
+def _check_memory(n_floats: int, what: str) -> None:
+    """Raise ResourceLimitError before allocating more float64 values than memory holds.
+
+    `what` names the sizes that ask for them: the message reads
+    "{what} do not fit in memory".
+    """
+    if n_floats > _MEMORY_BYTES // 8:
+        raise ResourceLimitError(f"{what} do not fit in memory")
 
 
 class NumericError(CovnetError):

@@ -24,6 +24,9 @@ FIELD_MAGIC = b"CVNF"
 FIELD_VERSION = 1
 # largest header read, in bytes, that read_fields asks the file for at once
 _READ_CHUNK = 1 << 16
+# Grid.coordinates meshes the axes into one d-dimensional array, and numpy
+# before 2.0 allows at most 32 array dimensions
+_MAX_AXES = 32
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,8 @@ class Grid:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.sizes) < 1:
-            raise ValueError("grid needs at least one axis")
+        if not 1 <= len(self.sizes) <= _MAX_AXES:
+            raise ValueError(f"grid needs 1 to {_MAX_AXES} axes, got {len(self.sizes)}")
         if any(int(k) <= 0 for k in self.sizes):
             raise ValueError(f"grid sizes must be positive, got {self.sizes}")
         object.__setattr__(self, "sizes", tuple(int(k) for k in self.sizes))
@@ -170,8 +173,8 @@ def read_fields(path) -> FieldMatrix:
         if version != FIELD_VERSION:
             raise FieldFormatError(f"unsupported version {version}", 4)
         (d,) = struct.unpack("<I", _read_exact(fh, 8, 4, "dimension"))
-        if d < 1:
-            raise FieldFormatError("dimension must be positive", 8)
+        if not 1 <= d <= _MAX_AXES:
+            raise FieldFormatError(f"dimension must lie in [1, {_MAX_AXES}], got {d}", 8)
         sizes = struct.unpack(f"<{d}I", _read_exact(fh, 12, 4 * d, "grid sizes"))
         offset = 12 + 4 * d
         for k, k_size in enumerate(sizes):

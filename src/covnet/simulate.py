@@ -8,7 +8,10 @@ the coordinates, which destroys separability.  Rotated coordinates can leave
 (|u|+|v|-|u-v|)/2 for Brownian motion and 1{uv>=0} c_ibm(|u|,|v|) for its
 integral; on [0,1] these coincide with min(u,v) and the usual integrated-BM
 formula, and they stay valid covariances on all of R (the raw formulas do
-not, and yield indefinite matrices after rotation).
+not, and yield indefinite matrices after rotation).  Only the Matern kernel
+needs scipy.special (gamma and the Bessel kv); it is imported on the first
+Matern evaluation, so a process that draws or scores no Matern field never
+loads it.
 
 Sampling draws rows L z with L a jittered Cholesky factor of the kernel
 matrix at the grid midpoints, optionally adding i.i.d. pointwise measurement
@@ -32,7 +35,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, kv
 
 from .errors import NumericError, ResourceLimitError
 from .fields import FieldMatrix, Grid, make_grid
@@ -164,6 +166,10 @@ def _ibm_axis(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _matern_radial(nu: float, r: np.ndarray) -> np.ndarray:
+    # imported here: scipy.special adds about 0.2 s and 24 MiB to a process
+    # that has imported covnet, and only the Matern kernel needs it
+    from scipy.special import gamma, kv
+
     x = np.sqrt(2.0 * nu) * r
     out = np.ones_like(x)
     pos = x > 0
@@ -262,7 +268,7 @@ def _cholesky_in_place(c: np.ndarray) -> bool:
         except np.linalg.LinAlgError:
             return False
         return True
-    # imported here: scipy.linalg.lapack adds about 70 ms and 5.4 MiB to a
+    # imported here: scipy.linalg.lapack adds about 0.2 s and 26 MiB to a
     # process that has imported covnet, and only larger matrices need it
     from scipy.linalg.lapack import dpotrf
 

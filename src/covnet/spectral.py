@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateModelError
+from .errors import DegenerateModelError, _check_memory
 from .model import FittedCovariance
 from .rng import make_rng, uniform
 
@@ -51,11 +51,15 @@ def constituent_gram(
 ) -> np.ndarray:
     """Estimate int g_r g_s by averaging over m uniform points on the cube.
 
-    Returns the symmetrized R x R Gram G.
+    Returns the symmetrized R x R Gram G.  Points whose coordinates and
+    constituent values exceed memory raise ResourceLimitError before
+    allocating.
     """
     if m < 1:
         raise ValueError("need at least one sample point")
-    pts = uniform(make_rng(seed), (m, model.arch.d))
+    arch = model.arch
+    _check_memory(m * (arch.d + arch.r), f"M = {m} sample points of R = {arch.r} constituents")
+    pts = uniform(make_rng(seed), (m, arch.d))
     z = model.constituents(pts)
     g = z.T @ z / m
     return (g + g.T) / 2.0

@@ -37,12 +37,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingDivergedError
+from .errors import TrainingDivergedError, _check_memory
 from .fields import FieldMatrix, cross_gram
 from .model import (
     Architecture,
     FittedCovariance,
     backward_constituents,
+    count_parameters,
     eval_constituents,
     forward_constituents,
     init_params,
@@ -279,8 +280,9 @@ def fit(
     Stops early when the running-minimum total improves by less than
     rel_tol (relatively) over STOP_WINDOW epochs; raises
     TrainingDivergedError if the loss becomes non-finite or exceeds 1e6
-    times its initial value.  This is the one-candidate case of
-    `_fit_lockstep`.
+    times its initial value, and ResourceLimitError, before allocating,
+    if the parameters and coefficients exceed memory.  This is the
+    one-candidate case of `_fit_lockstep`.
     """
     [outcome] = _fit_lockstep(f, [arch], cfg)
     if isinstance(outcome, TrainingDivergedError):
@@ -319,6 +321,12 @@ def _fit_lockstep(
     """
     if f.n < 2:
         raise ValueError("need at least two fields to fit a covariance")
+    for arch in archs:
+        # checked before anything is allocated: the parameters, Lambda and coefficients
+        _check_memory(
+            count_parameters(arch) + f.n * arch.r,
+            f"R = {arch.r} constituents with {arch.depth} hidden layers",
+        )
     x = f.values - f.values.mean(axis=0) if cfg.center_mode == PRE_CENTER else f.values
     include_mean = cfg.center_mode == JOINT_MEAN
     points = f.grid.coordinates()

@@ -37,33 +37,50 @@ def peak_rss():
 """
 
 
+def run_fresh(code: str) -> str:
+    """Stdout of `code` run in a fresh `python -c` with one BLAS thread.
+
+    covnet is imported from this checkout's src; the process fails the
+    calling test if it exits nonzero.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
+@pytest.fixture
+def fresh_python():
+    """run(code): the stdout of `code` in a fresh process (see run_fresh)."""
+    return run_fresh
+
+
 @pytest.fixture
 def rss_growth():
-    """growth(snippet): the bytes by which running `snippet` raises peak RSS.
+    """growth(snippet, imports=""): the bytes by which `snippet` raises peak RSS.
 
     The snippet runs in a fresh `python -c` with one BLAS thread, after
-    `import numpy as np` and `import covnet`; the growth is the peak resident
-    set size after it less the peak after those imports.  Unlike tracemalloc
-    it counts what native code allocates, such as LAPACK's working copies.
+    `import numpy as np`, `import covnet` and `imports`; the growth is the
+    peak resident set size after it less the peak after those imports.
+    Unlike tracemalloc it counts what native code allocates, such as
+    LAPACK's working copies.
     """
 
-    def growth(snippet: str) -> int:
+    def growth(snippet: str, imports: str = "") -> int:
         code = "\n".join(
             [
                 PEAK_RSS,
                 "import numpy as np",
                 "import covnet",
+                imports,
                 "base = peak_rss()",
                 snippet,
                 "print(peak_rss() - base)",
             ]
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = "1"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        return int(out.stdout.split()[-1])
+        return int(run_fresh(code).split()[-1])
 
     return growth

@@ -482,12 +482,22 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         ("cv", "fields = {three}\nV = 2\n", "fewer than 2"),
         ("cv", "fields = {fields}\narchs = ,\n", "archs must name at least one value"),
         ("cv", "fields = {fields}\narchs = shallow\nR_list = 0\n", "must be >= 1"),
-        # sizes beyond the address space, refused before any memory is touched
+        # sizes beyond memory, refused by name before any memory is touched
         ("simulate", SIMULATE.replace("N = 4", f"N = {10**17}"), "do not fit in memory"),
         ("eval", f"estimator = zero\nkernel = brownian\nd = 2\nM = {10**17}\n",
-         "Unable to allocate"),
-        ("eigen", f"model = {{model}}\nM = {10**17}\n", "Unable to allocate"),
-        ("fit", FIT.replace("R = 2", f"R = {10**14}"), "Unable to allocate"),
+         f"M = {10**17} Monte-Carlo point pairs in 2 dimensions do not fit in memory"),
+        ("eigen", f"model = {{model}}\nM = {10**17}\n",
+         f"M = {10**17} sample points of R = 1 constituents do not fit in memory"),
+        ("fit", FIT.replace("R = 2", f"R = {10**14}"),
+         f"R = {10**14} constituents with 0 hidden layers do not fit in memory"),
+        # counts beyond an index, refused before a list or tuple of that length is built
+        ("simulate", SIMULATE.replace("d = 2", f"d = {10**20}"), f"d must be <= 32, got {10**20}"),
+        ("fit", FIT.replace("arch = shallow", f"arch = deep\nL = {10**20}"),
+         f"L = {10**20} hidden layers of width R = 2 do not fit in memory"),
+        ("cv", f"fields = {{fields}}\narchs = deep\nR_list = 2\nL_list = {10**20}\n",
+         f"L = {10**20} hidden layers of width R = 2 do not fit in memory"),
+        ("fit", FIT.replace("arch = shallow", f"arch = deep\nL = {10**20}").replace("R = 2", "R = 0"),
+         f"L = {10**20} hidden layers of width R = 0 do not fit in memory"),
         # keys that would be ignored
         ("simulate", SIMULATE + "nu = -3\n", "simulate does not use config key(s): nu"),
         (
@@ -550,6 +560,7 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         "empirical_no_field", "separable_no_field",
         "cv_v_above_n", "cv_small_fold", "cv_no_archs", "cv_r_zero",
         "simulate_huge_N", "eval_huge_M", "eigen_huge_M", "fit_huge_R",
+        "simulate_huge_d", "fit_huge_L", "cv_huge_L_list", "fit_huge_L_zero_R",
         "simulate_nu_not_matern", "eval_nu_not_matern",
         "eigen_n_funcs_without_grid", "eigen_n_funcs_zero_without_grid",
         "simulate_noise_seed_without_sigma", "fit_L_with_shallow", "cv_L_list_with_shallow",

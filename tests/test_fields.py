@@ -50,6 +50,13 @@ def test_grid_rejects_wrong_length():
         make_grid(2, [4])
 
 
+def test_grid_axes_stop_where_numpy_arrays_do():
+    # coordinates() meshes the axes into one array of d dimensions
+    assert make_grid(32, [1] * 32).coordinates().shape == (1, 32)
+    with pytest.raises(ValueError, match="grid needs 1 to 32 axes, got 33"):
+        make_grid(33, [1] * 33)
+
+
 def test_flat_index_clips_points_outside_the_cube():
     grid = make_grid(2, [2, 3])
     pts = np.array([[-0.5, 0.5], [1.5, 0.5], [0.0, 1.0], [0.99, 0.0]])
@@ -265,6 +272,15 @@ def test_read_rejects_grid_size_overflow(tmp_path, sizes, n):
     with pytest.raises(FieldFormatError) as err:
         read_fields(path)
     assert err.value.offset >= 0
+
+
+@pytest.mark.parametrize("d", [0, 33, 2**32 - 1])
+def test_read_rejects_a_dimension_outside_the_grid_range(tmp_path, d):
+    # the sizes are never read: the dimension alone is refused
+    path = tmp_path / "d.cvnf"
+    path.write_bytes(b"CVNF" + struct.pack("<II", 1, d))
+    with pytest.raises(FieldFormatError, match=f"dimension must lie in \\[1, 32\\], got {d}"):
+        read_fields(path)
 
 
 def test_grid_size_is_exact_beyond_int64():
