@@ -30,7 +30,7 @@ def main():
     for _ in range(5):
         u, v = rng.random(2), rng.random(2)
         fitted = model.kernel_pairs(u[None], v[None])[0]
-        truth = covnet.kernel_pairs(spec, u[None], v[None])[0]
+        truth = spec.kernel_pairs(u[None], v[None])[0]
         print(f"  c({np.round(u, 2)}, {np.round(v, 2)}): fitted {fitted:+.4f}  true {truth:+.4f}")
 
     err = covnet.relative_error_mc(model, spec, 2, m=20000, seed=5)

@@ -54,7 +54,6 @@ from .simulate import (
     RotatedBrownianSheet,
     RotatedIntegratedBrownianSheet,
     kernel_matrix,
-    kernel_pairs,
     rotation_2d_45,
     rotation_3d_composed,
     sample_gaussian_fields,
@@ -118,7 +117,6 @@ __all__ = [
     "gradients",
     "init_params",
     "kernel_matrix",
-    "kernel_pairs",
     "lambda_from_coefficients",
     "load_model",
     "loss",

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTruthError, _check_memory
-from .fields import FieldMatrix, Grid
-from .rng import make_rng, uniform
-from .simulate import kernel_pairs
+from .fields import FieldMatrix, Grid, _point_pairs
+from .rng import make_rng
 
 # point pairs per block in EmpiricalCovariance.kernel_pairs, so that its
 # temporaries are _PAIR_CHUNK x N however many pairs are asked for
@@ -40,6 +39,7 @@ class EmpiricalCovariance:
 
     def kernel_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Nearest-voxel piecewise-constant continuation."""
+        u, v = _point_pairs(u, v, self.fields.grid.d)
         iu = self.fields.grid.flat_index(u)
         iv = self.fields.grid.flat_index(v)
         # one D x N copy, so that each pair gathers two contiguous rows
@@ -67,6 +67,7 @@ class SeparableCovariance:
             raise ValueError("factor shapes do not match the grid")
 
     def kernel_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        u, v = _point_pairs(u, v, self.grid.d)
         i1, i2 = np.unravel_index(self.grid.flat_index(u), self.grid.sizes)
         j1, j2 = np.unravel_index(self.grid.flat_index(v), self.grid.sizes)
         return self.a[i1, j1] * self.b[i2, j2]
@@ -77,7 +78,9 @@ class ZeroCovariance:
     """The zero estimator; its relative error is exactly 1."""
 
     def kernel_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.zeros(np.atleast_2d(u).shape[0])
+        # the zero kernel has no dimension: any one u and v share will do
+        u, _ = _point_pairs(u, v, np.atleast_2d(u).shape[-1])
+        return np.zeros(u.shape[0])
 
 
 def best_separable_2d(emp: EmpiricalCovariance) -> SeparableCovariance:
@@ -139,30 +142,24 @@ def best_separable_2d(emp: EmpiricalCovariance) -> SeparableCovariance:
     return SeparableCovariance(grid, a, b)
 
 
-def _pair_values(kernel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """kernel(u_i, v_i) for a point-evaluable object or a KernelSpec."""
-    if hasattr(kernel, "kernel_pairs"):
-        return kernel.kernel_pairs(u, v)
-    return kernel_pairs(kernel, u, v)
-
-
 def relative_error_mc(estimate, truth, d: int, m: int = 100_000, seed: int = 0) -> float:
     """Monte-Carlo relative Hilbert-Schmidt error of `estimate` vs `truth`.
 
     sqrt(mean (chat - c)^2 / mean c^2) over m uniform point pairs on the
-    cube.  Each side is a KernelSpec or anything exposing kernel_pairs(U, V).
+    cube.  Each side is any covariance with kernel_pairs(u, v): a kernel
+    spec, a fitted model or an estimator.
     Pairs that exceed memory raise ResourceLimitError before allocating.
     """
     if m < 1:
         raise ValueError("need at least one Monte-Carlo pair")
     _check_memory(2 * m * d, f"M = {m} Monte-Carlo point pairs in {d} dimensions")
     rng = make_rng(seed)
-    u = uniform(rng, (m, d))
-    v = uniform(rng, (m, d))
-    true_vals = _pair_values(truth, u, v)
+    u = rng.random((m, d))
+    v = rng.random((m, d))
+    true_vals = truth.kernel_pairs(u, v)
     denom = float((true_vals * true_vals).mean())
     if denom == 0.0:
         raise DegenerateTruthError("reference kernel vanishes on all sampled pairs")
-    est_vals = _pair_values(estimate, u, v)
+    est_vals = estimate.kernel_pairs(u, v)
     num = float(((est_vals - true_vals) ** 2).mean())
     return float(np.sqrt(num / denom))

@@ -408,11 +408,12 @@ def run_eigen(cfg: Config, out_dir: str) -> None:
         grid = _model_grid(cfg, model)
         n_funcs = cfg.int_("n_funcs", minimum=1)
     cfg.reject_unread()
+    # built before the eigensolve, so that a grid beyond memory is refused first
+    pts = None if grid is None else grid.coordinates()
     system = eigendecompose(model, constituent_gram(model, m, seed))
     if grid is not None:
         # resolved after the eigensolve: the default is the rank found there
         n_funcs = n_funcs or cfg.int_("n_funcs", default=system.rank)
-        pts = grid.coordinates()
     _write_csv(
         _out_path(out_dir, f"{name}_values.csv"),
         ["index", "eigenvalue"],

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldFormatError
+from .errors import FieldFormatError, _check_memory
 
 FIELD_MAGIC = b"CVNF"
 FIELD_VERSION = 1
@@ -55,7 +55,9 @@ class Grid:
         return math.prod(self.sizes)
 
     def coordinates(self) -> np.ndarray:
-        """All midpoints as an (D, d) array in flat-index order."""
+        """All midpoints as an (D, d) array in flat-index order, checked against memory."""
+        n, d = self.n_points, self.d
+        _check_memory(n * d, f"the {d} coordinates of {n} grid points")
         axes = [(np.arange(k) + 0.5) / k for k in self.sizes]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
@@ -63,19 +65,33 @@ class Grid:
     def flat_index(self, points: np.ndarray) -> np.ndarray:
         """Nearest-voxel flat indices for points in [0,1]^d (rows).
 
-        Points outside the cube map to the nearest edge voxel; a point of
-        the wrong dimension or with a nan or infinite coordinate is an error.
+        Points outside the cube map to the nearest edge voxel; points are
+        checked as by _points.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != self.d:
-            raise ValueError(f"points must be (M, {self.d}), got {pts.shape}")
-        if not _all_finite(pts):
-            raise ValueError("evaluation points must be finite")
+        pts = _points(points, self.d)
         idx = [
             np.clip((pts[:, k] * self.sizes[k]).astype(np.int64), 0, self.sizes[k] - 1)
             for k in range(self.d)
         ]
         return np.ravel_multi_index(idx, self.sizes)
+
+
+def _points(points, d: int) -> np.ndarray:
+    """Evaluation points as a checked finite (M, d) float array; a 1-D array is one point."""
+    u = np.atleast_2d(np.asarray(points, dtype=float))
+    if u.ndim != 2 or u.shape[1] != d:
+        raise ValueError(f"points must be (M, {d}), got {u.shape}")
+    if not _all_finite(u):
+        raise ValueError("evaluation points must be finite")
+    return u
+
+
+def _point_pairs(u, v, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Paired evaluation points as two checked (M, d) arrays of one shape."""
+    u, v = _points(u, d), _points(v, d)
+    if u.shape != v.shape:
+        raise ValueError(f"paired points must have one shape, got {u.shape} and {v.shape}")
+    return u, v
 
 
 def make_grid(d: int, sizes) -> Grid:

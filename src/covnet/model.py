@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelFormatError
-from .rng import gaussian, make_rng, uniform
+from .fields import _point_pairs, _points
+from .rng import gaussian, make_rng
 
 MODEL_HEADER = "covnet-model v1"
 
@@ -158,7 +159,7 @@ def init_params(arch: Architecture, n: int, seed: int) -> tuple[np.ndarray, np.n
 
     def glorot(shape, fan_in, fan_out):
         a = np.sqrt(6.0 / (fan_in + fan_out))
-        return a * (2.0 * uniform(rng, shape) - 1.0)
+        return a * (2.0 * rng.random(shape) - 1.0)
 
     params = np.zeros(count_parameters(arch, include_lambda=False))
     layers = _param_views(params, arch)
@@ -202,19 +203,9 @@ def _stack(a: np.ndarray, layers, g: int, acts: list | None = None) -> np.ndarra
     return a
 
 
-def _points(points: np.ndarray, arch: Architecture) -> np.ndarray:
-    """Evaluation points as a checked (M, d) float array."""
-    u = np.atleast_2d(np.asarray(points, dtype=float))
-    if u.shape[1] != arch.d:
-        raise ValueError(f"points must be (M, {arch.d}), got {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("evaluation points must be finite")
-    return u
-
-
 def forward_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray):
     """Constituent values Z (M x R) plus the activation cache for backprop."""
-    u = _points(points, arch)
+    u = _points(points, arch.d)
     layers = _param_views(params, arch)
     stacks = []
     for g in range(arch.groups):
@@ -273,7 +264,7 @@ def eval_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray
     beyond its output it holds a few _POINT_BLOCK x p arrays however large
     M is.  With one BLAS thread it equals forward_constituents' Z bit for bit.
     """
-    u = _points(points, arch)
+    u = _points(points, arch.d)
     layers = _param_views(params, arch)
     rows = arch.r // arch.groups
     z = np.empty((u.shape[0], arch.r))
@@ -351,6 +342,7 @@ class FittedCovariance:
         Both quadratic-form orders are averaged so that swapping u and v
         changes only the order of a commutative float addition.
         """
+        u, v = _point_pairs(u, v, self.arch.d)
         zu = self.constituents(u)
         zv = self.constituents(v)
         a = ((zu @ self.lam) * zv).sum(axis=1)

@@ -27,11 +27,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform [0, 1) doubles drawn in row-major order."""
-    return rng.random(shape)
-
-
 def gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard normal draws via Box-Muller with deterministic pairing.
 

@@ -31,13 +31,12 @@ KERNEL_MATRIX_CAP points, checked before anything is allocated.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ResourceLimitError
-from .fields import FieldMatrix, Grid, make_grid
+from .errors import NumericError, ResourceLimitError, _check_memory
+from .fields import FieldMatrix, Grid, _point_pairs, make_grid
 from .model import _POINT_BLOCK, _point_blocks
 from .rng import gaussian, make_rng
 
@@ -65,15 +64,28 @@ def _check_rotation(o: np.ndarray, d: int) -> np.ndarray:
     return o
 
 
+class _Kernel:
+    """Base of the five kernel families: a covariance c evaluated at point pairs."""
+
+    def kernel_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """c(u_i, v_i) for paired rows of two finite (M, d) point arrays.
+
+        Exactly symmetric: every family's formula is symmetric in u and v
+        operation by operation.
+        """
+        u, v = _point_pairs(u, v, self.d)
+        return _evaluate_rotated(self, _rotate(self, u), _rotate(self, v))
+
+
 @dataclass(frozen=True)
-class BrownianSheet:
+class BrownianSheet(_Kernel):
     """Product of standard Brownian motion covariances min(u_k, v_k)."""
 
     d: int = 2
 
 
 @dataclass(frozen=True)
-class _RotatedSheet:
+class _RotatedSheet(_Kernel):
     """A product kernel evaluated at rotated coordinates."""
 
     rotation: np.ndarray
@@ -93,7 +105,7 @@ class RotatedBrownianSheet(_RotatedSheet):
 
 
 @dataclass(frozen=True)
-class IntegratedBrownianSheet:
+class IntegratedBrownianSheet(_Kernel):
     """Product of integrated Brownian motion covariances."""
 
     d: int = 2
@@ -105,7 +117,7 @@ class RotatedIntegratedBrownianSheet(_RotatedSheet):
 
 
 @dataclass(frozen=True)
-class Matern:
+class Matern(_Kernel):
     """Isotropic Matern covariance with smoothness nu and unit scale."""
 
     nu: float
@@ -114,15 +126,6 @@ class Matern:
     def __post_init__(self):
         if not self.nu > 0:
             raise ValueError(f"matern smoothness must be positive, got {self.nu}")
-
-
-KernelSpec = (
-    BrownianSheet
-    | RotatedBrownianSheet
-    | IntegratedBrownianSheet
-    | RotatedIntegratedBrownianSheet
-    | Matern
-)
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,7 @@ def _matern_radial(nu: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotate(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
+def _rotate(spec: _Kernel, u: np.ndarray) -> np.ndarray:
     """Points (..., d) in the kernel's own coordinates: rotated for rotated sheets."""
     if not isinstance(spec, _RotatedSheet):
         return u
@@ -188,7 +191,7 @@ def _rotate(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
     return (u.reshape(-1, spec.d) @ spec.rotation.T).reshape(u.shape)
 
 
-def _evaluate_rotated(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _evaluate_rotated(spec: _Kernel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """c(u, v) over broadcastable (..., d) arrays of already rotated points."""
     shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
     if isinstance(spec, Matern):
@@ -205,30 +208,12 @@ def _evaluate_rotated(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> np.ndar
     return out
 
 
-def _evaluate(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """c(u, v) over broadcastable (..., d) point arrays.
-
-    Exactly symmetric: every family's formula is symmetric in u and v
-    operation by operation.
-    """
-    return _evaluate_rotated(spec, _rotate(spec, u), _rotate(spec, v))
-
-
-def kernel_pairs(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Evaluate c(u_i, v_i) for paired rows of two (M, d) point arrays."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    if u.shape != v.shape or u.shape[1] != spec.d:
-        raise ValueError(f"point arrays must both be (M, {spec.d})")
-    return _evaluate(spec, u, v)
-
-
-def _check_dimension(spec: KernelSpec, grid: Grid) -> None:
+def _check_dimension(spec: _Kernel, grid: Grid) -> None:
     if grid.d != spec.d:
         raise ValueError(f"kernel is {spec.d}-dimensional, grid is {grid.d}-dimensional")
 
 
-def kernel_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
+def kernel_matrix(spec: _Kernel, grid: Grid) -> np.ndarray:
     """Dense D x D kernel values at the grid midpoints, exactly symmetric.
 
     Filled in blocks of rows, so that beyond the result its temporaries
@@ -236,10 +221,7 @@ def kernel_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
     """
     _check_dimension(spec, grid)
     n = grid.n_points
-    if n > KERNEL_MATRIX_CAP:
-        raise ResourceLimitError(
-            f"kernel matrix of {n} points exceeds kernel matrix cap {KERNEL_MATRIX_CAP}"
-        )
+    _check_cap(n)
     pts = _rotate(spec, grid.coordinates())
     c = np.empty((n, n))
     step = max(1, _MATRIX_BLOCK // n)
@@ -306,26 +288,34 @@ def _jittered_cholesky(c: np.ndarray) -> np.ndarray:
     raise NumericError(f"cholesky failed for kernel matrix even with jitter {jitter:g}")
 
 
-def _block_factors(spec: KernelSpec, grid: Grid) -> list[np.ndarray]:
+def _check_cap(n: int, where: str = "") -> None:
+    if n > KERNEL_MATRIX_CAP:
+        raise ResourceLimitError(
+            f"kernel matrix of {n} points exceeds kernel matrix cap {KERNEL_MATRIX_CAP}{where}"
+        )
+
+
+def _block_factors(spec: _Kernel, grid: Grid, n: int = 1) -> list[np.ndarray]:
     """Cholesky factors whose Kronecker product factors the kernel matrix.
 
     A product kernel gets one factor per axis, from its 1-D kernel matrix;
-    every other kernel gets one dense factor of the whole grid.
+    every other kernel gets one dense factor of the whole grid.  Each factor
+    is checked against KERNEL_MATRIX_CAP, and then the n draws it will be
+    applied to against memory, before any factor is built.
     """
+    _check_dimension(spec, grid)
+    grids, where = [grid], ""
     if isinstance(spec, (BrownianSheet, IntegratedBrownianSheet)):
-        _check_dimension(spec, grid)
-        axis = type(spec)(1)
-        try:
-            return [_jittered_cholesky(kernel_matrix(axis, make_grid(1, [k]))) for k in grid.sizes]
-        except ResourceLimitError as exc:
-            raise ResourceLimitError(
-                f"{exc}: one axis factor of a grid of {grid.n_points} points"
-            ) from None
-    return [_jittered_cholesky(kernel_matrix(spec, grid))]
+        spec, grids = type(spec)(1), [make_grid(1, [k]) for k in grid.sizes]
+        where = f": one axis factor of a grid of {grid.n_points} points"
+    for g in grids:
+        _check_cap(g.n_points, where)
+    _check_memory(n * grid.n_points, f"{n} fields of {grid.n_points} points")
+    return [_jittered_cholesky(kernel_matrix(spec, g)) for g in grids]
 
 
 def sample_gaussian_fields(
-    spec: KernelSpec,
+    spec: _Kernel,
     grid: Grid,
     n: int,
     seed: int,
@@ -351,9 +341,7 @@ def sample_gaussian_fields(
     if n < 1:
         raise ValueError("need at least one sample")
     n_points = grid.n_points
-    if n * n_points > sys.maxsize // 8:
-        raise ResourceLimitError(f"{n} fields of {n_points} points do not fit in memory")
-    factors = _block_factors(spec, grid)
+    factors = _block_factors(spec, grid, n)
     values = gaussian(make_rng(seed), (n, n_points))
     _kronecker_in_place(factors, values)
     if noise is not None and noise.sigma > 0:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateModelError, _check_memory
 from .model import FittedCovariance
-from .rng import make_rng, uniform
+from .rng import make_rng
 
 GRAM_DROP_TOL = 1e-10  # relative eigenvalue cutoff when whitening G
 EIGENVALUE_CLAMP = 1e-14  # eta below this times eta_max are set to 0
@@ -59,7 +59,7 @@ def constituent_gram(
         raise ValueError("need at least one sample point")
     arch = model.arch
     _check_memory(m * (arch.d + arch.r), f"M = {m} sample points of R = {arch.r} constituents")
-    pts = uniform(make_rng(seed), (m, arch.d))
+    pts = make_rng(seed).random((m, arch.d))
     z = model.constituents(pts)
     g = z.T @ z / m
     return (g + g.T) / 2.0

@@ -12,7 +12,7 @@ import pytest
 
 import covnet
 from covnet.model import eval_constituents, init_params
-from covnet.rng import gaussian, make_rng, uniform
+from covnet.rng import gaussian, make_rng
 
 MODELS: list[tuple[str, covnet.FittedCovariance]] = []
 
@@ -160,9 +160,9 @@ def test_criterion_03_eigendecomposition_oracle():
 def test_criterion_04_hs_norm_monte_carlo():
     start = time.time()
     rng = make_rng(404)
-    u = uniform(rng, (100_000, 2))
-    v = uniform(rng, (100_000, 2))
-    vals = covnet.kernel_pairs(covnet.BrownianSheet(2), u, v)
+    u = rng.random((100_000, 2))
+    v = rng.random((100_000, 2))
+    vals = covnet.BrownianSheet(2).kernel_pairs(u, v)
     mean_sq = float((vals * vals).mean())
     lo, hi = (1 / 36) * 0.97, (1 / 36) * 1.03
     assert lo <= mean_sq <= hi

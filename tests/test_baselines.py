@@ -9,12 +9,14 @@ from covnet.baselines import (
 )
 from covnet.errors import DegenerateTruthError
 from covnet.fields import FieldMatrix, make_grid
+from covnet.model import Architecture, FittedCovariance, init_params
 from covnet.rng import gaussian, make_rng
 from covnet.simulate import (
     BrownianSheet,
     IntegratedBrownianSheet,
     Matern,
     RotatedBrownianSheet,
+    RotatedIntegratedBrownianSheet,
     rotation_2d_45,
     sample_gaussian_fields,
 )
@@ -235,34 +237,55 @@ def test_separable_needs_few_operator_products(svds_products):
     assert products <= 25 < svds_products["products"]
 
 
+def covariance(name):
+    """One of the nine covariances that answer kernel_pairs, on d = 2."""
+    if name == "fitted":
+        arch = Architecture.shallow(3, 2)
+        return FittedCovariance(arch, init_params(arch, 1, seed=5)[0], np.eye(3))
+    if name in ("empirical", "separable"):
+        f = sample_gaussian_fields(BrownianSheet(2), make_grid(2, [4, 5]), 10, seed=29)
+        emp = EmpiricalCovariance(f.centered())
+        return emp if name == "empirical" else best_separable_2d(emp)
+    return {
+        "brownian": BrownianSheet(2),
+        "integrated_brownian": IntegratedBrownianSheet(2),
+        "rotated_brownian": RotatedBrownianSheet(rotation_2d_45()),
+        "rotated_integrated_brownian": RotatedIntegratedBrownianSheet(rotation_2d_45()),
+        "matern": Matern(1.5, 2),
+        "zero": ZeroCovariance(),
+    }[name]
+
+
+COVARIANCES = [
+    "brownian", "integrated_brownian", "rotated_brownian", "rotated_integrated_brownian",
+    "matern", "fitted", "empirical", "separable", "zero",
+]
+
+
 @pytest.mark.parametrize(
-    "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
+    "name, bad",
+    # the zero estimator has no dimension, so no column count is wrong for it
+    [(name, bad) for name in COVARIANCES for bad in ("nan", "inf", "-inf", "columns", "rows")
+     if (name, bad) != ("zero", "columns")],
 )
-@pytest.mark.parametrize("baseline", ["empirical", "separable"])
-def test_baselines_reject_nonfinite_points(baseline, bad):
-    grid = make_grid(2, [4, 5])
-    emp = EmpiricalCovariance(
-        sample_gaussian_fields(BrownianSheet(2), grid, 10, seed=27).centered()
-    )
-    est = emp if baseline == "empirical" else best_separable_2d(emp)
-    good = np.full((3, 2), 0.5)
-    broken = good.copy()
-    broken[1, 0] = bad
-    for u, v in ((broken, good), (good, broken)):
-        with pytest.raises(ValueError, match="evaluation points must be finite"):
-            est.kernel_pairs(u, v)
-
-
-@pytest.mark.parametrize("baseline", ["empirical", "separable"])
-def test_baselines_reject_points_of_the_wrong_dimension(baseline):
-    grid = make_grid(2, [4, 5])
-    emp = EmpiricalCovariance(
-        sample_gaussian_fields(BrownianSheet(2), grid, 10, seed=28).centered()
-    )
-    est = emp if baseline == "empirical" else best_separable_2d(emp)
-    for pts in (np.full((3, 1), 0.5), np.full((3, 3), 0.5)):
-        with pytest.raises(ValueError, match="points must be"):
-            est.kernel_pairs(pts, pts)
+def test_every_covariance_takes_finite_point_pairs_of_one_shape(name, bad):
+    cov = covariance(name)
+    good = np.full((5, 2), 0.5)
+    assert cov.kernel_pairs(good, good).shape == (5,)
+    if bad in ("nan", "inf", "-inf"):
+        broken = good.copy()
+        broken[3, 1] = float(bad)
+        pairs = [(broken, good), (good, broken)]
+        message = "evaluation points must be finite"
+    elif bad == "columns":
+        pairs = [(np.full((5, 3), 0.5),) * 2, (np.full((5, 1), 0.5),) * 2]
+        message = r"points must be \(M, 2\)"
+    else:
+        pairs = [(good, good[:1]), (good[:1], good)]
+        message = "paired points must have one shape"
+    for u, v in pairs:
+        with pytest.raises(ValueError, match=message):
+            cov.kernel_pairs(u, v)
 
 
 def test_separable_repeats_bit_identically():
@@ -314,9 +337,7 @@ def test_brownian_hs_norm_monte_carlo():
     rng = make_rng(9)
     u = rng.random((100_000, 2))
     v = rng.random((100_000, 2))
-    from covnet.simulate import kernel_pairs
-
-    vals = kernel_pairs(BrownianSheet(2), u, v)
+    vals = BrownianSheet(2).kernel_pairs(u, v)
     mean_sq = (vals**2).mean()
     assert 1 / 36 * 0.97 <= mean_sq <= 1 / 36 * 1.03
 

@@ -484,10 +484,19 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         ("cv", "fields = {fields}\narchs = shallow\nR_list = 0\n", "must be >= 1"),
         # sizes beyond memory, refused by name before any memory is touched
         ("simulate", SIMULATE.replace("N = 4", f"N = {10**17}"), "do not fit in memory"),
+        ("simulate", SIMULATE.replace("K = 4", "K = 64").replace("N = 4", f"N = {10**9}"),
+         f"{10**9} fields of 4096 points do not fit in memory"),
+        # refused before the dense 10^4 x 10^4 kernel matrix is built and factored
+        ("simulate", f"kernel = matern\nnu = 1.5\nd = 2\nK = 100\nN = {10**17}\n",
+         f"{10**17} fields of 10000 points do not fit in memory"),
         ("eval", f"estimator = zero\nkernel = brownian\nd = 2\nM = {10**17}\n",
          f"M = {10**17} Monte-Carlo point pairs in 2 dimensions do not fit in memory"),
         ("eigen", f"model = {{model}}\nM = {10**17}\n",
          f"M = {10**17} sample points of R = 1 constituents do not fit in memory"),
+        ("eigen", f"model = {{model}}\nM = 100\nK = {10**20}\n",
+         f"the 2 coordinates of {10**40} grid points do not fit in memory"),
+        ("export", f"model = {{model}}\nK = {10**20}\nv0 = 0.5,0.5\n",
+         f"the 2 coordinates of {10**40} grid points do not fit in memory"),
         ("fit", FIT.replace("R = 2", f"R = {10**14}"),
          f"R = {10**14} constituents with 0 hidden layers do not fit in memory"),
         # counts beyond an index, refused before a list or tuple of that length is built
@@ -559,7 +568,8 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         "rel_tol_nan", "v0_nan", "lr_zero", "fit_one_field", "separable_d3",
         "empirical_no_field", "separable_no_field",
         "cv_v_above_n", "cv_small_fold", "cv_no_archs", "cv_r_zero",
-        "simulate_huge_N", "eval_huge_M", "eigen_huge_M", "fit_huge_R",
+        "simulate_huge_N", "simulate_N_beyond_memory", "simulate_matern_huge_N",
+        "eval_huge_M", "eigen_huge_M", "eigen_huge_K", "export_huge_K", "fit_huge_R",
         "simulate_huge_d", "fit_huge_L", "cv_huge_L_list", "fit_huge_L_zero_R",
         "simulate_nu_not_matern", "eval_nu_not_matern",
         "eigen_n_funcs_without_grid", "eigen_n_funcs_zero_without_grid",

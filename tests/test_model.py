@@ -19,7 +19,7 @@ from covnet.model import (
     load_model,
     save_model,
 )
-from covnet.rng import gaussian, make_rng, uniform
+from covnet.rng import gaussian, make_rng
 
 
 def sigmoid(t):
@@ -80,7 +80,7 @@ def test_eval_constituents_equals_forward_bit_for_bit(variant, d):
     widths = () if variant == "shallow" else (20, 20, 20)
     arch = Architecture(variant, 20, d, widths)
     params, _ = init_params(arch, 2, seed=d)
-    pts = uniform(make_rng(30 + d), (12289, d))
+    pts = make_rng(30 + d).random((12289, d))
     for m in (1, 2, 3, 4095, 4096, 4097, 8193, 12289):
         z, _ = forward_constituents(params, arch, pts[:m])
         assert np.array_equal(eval_constituents(params, arch, pts[:m]), z), m
@@ -90,7 +90,7 @@ def test_deep_eval_holds_its_output_plus_one_point_block(traced_peak):
     arch = Architecture.deep(20, 2, 3)
     params, _ = init_params(arch, 2, seed=4)
     m = 20_000
-    pts = uniform(make_rng(5), (m, 2))
+    pts = make_rng(5).random((m, 2))
     peak = traced_peak(lambda: eval_constituents(params, arch, pts))
     assert peak < 2 * m * arch.r * 8 + 2**20
 

@@ -19,7 +19,6 @@ from covnet.simulate import (
     RotatedIntegratedBrownianSheet,
     _block_factors,
     kernel_matrix,
-    kernel_pairs,
     rotation_2d_45,
     rotation_3d_composed,
     sample_gaussian_fields,
@@ -73,25 +72,25 @@ MATERN_ORACLE = [
 
 
 def test_brownian_sheet_min_product():
-    val = kernel_pairs(BrownianSheet(2), [[0.3, 0.4]], [[0.7, 0.2]])[0]
+    val = BrownianSheet(2).kernel_pairs([[0.3, 0.4]], [[0.7, 0.2]])[0]
     assert val == pytest.approx(0.06, abs=1e-15)
 
 
 def test_integrated_brownian_endpoint():
-    val = kernel_pairs(IntegratedBrownianSheet(1), [[1.0]], [[1.0]])[0]
+    val = IntegratedBrownianSheet(1).kernel_pairs([[1.0]], [[1.0]])[0]
     assert val == pytest.approx(1 / 3, rel=1e-14)
 
 
 def test_matern_half_is_exponential():
     u = np.array([0.0, 0.0])
     v = np.array([0.6, 0.8])  # distance exactly 1
-    val = kernel_pairs(Matern(0.5, 2), [u], [v])[0]
+    val = Matern(0.5, 2).kernel_pairs([u], [v])[0]
     assert val == pytest.approx(np.exp(-1.0), rel=1e-10)
 
 
 def test_matern_at_zero_distance():
     for nu in (0.01, 0.3, 1.7):
-        assert kernel_pairs(Matern(nu, 2), [[0.4, 0.4]], [[0.4, 0.4]])[0] == 1.0
+        assert Matern(nu, 2).kernel_pairs([[0.4, 0.4]], [[0.4, 0.4]])[0] == 1.0
 
 
 def test_matern_rejects_nonpositive_nu():
@@ -105,14 +104,14 @@ def test_matern_against_mpmath_table():
     for nu, r, expected in MATERN_ORACLE:
         u = np.array([0.0, 0.0])
         v = np.array([r, 0.0])
-        got = kernel_pairs(Matern(nu, 2), [u], [v])[0]
+        got = Matern(nu, 2).kernel_pairs([u], [v])[0]
         assert got == pytest.approx(expected, rel=1e-10), (nu, r)
 
 
 def test_matern_strictly_decreasing_on_radius_ladder():
     radii = np.linspace(0.01, 2.0, 40)
     for nu in (0.05, 0.5, 2.0):
-        vals = [kernel_pairs(Matern(nu, 1), [[0.0]], [[r]])[0] for r in radii]
+        vals = [Matern(nu, 1).kernel_pairs([[0.0]], [[r]])[0] for r in radii]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -157,14 +156,14 @@ def test_kernel_symmetry():
         Matern(1.3, 2),
     ):
         np.testing.assert_array_equal(
-            kernel_pairs(spec, u, v), kernel_pairs(spec, v, u)
+            spec.kernel_pairs(u, v), spec.kernel_pairs(v, u)
         )
     for spec in (
         RotatedBrownianSheet(rotation_2d_45()),
         RotatedIntegratedBrownianSheet(rotation_2d_45()),
     ):
-        a = kernel_pairs(spec, u, v)
-        b = kernel_pairs(spec, v, u)
+        a = spec.kernel_pairs(u, v)
+        b = spec.kernel_pairs(v, u)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
 
@@ -181,7 +180,7 @@ def test_kernel_matrix_matches_pointwise_loop():
     got = kernel_matrix(spec, grid)
     pts = grid.coordinates()
     oracle = np.array(
-        [[kernel_pairs(spec, [pts[i]], [pts[j]])[0] for j in range(9)] for i in range(9)]
+        [[spec.kernel_pairs([pts[i]], [pts[j]])[0] for j in range(9)] for i in range(9)]
     )
     np.testing.assert_allclose(got, oracle, rtol=1e-14)
 
@@ -264,7 +263,7 @@ def test_sampling_mean_near_zero():
     n = 20000
     f = sample_gaussian_fields(BrownianSheet(1), grid, n, seed=3)
     mid = np.array([[1 / 6], [3 / 6], [5 / 6]])
-    variances = kernel_pairs(BrownianSheet(1), mid, mid)
+    variances = BrownianSheet(1).kernel_pairs(mid, mid)
     bound = 4 * np.sqrt(variances / n)
     assert np.all(np.abs(f.values.mean(axis=0)) <= bound)
 

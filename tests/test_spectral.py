@@ -4,7 +4,7 @@ import pytest
 from covnet.errors import DegenerateModelError
 from covnet.fields import make_grid
 from covnet.model import Architecture, FittedCovariance, init_params
-from covnet.rng import gaussian, make_rng, uniform
+from covnet.rng import gaussian, make_rng
 from covnet.spectral import (
     constituent_gram,
     eigendecompose,
@@ -83,7 +83,7 @@ def test_eigendecompose_constant_model():
     assert system.values[0] == pytest.approx(0.25 * lam, abs=1e-12)
     # psi = a * g with a = 2 makes psi identically 1
     assert abs(system.coeffs[0, 0]) == pytest.approx(2.0, rel=1e-12)
-    pts = uniform(make_rng(2), (7, 2))
+    pts = make_rng(2).random((7, 2))
     vals = eval_eigenfunction(model, system, 0, pts)
     np.testing.assert_allclose(np.abs(vals), 1.0, rtol=1e-12)
 
@@ -134,7 +134,7 @@ def test_eigenfunctions_orthonormal_at_gram_points():
     model = random_model(4, 2, seed=25)
     m, seed = 20_000, 26
     system = eigendecompose(model, constituent_gram(model, m, seed))
-    pts = uniform(make_rng(seed), (m, model.arch.d))
+    pts = make_rng(seed).random((m, model.arch.d))
     psis = np.stack(
         [eval_eigenfunction(model, system, i, pts) for i in range(system.rank)]
     )
