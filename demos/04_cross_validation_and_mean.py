@@ -1,7 +1,8 @@
 """Pick hyperparameters by V-fold cross-validation; estimate a mean jointly.
 
-Part 1 plants a low-rank truth and lets 5-fold CV choose among shallow
-widths.  Part 2 fits without pre-centering: the mean-augmented criterion
+Part 1 plants a low-rank truth and lets 5-fold CV choose a rank: one
+shallow R=8 network is trained per fold and scored at every truncation
+level.  Part 2 fits without pre-centering: the mean-augmented criterion
 returns a mean estimate expressed in the fitted constituents for free.
 
 Run: python demos/04_cross_validation_and_mean.py
@@ -17,17 +18,17 @@ def main():
     grid = covnet.make_grid(2, [8, 8])
     pts = grid.coordinates()
 
-    # --- part 1: planted rank-2 truth, CV over R -------------------------
+    # --- part 1: planted rank-2 truth, CV over truncation levels ----------
     phi = np.stack([np.ones(len(pts)), np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])])
     scores = gaussian(make_rng(41), (80, 2)) * np.array([1.0, 0.75])
     fields = covnet.FieldMatrix(grid, scores @ phi)
     cfg = covnet.TrainConfig(epochs=500, seed=1)
-    candidates = [covnet.Architecture.shallow(r, 2) for r in (1, 2, 4, 8)]
-    report = covnet.cross_validate(fields, candidates, cfg, v=5, seed=5)
-    print("mean CV loss per shallow width:")
-    for i, arch in enumerate(report.candidates):
+    arch = covnet.Architecture.shallow(8, 2)
+    report = covnet.cross_validate(fields, [arch], [1, 2, 4, 8], cfg, v=5, seed=5)
+    print("mean CV loss per truncation level of a shallow R=8 network:")
+    for i, (_, level) in enumerate(report.candidates):
         marker = "  <- selected" if i == report.selected else ""
-        print(f"  R={arch.r}: {report.mean_losses[i]:.5f}{marker}")
+        print(f"  level {level}: {report.mean_losses[i]:.8f}{marker}")
 
     # --- part 2: joint mean and covariance fitting -----------------------
     mean_surface = 1.0 + 0.8 * pts[:, 0] * pts[:, 1]

@@ -63,7 +63,7 @@ from .spectral import (
     constituent_gram,
     eigendecompose,
     eval_eigenfunction,
-    threshold_lambda,
+    truncate,
 )
 from .training import (
     LossBreakdown,
@@ -127,6 +127,6 @@ __all__ = [
     "rotation_3d_composed",
     "sample_gaussian_fields",
     "save_model",
-    "threshold_lambda",
+    "truncate",
     "write_fields",
 ]

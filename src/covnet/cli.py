@@ -30,7 +30,7 @@ from .baselines import (
     best_separable_2d,
     relative_error_mc,
 )
-from .crossval import cross_validate
+from .crossval import _check_levels, cross_validate
 from .errors import (
     ConfigError,
     CovnetError,
@@ -376,15 +376,17 @@ def run_eval(cfg: Config, out_dir: str) -> None:
                         f"field dimension {f.grid.d} does not match truth dimension {d}"
                     )
                 emp = EmpiricalCovariance(f.centered())
-            if est_name == "empirical":
-                estimators.append(("empirical", emp))
-            else:
-                estimators.append(
-                    ("separable (nearest Kronecker product)", best_separable_2d(emp))
-                )
+            estimators.append((est_name, emp))
         else:
             raise ConfigError(f"unknown estimator {est_name!r}")
     cfg.reject_unread()
+    # the separable fit is an eigensolve, so it runs for an accepted config only
+    estimators = [
+        ("separable (nearest Kronecker product)", best_separable_2d(emp))
+        if label == "separable"
+        else (label, est)
+        for label, est in estimators
+    ]
     rows = []
     for label, est in estimators:
         err = relative_error_mc(est, truth, d, m, seed)
@@ -428,8 +430,7 @@ def run_eigen(cfg: Config, out_dir: str) -> None:
     print(f"rank {system.rank}, leading eigenvalue {_fmt(system.values[0])}")
 
 
-DEFAULT_SHALLOW_R = [5, 10, 20, 40, 80]
-DEFAULT_DEEP_R = [5, 10, 20, 40]
+DEFAULT_LEVELS = [5, 10, 20, 40]
 DEFAULT_DEPTHS = [2, 3, 4]
 
 
@@ -438,28 +439,29 @@ def run_cv(cfg: Config, out_dir: str) -> None:
     v = cfg.int_("V", default=5, minimum=2)
     seed = cfg.seed_("seed")
     name = cfg.str_("name", default="cv")
-    archs = cfg.list_("archs", default=",".join(VARIANTS))
-    r_list = cfg.list_("R_list", item=int)
+    variants = cfg.list_("archs", default=",".join(VARIANTS))
+    # truncation levels: every architecture is built at the widest
+    levels = cfg.list_("R_list", item=int) or DEFAULT_LEVELS
+    _check_levels(levels)
     # depths apply to the deep variants only
-    deep = any(variant != SHALLOW for variant in archs)
+    deep = any(variant != SHALLOW for variant in variants)
     l_list = (cfg.list_("L_list", item=int) if deep else None) or DEFAULT_DEPTHS
     base = _train_config(cfg)
     if v > f.n:
         raise ConfigError(f"cannot split {f.n} fields into V = {v} folds")
     if f.n - math.ceil(f.n / v) < 2:
         raise ConfigError(f"V = {v} leaves a training fold of fewer than 2 of {f.n} fields")
-    candidates = []
-    for variant in archs:
-        shallow = variant == SHALLOW
-        for depth in [0] if shallow else l_list:
-            for r in r_list or (DEFAULT_SHALLOW_R if shallow else DEFAULT_DEEP_R):
-                candidates.append(_architecture(variant, r, f.grid.d, depth))
+    archs = [
+        _architecture(variant, max(levels), f.grid.d, depth)
+        for variant in variants
+        for depth in ([0] if variant == SHALLOW else l_list)
+    ]
     cfg.reject_unread()
-    report = cross_validate(f, candidates, base, v, seed)
+    report = cross_validate(f, archs, levels, base, v, seed)
 
     def columns(ci: int) -> list[str]:
-        arch = report.candidates[ci]
-        return [str(ci), arch.variant, str(arch.r), str(arch.depth)]
+        arch, level = report.candidates[ci]
+        return [str(ci), arch.variant, str(level), str(arch.depth)]
 
     header = ["candidate", "arch", "R", "L"]
     _write_csv(

@@ -104,13 +104,22 @@ def eval_eigenfunction(
     return z @ system.coeffs[i]
 
 
-def threshold_lambda(model: FittedCovariance, lam_max: float) -> FittedCovariance:
-    """Cap Lambda's eigenvalues at lam_max, leaving constituents untouched."""
-    if not lam_max > 0:
-        raise ValueError("threshold must be positive")
-    eta, e = np.linalg.eigh(model.lam)
-    capped = np.minimum(eta, lam_max)
-    lam = (e * capped) @ e.T
-    return FittedCovariance(
-        model.arch, model.params, (lam + lam.T) / 2.0, model.mean_coeffs
-    )
+def truncate(model: FittedCovariance, k: int, gram: np.ndarray) -> FittedCovariance:
+    """The model's rank-k truncation: its k leading eigenpairs under `gram`.
+
+    Lambda_k = A_k^T diag(eta_k) A_k, from `eigendecompose(model, gram)`,
+    with the model's constituents and mean coefficients.  By Eckart-Young it
+    is the best rank-k approximation of the model in the Hilbert-Schmidt
+    norm that `gram` integrates.  For k at or above the rank the model itself
+    is returned, and for k at or above R without an eigensolve.
+    """
+    if k < 1:
+        raise ValueError(f"truncation level must be >= 1, got {k}")
+    if k >= model.arch.r:
+        return model
+    system = eigendecompose(model, gram)
+    if k >= system.rank:
+        return model
+    a = system.coeffs[:k]
+    lam = (a.T * system.values[:k]) @ a
+    return FittedCovariance(model.arch, model.params, (lam + lam.T) / 2.0, model.mean_coeffs)

@@ -5,6 +5,7 @@ import pytest
 
 from covnet import cli
 from covnet.cli import main, parse_config_text
+from covnet.crossval import cross_validate
 from covnet.errors import ConfigError, ModelFormatError
 from covnet.fields import FieldMatrix, make_grid, read_fields, write_fields
 from covnet.model import (
@@ -284,6 +285,37 @@ def test_eval_baselines_beyond_4096_points_reproducible(tmp_path):
     assert len(csv.decode().splitlines()) == 3
 
 
+def test_eval_solves_for_the_separable_fit_only_after_the_config_is_accepted(
+    tmp_path, capsys, monkeypatch
+):
+    grid = make_grid(2, [5, 6])
+    fields = tmp_path / "fields.cvnf"
+    write_fields(fields, FieldMatrix(grid, gaussian(make_rng(26), (8, grid.n_points))))
+    calls = []
+    real = cli.best_separable_2d
+
+    def counting(emp):
+        calls.append(None)
+        return real(emp)
+
+    monkeypatch.setattr(cli, "best_separable_2d", counting)
+    cfg = (
+        f"estimator = separable,zero,empirical\nfields = {fields}\n"
+        "kernel = brownian\nd = 2\nM = 1000\nseed = 3\n"
+    )
+    code, out = run(tmp_path, "eval", cfg + "bogus = 1\n", out=tmp_path / "bad")
+    assert code == 2
+    assert capsys.readouterr().err == "config error: eval does not use config key(s): bogus\n"
+    assert calls == [] and not out.exists()
+    code, out = run(tmp_path, "eval", cfg, out=tmp_path / "good")
+    assert code == 0 and len(calls) == 1
+    # the rows keep the listed order
+    rows = (out / "errors.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == [
+        "separable (nearest Kronecker product)", "zero", "empirical"
+    ]
+
+
 def test_eigen_constant_model(tmp_path):
     path = constant_model(tmp_path)
     code, out = run(tmp_path, "eigen", f"model = {path}\nM = 100\nseed = 1\n")
@@ -321,6 +353,37 @@ def test_cv_single_candidate_selected(tmp_path):
     assert summary[1].endswith(",1")
     report = (cv_out / "cv_report.csv").read_text().splitlines()
     assert len(report) == 5  # header + 4 folds
+
+
+def test_cv_scores_the_levels_of_one_fit_per_architecture(tmp_path):
+    fields = gaussian_fields(tmp_path, 12)
+    cfg = (
+        f"fields = {fields}\nV = 3\nseed = 4\narchs = shallow,deepshared\n"
+        "R_list = 1,2\nL_list = 2\nepochs = 8\n"
+    )
+    code, out = run(tmp_path, "cv", cfg)
+    assert code == 0
+    summary = [row.split(",") for row in (out / "cv_summary.csv").read_text().splitlines()]
+    assert summary[0] == ["candidate", "arch", "R", "L", "mean_loss", "selected"]
+    # R holds the level; each architecture is built at the widest level
+    assert [row[:4] for row in summary[1:]] == [
+        ["0", "shallow", "1", "0"],
+        ["1", "shallow", "2", "0"],
+        ["2", "deepshared", "1", "2"],
+        ["3", "deepshared", "2", "2"],
+    ]
+    assert sum(row[5] == "1" for row in summary[1:]) == 1
+    archs = [Architecture.shallow(2, 2), Architecture.deepshared(2, 2, 2)]
+    report = cross_validate(
+        read_fields(fields), archs, [1, 2], TrainConfig(epochs=8, seed=4), v=3, seed=4
+    )
+    lines = (out / "cv_report.csv").read_text().splitlines()
+    assert lines[1:] == [
+        f"{c.candidate},{report.candidates[c.candidate][0].variant},"
+        f"{report.candidates[c.candidate][1]},{report.candidates[c.candidate][0].depth},"
+        f"{c.fold},{c.loss:.17g}"
+        for c in report.cells
+    ]
 
 
 def test_export_matches_kernel_loop(tmp_path):
@@ -482,6 +545,8 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         ("cv", "fields = {three}\nV = 2\n", "fewer than 2"),
         ("cv", "fields = {fields}\narchs = ,\n", "archs must name at least one value"),
         ("cv", "fields = {fields}\narchs = shallow\nR_list = 0\n", "must be >= 1"),
+        ("cv", "fields = {fields}\narchs = shallow\nR_list = 2,0\n",
+         "truncation levels must be >= 1, got 0"),
         # sizes beyond memory, refused by name before any memory is touched
         ("simulate", SIMULATE.replace("N = 4", f"N = {10**17}"), "do not fit in memory"),
         ("simulate", SIMULATE.replace("K = 4", "K = 64").replace("N = 4", f"N = {10**9}"),
@@ -567,7 +632,7 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         "sigma_negative", "sigma_nan", "sigma_inf", "nu_inf", "lr_nan", "lr_inf",
         "rel_tol_nan", "v0_nan", "lr_zero", "fit_one_field", "separable_d3",
         "empirical_no_field", "separable_no_field",
-        "cv_v_above_n", "cv_small_fold", "cv_no_archs", "cv_r_zero",
+        "cv_v_above_n", "cv_small_fold", "cv_no_archs", "cv_r_zero", "cv_level_zero",
         "simulate_huge_N", "simulate_N_beyond_memory", "simulate_matern_huge_N",
         "eval_huge_M", "eigen_huge_M", "eigen_huge_K", "export_huge_K", "fit_huge_R",
         "simulate_huge_d", "fit_huge_L", "cv_huge_L_list", "fit_huge_L_zero_R",

@@ -3,18 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from covnet import training
-from covnet.crossval import CvCell, _cell_seed, cross_validate, cv_loss
+from covnet import crossval, spectral, training
+from covnet.crossval import _cell_seed, cross_validate, cv_loss
 from covnet.fields import FieldMatrix, make_grid
 from covnet.model import (
     Architecture,
     FittedCovariance,
-    count_parameters,
     eval_constituents,
     init_params,
     lambda_from_coefficients,
 )
 from covnet.rng import gaussian, make_rng
+from covnet.spectral import truncate
 from covnet.training import TrainConfig, fit
 
 
@@ -94,46 +94,70 @@ def test_cross_validate_single_candidate():
     grid = make_grid(2, [5, 5])
     f = rank2_fields(20, grid, seed=11)
     cfg = TrainConfig(epochs=120, seed=1)
-    report = cross_validate(f, [Architecture.shallow(2, 2)], cfg, v=4, seed=2)
+    report = cross_validate(f, [Architecture.shallow(2, 2)], [2], cfg, v=4, seed=2)
     assert report.selected == 0
     assert len(report.cells) == 4
     assert all(np.isfinite(c.loss) for c in report.cells)
 
 
-def test_cross_validate_tie_breaks_by_parameter_count_then_order():
+def test_cross_validate_identical_architectures_tie_and_list_order_decides():
     grid = make_grid(2, [4, 4])
     f = rank2_fields(12, grid, seed=13)
     cfg = TrainConfig(epochs=60, seed=1)
     small = Architecture.shallow(2, 2)
-    # identical candidates tie on the mean loss; list order decides
-    report = cross_validate(f, [small, small], cfg, v=3, seed=4)
+    report = cross_validate(f, [small, small], [2], cfg, v=3, seed=4)
     assert report.mean_losses[0] == report.mean_losses[1]
     assert report.selected == 0
+
+
+def test_cross_validate_tie_breaks_by_level_then_parameter_count_then_order(monkeypatch):
+    grid = make_grid(2, [4, 4])
+    f = rank2_fields(12, grid, seed=13)
+    # every level of every architecture scores the same
+    monkeypatch.setattr(
+        crossval, "_level_losses", lambda model, f_va, term_xx, levels: [1.0] * len(levels)
+    )
+    deeper, shallow = Architecture.deepshared(3, 2, 2), Architecture.shallow(3, 2)
+    levels = [3, 1, 2]
+    report = cross_validate(f, [deeper, shallow, shallow], levels, TrainConfig(epochs=5), v=3)
+    assert len(set(report.mean_losses)) == 1
+    # the lower level first, then the smaller network, then list order
+    assert report.candidates[report.selected] == (shallow, 1)
+    assert report.selected == 4
+
+
+def test_cross_validate_counts_a_cell_per_architecture_level_and_fold():
+    grid = make_grid(2, [4, 4])
+    f = rank2_fields(15, grid, seed=17)
+    archs = [Architecture.shallow(4, 2), Architecture.deepshared(4, 2, 2)]
+    levels = [1, 2, 4]
+    v = 3
+    report = cross_validate(f, archs, levels, TrainConfig(epochs=10, seed=1), v=v, seed=5)
+    assert report.candidates == tuple((a, k) for a in archs for k in levels)
+    assert len(report.cells) == len(archs) * len(levels) * v
+    assert [(c.candidate, c.fold) for c in report.cells] == [
+        (ci, k) for ci in range(len(archs) * len(levels)) for k in range(v)
+    ]
+    assert len(report.mean_losses) == len(archs) * len(levels)
 
 
 def test_cross_validate_selection_consistent_with_table():
     grid = make_grid(2, [5, 5])
     f = rank2_fields(30, grid, seed=17)
     cfg = TrainConfig(epochs=250, seed=1)
-    candidates = [
-        Architecture.shallow(1, 2),
-        Architecture.shallow(2, 2),
-        Architecture.shallow(8, 2),
-    ]
-    report = cross_validate(f, candidates, cfg, v=5, seed=5)
+    report = cross_validate(f, [Architecture.shallow(8, 2)], [1, 2, 8], cfg, v=5, seed=5)
     finite = [m for m in report.mean_losses if np.isfinite(m)]
     assert report.mean_losses[report.selected] == min(finite)
-    per_cell = np.array([[c.candidate, c.fold] for c in report.cells])
-    assert len(per_cell) == 15
+    assert len(report.cells) == 15
 
 
-def test_cross_validate_deterministic_and_parallel_equal():
+def test_cross_validate_deterministic():
     grid = make_grid(2, [4, 4])
     f = rank2_fields(16, grid, seed=19)
     cfg = TrainConfig(epochs=50, seed=1)
-    candidates = [Architecture.shallow(1, 2), Architecture.shallow(3, 2)]
-    a = cross_validate(f, candidates, cfg, v=4, seed=6)
-    b = cross_validate(f, candidates, cfg, v=4, seed=6)
+    archs = [Architecture.shallow(3, 2), Architecture.deepshared(3, 2, 2)]
+    a = cross_validate(f, archs, [1, 3], cfg, v=4, seed=6)
+    b = cross_validate(f, archs, [1, 3], cfg, v=4, seed=6)
     assert a.mean_losses == b.mean_losses
     assert a.selected == b.selected
 
@@ -142,34 +166,68 @@ def test_cross_validate_equals_the_documented_loop():
     grid = make_grid(2, [4, 4])
     f = rank2_fields(14, grid, seed=31)
     cfg = TrainConfig(epochs=40, seed=3, batch=5)
-    candidates = [
-        Architecture.shallow(2, 2),
-        Architecture.deepshared(2, 2, 2),
-        Architecture.deep(1, 2, 2),
+    archs = [
+        Architecture.shallow(3, 2),
+        Architecture.deepshared(3, 2, 2),
+        Architecture.deep(3, 2, 2),
     ]
+    levels = [1, 3]
     v, seed = 4, 7
-    report = cross_validate(f, candidates, cfg, v=v, seed=seed)
-    # shuffle, split, sort each validation fold, seed by fold, fit, score
+    report = cross_validate(f, archs, levels, cfg, v=v, seed=seed)
+    # shuffle, split, sort each validation fold, seed by fold, fit each
+    # architecture alone, score it as it is and truncated with the
+    # validation grid's Gram
     perm = make_rng(seed, stream=2).permutation(f.n)
-    expected = []
-    for ci, arch in enumerate(candidates):
+    expected = {}
+    for ai, arch in enumerate(archs):
         for fold, part in enumerate(np.array_split(perm, v)):
             va = np.sort(part)
             tr = np.setdiff1d(np.arange(f.n), va)
             fold_cfg = replace(cfg, seed=_cell_seed(seed, cfg.seed, fold))
             model, _ = fit(FieldMatrix(grid, f.values[tr]), arch, fold_cfg)
-            x_va = f.values[va] - f.values[va].mean(axis=0)
-            expected.append(CvCell(ci, fold, cv_loss(model, FieldMatrix(grid, x_va))))
-    # each fold's candidates train in lockstep, whose side-by-side data products
-    # BLAS may round differently from one candidate's own
+            f_va = FieldMatrix(grid, f.values[va] - f.values[va].mean(axis=0))
+            z = model.constituents(grid.coordinates())
+            gz = z.T @ z / grid.n_points
+            expected[ai, 1, fold] = cv_loss(truncate(model, 1, gz), f_va)
+            expected[ai, 3, fold] = cv_loss(model, f_va)
     assert [(c.candidate, c.fold, c.failed) for c in report.cells] == [
-        (c.candidate, c.fold, c.failed) for c in expected
+        (ai * len(levels) + li, fold, False)
+        for ai in range(len(archs))
+        for li in range(len(levels))
+        for fold in range(v)
     ]
-    for got, want in zip(report.cells, expected):
-        assert got.loss == pytest.approx(want.loss, rel=1e-12)
-    means = [float(np.mean([c.loss for c in expected[ci * v : (ci + 1) * v]])) for ci in range(3)]
+    # each fold's architectures train in lockstep, whose side-by-side data
+    # products BLAS may round differently from one architecture's own
+    for c in report.cells:
+        arch, level = report.candidates[c.candidate]
+        assert c.loss == pytest.approx(expected[archs.index(arch), level, c.fold], rel=1e-12)
+    means = [
+        float(np.mean([expected[ai, level, fold] for fold in range(v)]))
+        for ai in range(len(archs))
+        for level in levels
+    ]
     assert report.mean_losses == pytest.approx(means, rel=1e-12)
-    assert report.selected == min(range(3), key=lambda ci: (means[ci], count_parameters(candidates[ci])))
+
+
+def test_cross_validate_widest_level_is_the_untruncated_model(monkeypatch):
+    grid = make_grid(2, [4, 4])
+    f = rank2_fields(12, grid, seed=33)
+    calls = []
+    real_eigendecompose = spectral.eigendecompose
+
+    def counting(model, gram):
+        calls.append(model.arch)
+        return real_eigendecompose(model, gram)
+
+    monkeypatch.setattr(spectral, "eigendecompose", counting)
+    cfg = TrainConfig(epochs=20, seed=1)
+    v = 3
+    arch = Architecture.shallow(3, 2)
+    report = cross_validate(f, [arch], [3, 2], cfg, v=v, seed=2)
+    # one eigensolve per fold, for level 2 only
+    assert len(calls) == v
+    solo = cross_validate(f, [arch], [3], cfg, v=v, seed=2)
+    assert [c.loss for c in report.cells[:v]] == [c.loss for c in solo.cells]
 
 
 def test_cross_validate_builds_each_fold_once(monkeypatch):
@@ -183,37 +241,66 @@ def test_cross_validate_builds_each_fold_once(monkeypatch):
         real_post_init(self)
 
     monkeypatch.setattr(FieldMatrix, "__post_init__", counting_post_init)
-    n_cand, v = 3, 4
-    candidates = [Architecture.shallow(r, 2) for r in range(1, n_cand + 1)]
-    cross_validate(f, candidates, TrainConfig(epochs=5, seed=1), v=v, seed=2)
+    v = 4
+    archs = [Architecture.shallow(3, 2), Architecture.deepshared(3, 2, 2)]
+    cross_validate(f, archs, [1, 2, 3], TrainConfig(epochs=5, seed=1), v=v, seed=2)
     # per fold: training, validation, its centered copy, and the centered
-    # training fields that all candidates share
+    # training fields that all architectures share
     assert len(calls) <= 4 * v
 
 
-def test_cross_validate_computes_two_grams_per_fold(monkeypatch):
+def test_cross_validate_computes_two_grams_and_one_evaluation_per_fold(monkeypatch):
     grid = make_grid(2, [4, 4])
     f = rank2_fields(12, grid, seed=39)
     real_cross_gram = training.cross_gram
-    calls = []
+    grams, evaluations = [], []
 
     def counting_cross_gram(*args):
-        calls.append(None)
+        grams.append(None)
         return real_cross_gram(*args)
 
+    real_constituents = FittedCovariance.constituents
+
+    def counting_constituents(self, points):
+        evaluations.append(self.arch)
+        return real_constituents(self, points)
+
     monkeypatch.setattr(training, "cross_gram", counting_cross_gram)
-    candidates = [Architecture.shallow(r, 2) for r in (1, 2, 3)]
+    monkeypatch.setattr(FittedCovariance, "constituents", counting_constituents)
+    archs = [Architecture.shallow(3, 2), Architecture.deepshared(3, 2, 2)]
     v = 4
-    cross_validate(f, candidates, TrainConfig(epochs=5, seed=1), v=v, seed=2)
+    cross_validate(f, archs, [1, 2, 3], TrainConfig(epochs=5, seed=1), v=v, seed=2)
     # per fold: the training Gram and the validation Gram every cell scores against
-    assert len(calls) == 2 * v
+    assert len(grams) == 2 * v
+    # per fold and architecture: one validation constituent evaluation for all levels
+    assert sorted(evaluations, key=archs.index) == [a for a in archs for _ in range(v)]
 
 
 def test_cross_validate_requires_enough_samples():
     grid = make_grid(1, [4])
     f = FieldMatrix(grid, np.ones((3, 4)))
     with pytest.raises(ValueError):
-        cross_validate(f, [Architecture.shallow(1, 1)], TrainConfig(), v=5, seed=1)
+        cross_validate(f, [Architecture.shallow(1, 1)], [1], TrainConfig(), v=5, seed=1)
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        ([0, 2], "truncation levels must be >= 1, got 0"),
+        ([], "need at least one truncation level"),
+        ([2, 4], "truncation level 4 exceeds R = 3"),
+    ],
+    ids=["zero", "empty", "above_R"],
+)
+def test_cross_validate_refuses_bad_levels_before_training(monkeypatch, levels, message):
+    grid = make_grid(2, [4, 4])
+    f = rank2_fields(12, grid, seed=43)
+    trained = []
+    poison_constituents(monkeypatch, lambda arch: trained.append(arch) and False)
+    archs = [Architecture.shallow(4, 2), Architecture.shallow(3, 2)]
+    with pytest.raises(ValueError, match=message):
+        cross_validate(f, archs, levels, TrainConfig(epochs=5, seed=1), v=3, seed=2)
+    assert trained == []
 
 
 def poison_constituents(monkeypatch, doomed, after=0):
@@ -236,15 +323,16 @@ def test_cross_validate_excludes_diverged_candidate(monkeypatch):
     grid = make_grid(2, [4, 4])
     f = rank2_fields(12, grid, seed=23)
     cfg = TrainConfig(epochs=40, seed=1)
-    doomed, healthy = Architecture.shallow(4, 2), Architecture.shallow(2, 2)
-    want = cross_validate(f, [healthy], cfg, v=3, seed=9)
+    doomed, healthy = Architecture.deepshared(2, 2, 2), Architecture.shallow(2, 2)
+    want = cross_validate(f, [healthy], [1, 2], cfg, v=3, seed=9)
     # diverges mid-run on the first fold, while it trains beside `healthy`
     poison_constituents(monkeypatch, lambda arch: arch == doomed, after=10)
-    report = cross_validate(f, [doomed, healthy], cfg, v=3, seed=9)
-    assert report.mean_losses[0] == np.inf
-    assert report.selected == 1
-    assert all(c.failed for c in report.cells if c.candidate == 0)
-    kept = [c for c in report.cells if c.candidate == 1]
+    report = cross_validate(f, [doomed, healthy], [1, 2], cfg, v=3, seed=9)
+    # the diverged architecture fails at every level
+    assert report.mean_losses[:2] == (np.inf, np.inf)
+    assert report.selected in (2, 3)
+    assert all(c.failed for c in report.cells if c.candidate < 2)
+    kept = [c for c in report.cells if c.candidate >= 2]
     assert [c.loss for c in kept] == pytest.approx([c.loss for c in want.cells], rel=1e-12)
 
 
@@ -255,7 +343,7 @@ def test_cross_validate_all_failed_raises(monkeypatch):
     f = rank2_fields(12, grid, seed=29)
     poison_constituents(monkeypatch, lambda arch: True)
     with pytest.raises(CovnetError):
-        cross_validate(f, [Architecture.shallow(1, 2)], TrainConfig(epochs=5), v=3, seed=9)
+        cross_validate(f, [Architecture.shallow(1, 2)], [1], TrainConfig(epochs=5), v=3, seed=9)
 
 
 def test_cross_validate_checks_every_dimension_before_training(monkeypatch):
@@ -263,7 +351,7 @@ def test_cross_validate_checks_every_dimension_before_training(monkeypatch):
     f = rank2_fields(12, grid, seed=41)
     trained = []
     poison_constituents(monkeypatch, lambda arch: trained.append(arch) and False)
-    candidates = [Architecture.shallow(2, 2), Architecture.shallow(2, 3)]
+    archs = [Architecture.shallow(2, 2), Architecture.shallow(2, 3)]
     with pytest.raises(ValueError, match="3-dimensional points, the grid is 2-dimensional"):
-        cross_validate(f, candidates, TrainConfig(epochs=5, seed=1), v=3, seed=2)
+        cross_validate(f, archs, [2], TrainConfig(epochs=5, seed=1), v=3, seed=2)
     assert trained == []

@@ -9,7 +9,7 @@ from covnet.spectral import (
     constituent_gram,
     eigendecompose,
     eval_eigenfunction,
-    threshold_lambda,
+    truncate,
 )
 
 
@@ -189,42 +189,58 @@ def test_degenerate_model_rejected():
         eigendecompose(model, gram)
 
 
-def test_threshold_diagonal_case():
-    arch = Architecture.shallow(2, 2)
-    params, _ = init_params(arch, 2, seed=1)
-    model = FittedCovariance(arch, params, np.diag([3.0, 0.5]))
-    out = threshold_lambda(model, 1.0)
-    np.testing.assert_allclose(out.lam, np.diag([1.0, 0.5]), atol=1e-14)
+def grid_gram(model, grid):
+    z = model.constituents(grid.coordinates())
+    return z, z.T @ z / grid.n_points
 
 
-def test_threshold_above_max_is_identity():
-    model = random_model(3, 2, seed=33)
-    eta_max = np.linalg.eigvalsh(model.lam)[-1]
-    out = threshold_lambda(model, eta_max * 1.001)
-    np.testing.assert_allclose(out.lam, model.lam, atol=1e-12)
+def test_truncate_matches_dense_grid_eigen_oracle():
+    grid = make_grid(2, [12, 12])
+    for seed in (21, 22):
+        model = random_model(6, 2, seed=seed, variant="deepshared")
+        z, gram = grid_gram(model, grid)
+        dense = (z @ model.lam @ z.T) / grid.n_points
+        w = np.linalg.eigvalsh(dense)[::-1]
+        norm2 = float((dense * dense).sum())
+        system = eigendecompose(model, gram)
+        for k in range(1, 6):
+            out = truncate(model, k, gram)
+            # the squared HS error of the truncation is the tail of the
+            # dense operator's spectrum (Eckart-Young)
+            err = (z @ (model.lam - out.lam) @ z.T) / grid.n_points
+            assert abs(float((err * err).sum()) - float((w[k:] ** 2).sum())) <= 1e-10 * norm2
+            # the truncation keeps the k leading eigenpairs and drops the rest
+            kept = eigendecompose(out, gram)
+            np.testing.assert_allclose(
+                kept.values[:k], system.values[:k], rtol=1e-10, atol=1e-12 * system.values[0]
+            )
+            assert np.all(kept.values[k:] <= 1e-10 * system.values[0])
 
 
-def test_threshold_matches_eigensolver_oracle():
-    model = random_model(5, 2, seed=35)
-    eta = np.linalg.eigvalsh(model.lam)
-    cut = float(np.median(eta))
-    out = threshold_lambda(model, cut)
-    got = np.linalg.eigvalsh(out.lam)
-    want = np.minimum(eta, cut)
-    np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-def test_threshold_idempotent():
+def test_truncate_keeps_constituents_and_mean():
     model = random_model(4, 2, seed=37)
-    cut = 0.4
-    once = threshold_lambda(model, cut)
-    twice = threshold_lambda(once, cut)
-    eva = np.linalg.eigvalsh(once.lam)
-    evb = np.linalg.eigvalsh(twice.lam)
-    np.testing.assert_allclose(eva, evb, atol=1e-10)
-    np.testing.assert_allclose(once.lam, twice.lam, atol=1e-10)
+    model = FittedCovariance(model.arch, model.params, model.lam, np.arange(4.0))
+    out = truncate(model, 2, constituent_gram(model, 5000, seed=38))
+    assert out.arch == model.arch
+    assert np.array_equal(out.params, model.params)
+    assert np.array_equal(out.mean_coeffs, model.mean_coeffs)
+    assert np.linalg.matrix_rank(out.lam) == 2
 
 
-def test_threshold_requires_positive():
-    with pytest.raises(ValueError):
-        threshold_lambda(constant_model(), 0.0)
+def test_truncate_at_or_above_rank_returns_the_model():
+    model = random_model(3, 2, seed=33)
+    gram = constituent_gram(model, 5000, seed=34)
+    for k in (3, 4):
+        assert truncate(model, k, gram) is model
+    # duplicated constituents: R = 2 but the Gram, and so the model, has rank 1
+    arch = Architecture.shallow(2, 1)
+    twins = FittedCovariance(arch, np.array([0.7, 0.7, -0.3, -0.3]), np.eye(2))
+    gram = constituent_gram(twins, 2000, seed=2)
+    assert eigendecompose(twins, gram).rank == 1
+    assert truncate(twins, 1, gram) is twins
+
+
+def test_truncate_requires_a_positive_level():
+    model = random_model(3, 2, seed=35)
+    with pytest.raises(ValueError, match="truncation level must be >= 1, got 0"):
+        truncate(model, 0, constituent_gram(model, 100, seed=1))
