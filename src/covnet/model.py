@@ -25,6 +25,9 @@ Xi: the fitted fields are Xi Z^T with Z the constituents evaluated on the
 grid, and Lambda is recovered at freeze time as the (centered) second moment
 of the coefficient columns, which makes it PSD by construction.
 
+The engine is feature-major: every activation is a (width, points) array,
+so each layer is one product W a with the points along the long, contiguous
+axis, and Z comes back as the (M, R) transposed view of an (R, M) array.
 Only the training forward keeps the activations that the backward pass
 needs; evaluation walks the same layers in blocks of points and keeps none.
 """
@@ -50,7 +53,7 @@ DEEPSHARED = "deepshared"
 VARIANTS = (SHALLOW, DEEP, DEEPSHARED)
 
 # points per block in eval_constituents, so that its temporaries are
-# _POINT_BLOCK x p however many points are asked for
+# p x _POINT_BLOCK however many points are asked for
 _POINT_BLOCK = 4096
 
 
@@ -171,50 +174,59 @@ def init_params(arch: Architecture, n: int, seed: int) -> tuple[np.ndarray, np.n
     return params, xi
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    """Logistic 1 / (1 + exp(-t)), computed in place on t and returned.
+def _sigmoid_of_negated(s: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid(-s) = 1 / (1 + exp(s)), computed in place on s and returned.
 
-    exp(-t) overflows to inf for t below about -709; the reciprocal then
-    gives exactly 0, so the overflow is expected and silenced.
+    exp(s) overflows to inf for s above about 709; the reciprocal then gives
+    exactly 0, so the overflow is expected and silenced.
     """
-    np.negative(t, out=t)
     with np.errstate(over="ignore"):
-        np.exp(t, out=t)
-    t += 1.0
-    return np.reciprocal(t, out=t)
+        np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
 
 
-def _layer(a: np.ndarray, w: np.ndarray, b) -> np.ndarray:
-    """sigmoid(a W^T + b) for a hidden or output layer, in one fresh array."""
-    h = a @ w.T
-    h += b
-    return _sigmoid(h)
+def _negated_layers(params: np.ndarray, arch: Architecture) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(-W, -b) of every layer, views into one negated copy of the parameters.
+
+    (-W) a + (-b) is exactly -(W a + b), so a layer feeds its pre-activation
+    to the logistic without a separate negation pass.
+    """
+    return _param_views(np.negative(params), arch)
 
 
 def _stack(a: np.ndarray, layers, g: int, acts: list | None = None) -> np.ndarray:
-    """Output of stack g at inputs a; appends every layer's activation to acts if given.
+    """Output (R / G, points) of stack g at inputs a, (d, points).
 
-    Without acts each activation is dropped as soon as the next layer has it.
+    `layers` are the negated (-W, -b) of `_negated_layers`.  Every layer's
+    activation is appended to acts if given; without acts each is dropped
+    as soon as the next layer has it.
     """
     for w, b in layers:
-        a = _layer(a, w[g], b[g])
+        h = w[g] @ a
+        h += b[g][:, None]
+        a = _sigmoid_of_negated(h)
         if acts is not None:
             acts.append(a)
     return a
 
 
 def forward_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray):
-    """Constituent values Z (M x R) plus the activation cache for backprop."""
-    u = _points(points, arch.d)
-    layers = _param_views(params, arch)
+    """Constituent values Z (M x R) plus the activation cache for backprop.
+
+    Z is the transposed view of a contiguous (R, M) array, and the cache holds
+    each stack's (width, M) activations, the inputs' (d, M) first.
+    """
+    ut = _points(points, arch.d).T
+    layers = _negated_layers(params, arch)
     stacks = []
     for g in range(arch.groups):
-        acts = [u]
-        _stack(u, layers, g, acts)
+        acts = [ut]
+        _stack(ut, layers, g, acts)
         stacks.append(acts)
     outs = [acts[-1] for acts in stacks]
-    z = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
-    return z, (layers, stacks)
+    zt = outs[0] if len(outs) == 1 else np.concatenate(outs)
+    return zt.T, stacks
 
 
 def backward_constituents(
@@ -222,34 +234,38 @@ def backward_constituents(
 ) -> np.ndarray:
     """Pull a gradient dZ (M x R) back onto the flat parameter vector.
 
-    Each stack's layers are walked from the output down; the input layer's
-    activation gradient is never needed, so each walk stops one product
-    short.  Bias gradients are column sums taken as ones @ dpre.
+    Works on dZ^T, (R, M), which is contiguous when dz is the transposed view
+    that `training._core` passes.  Each stack's layers are walked from the
+    output down; the input layer's activation gradient is never needed, so
+    each walk stops one product short.  Bias gradients are row sums taken as
+    dpre @ ones.
     """
-    layers, stacks = cache
+    layers = _param_views(params, arch)
     grad = np.empty(np.size(params))
     grads = _param_views(grad, arch)
-    ones = np.ones(dz.shape[0])
+    dzt = dz.T
+    ones = np.ones(dzt.shape[1])
     rows = arch.r // arch.groups
-    for g, acts in enumerate(stacks):
-        da = dz[:, g * rows : (g + 1) * rows]
+    for g, acts in enumerate(cache):
+        da = dzt[g * rows : (g + 1) * rows]
         for l in range(len(layers) - 1, -1, -1):
             a = acts[l + 1]
-            dpre = a * (1.0 - a)
+            dpre = 1.0 - a
+            dpre *= a
             dpre *= da
             dw, db = grads[l]
-            np.matmul(dpre.T, acts[l], out=dw[g])
-            np.matmul(ones, dpre, out=db[g])
+            np.matmul(dpre, acts[l].T, out=dw[g])
+            np.matmul(dpre, ones, out=db[g])
             if l:
-                da = dpre @ layers[l][0][g]
+                da = layers[l][0][g].T @ dpre
     return grad
 
 
 def _point_blocks(m: int) -> list[slice]:
-    """Row blocks of _POINT_BLOCK points starting at its multiples.
+    """Blocks of _POINT_BLOCK points starting at its multiples.
 
-    A 1-row remainder joins the block before it: BLAS rounds a 1-row
-    product differently from the same row inside a larger one.
+    A 1-point remainder joins the block before it: BLAS rounds a 1-column
+    product differently from the same column inside a larger one.
     """
     starts = list(range(0, m, _POINT_BLOCK))
     if len(starts) > 1 and m - starts[-1] == 1:
@@ -261,17 +277,18 @@ def eval_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray
     """Constituent values g_r(point_i) as an (M, R) matrix.
 
     Walks the layers one point block at a time and keeps no activations, so
-    beyond its output it holds a few _POINT_BLOCK x p arrays however large
-    M is.  With one BLAS thread it equals forward_constituents' Z bit for bit.
+    beyond its output it holds a few p x _POINT_BLOCK arrays however large
+    M is.  The output is the transposed view of an (R, M) array, and with
+    one BLAS thread it equals forward_constituents' Z bit for bit.
     """
     u = _points(points, arch.d)
-    layers = _param_views(params, arch)
+    layers = _negated_layers(params, arch)
     rows = arch.r // arch.groups
-    z = np.empty((u.shape[0], arch.r))
+    zt = np.empty((arch.r, u.shape[0]))
     for block in _point_blocks(u.shape[0]):
         for g in range(arch.groups):
-            z[block, g * rows : (g + 1) * rows] = _stack(u[block], layers, g)
-    return z
+            zt[g * rows : (g + 1) * rows, block] = _stack(u[block].T, layers, g)
+    return zt.T
 
 
 def lambda_from_coefficients(xi: np.ndarray) -> np.ndarray:

@@ -136,20 +136,30 @@ def _core(
     coefficients xis[c], (n, R_c).  The two N x D x R data products, X Z and
     (P S)^T X, are each formed once for all candidates' constituents side by
     side; the Gram algebra is each candidate's own, on its column block.
-    Returns the per-candidate breakdowns and, with want_grads, the
+    Each Z is the (D, R) view of a contiguous, feature-major Z^T (see
+    `model`).  With want_grads the constituents come from
+    forward_constituents, whose activation cache the backward pass reads;
+    without, from eval_constituents, which keeps none and gives the same
+    bits.  Returns the per-candidate breakdowns and, with want_grads, the
     per-candidate parameter and coefficient gradients.
     """
     n, n_points = x.shape
     blocks = _spans(arch.r for arch in archs)
-    forwards = [forward_constituents(p, a, points) for p, a in zip(params, archs)]
-    p_all = x @ _side_by_side([z for z, _ in forwards])
+    if want_grads:
+        forwards = [forward_constituents(p, a, points) for p, a in zip(params, archs)]
+        zs = [z for z, _ in forwards]
+    else:  # no backward pass, so no activation cache
+        zs = [eval_constituents(p, a, points) for p, a in zip(params, archs)]
+    # each Z is the (D, R) view of a contiguous Z^T; the Z^T blocks stack along rows
+    zt_all = zs[0].T if len(zs) == 1 else np.concatenate([z.T for z in zs])
+    p_all = x @ zt_all.T
     p_all /= n_points
     if include_mean:
         xbar = x.mean(axis=0)
         m_xx = float(xbar @ xbar) / n_points
 
     breakdowns, algebra = [], []
-    for xi, block, (z, _) in zip(xis, blocks, forwards):
+    for xi, block, z in zip(xis, blocks, zs):
         p = p_all[:, block]
         gz = z.T @ z
         gz /= n_points
@@ -174,10 +184,12 @@ def _core(
     if not want_grads:
         return breakdowns, None, None
 
-    # dZ^T = (S Gz S)^T Z^T - (P S)^T X, so that the R x N by N x D data
-    # product runs in BLAS's fast orientation rather than as X^T (P S); one
-    # such product serves every candidate, and each dZ^T is formed in place
-    # in its rows as -((P S)^T X - (S Gz S)^T Z^T), which rounds identically
+    # dZ^T = (S Gz S)^T Z^T - (P S)^T X is formed feature-major, (R, D) like
+    # the constituent engine's activations, so that the backward pass reads
+    # it as contiguous rows; the R x N by N x D data product also runs
+    # faster than X^T (P S) would.  One such product serves every candidate,
+    # and each dZ^T is formed in place in its rows as
+    # -((P S)^T X - (S Gz S)^T Z^T), which rounds identically
     psx = _side_by_side([p_all[:, b] @ s for b, (_, s, *_) in zip(blocks, algebra)]).T @ x
     dparams, dxis = [], []
     for param, arch, xi, block, (z, cache), (gz, s, sgz, ptp, means) in zip(

@@ -8,7 +8,7 @@ from covnet.errors import ModelFormatError
 from covnet.fields import FieldMatrix, make_grid
 from covnet.model import (
     _param_views,
-    _sigmoid,
+    _sigmoid_of_negated,
     Architecture,
     FittedCovariance,
     count_parameters,
@@ -112,7 +112,7 @@ def reference_sigmoid(t):
 
 def test_sigmoid_matches_scalar_reference():
     t = np.linspace(-745.0, 745.0, 20_001)
-    got = _sigmoid(t.copy())
+    got = _sigmoid_of_negated(-t)
     want = [reference_sigmoid(x) for x in t]
     # relative to 1e-15 where the result is a normal float, absolutely tight
     # (smallest normal) in the subnormal tail below t = -708
@@ -122,7 +122,7 @@ def test_sigmoid_matches_scalar_reference():
 def test_sigmoid_saturates_exactly_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z = _sigmoid(np.array([-1e6, 1e6, -np.inf, np.inf]))
+        z = _sigmoid_of_negated(-np.array([-1e6, 1e6, -np.inf, np.inf]))
     assert z.tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
@@ -173,6 +173,33 @@ def test_deep_matches_composed_shallow_structure():
         # group r's output layer holds net r's single output row
         zr = 1 / (1 + np.exp(-(a @ w_out[r, 0] + b_out[r, 0])))
         np.testing.assert_allclose(z[:, r], zr, rtol=1e-15)
+
+
+def numpy_constituents(params, arch, pts):
+    """The oracle: every stack walked layer by layer in plain numpy, points along rows."""
+    layers = _param_views(params, arch)
+    rows = arch.r // arch.groups
+    z = np.empty((len(pts), arch.r))
+    for g in range(arch.groups):
+        a = pts
+        for w, b in layers:
+            a = 1 / (1 + np.exp(-(a @ w[g].T + b[g])))
+        z[:, g * rows : (g + 1) * rows] = a
+    return z
+
+
+@pytest.mark.parametrize("variant", ["shallow", "deep", "deepshared"])
+def test_constituents_match_numpy_oracle_at_nonzero_biases(variant):
+    # init_params draws every bias as 0, so a bias slip shows only here
+    widths = () if variant == "shallow" else (5, 4, 3)
+    arch = Architecture(variant, 4, 3, widths)
+    params = gaussian(make_rng(40), count_parameters(arch, include_lambda=False))
+    assert all(np.all(b != 0) for _, b in _param_views(params, arch))
+    pts = make_rng(41).random((300, 3))
+    want = numpy_constituents(params, arch, pts)
+    z, _ = forward_constituents(params, arch, pts)
+    np.testing.assert_allclose(z, want, rtol=1e-13)
+    np.testing.assert_allclose(eval_constituents(params, arch, pts), want, rtol=1e-13)
 
 
 def test_constituents_within_sigmoid_bounds():

@@ -6,6 +6,7 @@ from covnet.errors import TrainingDivergedError
 from covnet.fields import FieldMatrix, make_grid
 from covnet.model import (
     Architecture,
+    _param_views,
     eval_constituents,
     forward_constituents,
     init_params,
@@ -50,6 +51,15 @@ def dense_loss_oracle(f, params, arch, xi, include_mean=False):
     return total
 
 
+def with_random_biases(params, arch, seed):
+    """A copy of params with every bias drawn from N(0, 1); init_params leaves them 0."""
+    params = params.copy()
+    rng = make_rng(seed)
+    for _, b in _param_views(params, arch):
+        b[...] = gaussian(rng, b.shape)
+    return params
+
+
 def perfect_fit_case(seed=0):
     """Data constructed to equal the fitted fields exactly (loss zero)."""
     arch = Architecture.shallow(3, 1)
@@ -87,9 +97,10 @@ def test_loss_matches_dense_oracle(variant):
         xc = x - x.mean(axis=0)
         f = FieldMatrix(grid, xc)
         params, xi = init_params(arch, n, seed=trial)
-        got = loss(f, params, arch, 2.0 * xi).total
-        oracle = dense_loss_oracle(f, params, arch, 2.0 * xi)
-        assert got == pytest.approx(oracle, rel=1e-8)
+        for p in (params, with_random_biases(params, arch, seed=10 + trial)):
+            got = loss(f, p, arch, 2.0 * xi).total
+            oracle = dense_loss_oracle(f, p, arch, 2.0 * xi)
+            assert got == pytest.approx(oracle, rel=1e-8)
 
 
 def test_loss_never_materializes_dense_objects():
@@ -152,27 +163,28 @@ def test_gradients_match_central_differences(variant, include_mean):
         x = x - x.mean(axis=0)
     f = FieldMatrix(grid, x)
     params, xi = init_params(arch, n, seed=8)
-    dparams, dxi = gradients(f, params, arch, xi, include_mean=include_mean)
-    analytic = np.concatenate([dparams, dxi.ravel()])
-    theta = np.concatenate([params, xi.ravel()])
     n_net = params.size
 
     def total_at(vec):
         q = vec[n_net:].reshape(n, arch.r)
         return loss(f, vec[:n_net], arch, q, include_mean).total
 
-    fd = np.empty_like(theta)
-    for i in range(theta.size):
-        h = 1e-5 * (1 + abs(theta[i]))
-        up, down = theta.copy(), theta.copy()
-        up[i] += h
-        down[i] -= h
-        fd[i] = (total_at(up) - total_at(down)) / (2 * h)
-    for a, g in zip(analytic, fd):
-        if abs(g) < 1e-6:
-            assert abs(a - g) < 1e-8
-        else:
-            assert abs(a - g) / abs(g) < 1e-5
+    for p in (params, with_random_biases(params, arch, seed=12)):
+        dparams, dxi = gradients(f, p, arch, xi, include_mean=include_mean)
+        analytic = np.concatenate([dparams, dxi.ravel()])
+        theta = np.concatenate([p, xi.ravel()])
+        fd = np.empty_like(theta)
+        for i in range(theta.size):
+            h = 1e-5 * (1 + abs(theta[i]))
+            up, down = theta.copy(), theta.copy()
+            up[i] += h
+            down[i] -= h
+            fd[i] = (total_at(up) - total_at(down)) / (2 * h)
+        for a, g in zip(analytic, fd):
+            if abs(g) < 1e-6:
+                assert abs(a - g) < 1e-8
+            else:
+                assert abs(a - g) / abs(g) < 1e-5
 
 
 def x_transpose_dz(x, points, params, arch, xi, include_mean):
