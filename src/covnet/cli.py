@@ -27,8 +27,8 @@ import numpy as np
 from .baselines import (
     EmpiricalCovariance,
     ZeroCovariance,
+    _relative_errors,
     best_separable_2d,
-    relative_error_mc,
 )
 from .crossval import _check_levels, cross_validate
 from .errors import (
@@ -387,9 +387,10 @@ def run_eval(cfg: Config, out_dir: str) -> None:
         else (label, est)
         for label, est in estimators
     ]
+    # one draw of the pairs and one evaluation of the truth score every estimator
+    errors = _relative_errors([est for _, est in estimators], truth, d, m, seed)
     rows = []
-    for label, est in estimators:
-        err = relative_error_mc(est, truth, d, m, seed)
+    for (label, _), err in zip(estimators, errors):
         rows.append([label, _fmt(err), str(m), str(seed)])
         print(f"{label}: relative error {_fmt(err)}")
     _write_csv(

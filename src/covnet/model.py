@@ -25,11 +25,13 @@ Xi: the fitted fields are Xi Z^T with Z the constituents evaluated on the
 grid, and Lambda is recovered at freeze time as the (centered) second moment
 of the coefficient columns, which makes it PSD by construction.
 
-The engine is feature-major: every activation is a (width, points) array,
-so each layer is one product W a with the points along the long, contiguous
-axis, and Z comes back as the (M, R) transposed view of an (R, M) array.
-Only the training forward keeps the activations that the backward pass
-needs; evaluation walks the same layers in blocks of points and keeps none.
+The engine is feature-major and homogeneous: every activation, the inputs
+included, is a (width + 1, points) array whose last row is ones, so each
+affine layer is one product [W | b] a with the points along the long,
+contiguous axis.  Z comes back as the (M, R) transposed view of an (R, M)
+array.  Only the training forward keeps the activations that the backward
+pass needs; evaluation walks the same layers in blocks of points and keeps
+none.
 """
 
 from __future__ import annotations
@@ -186,45 +188,61 @@ def _sigmoid_of_negated(s: np.ndarray) -> np.ndarray:
     return np.reciprocal(s, out=s)
 
 
-def _negated_layers(params: np.ndarray, arch: Architecture) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(-W, -b) of every layer, views into one negated copy of the parameters.
+def _negated_layers(params: np.ndarray, arch: Architecture) -> list[np.ndarray]:
+    """-[W | b] of every layer, each (G, p_l, p_{l-1} + 1), output layer last.
 
-    (-W) a + (-b) is exactly -(W a + b), so a layer feeds its pre-activation
-    to the logistic without a separate negation pass.
+    On an activation whose last row is ones, -[W | b] a is -(W a + b), so a
+    layer is one product that feeds its negated pre-activation to the
+    logistic without a bias or negation pass.
     """
-    return _param_views(np.negative(params), arch)
+    out = []
+    for w, b in _param_views(params, arch):
+        wb = np.empty((*w.shape[:2], w.shape[2] + 1))
+        np.negative(w, out=wb[..., :-1])
+        np.negative(b, out=wb[..., -1])
+        out.append(wb)
+    return out
+
+
+def _homogeneous(u: np.ndarray) -> np.ndarray:
+    """Input activation (d + 1, points): the rows of u (points, d) as columns, over ones."""
+    a = np.empty((u.shape[1] + 1, u.shape[0]))
+    a[:-1] = u.T
+    a[-1] = 1.0
+    return a
 
 
 def _stack(a: np.ndarray, layers, g: int, acts: list | None = None) -> np.ndarray:
-    """Output (R / G, points) of stack g at inputs a, (d, points).
+    """Output (R / G, points) of stack g at the homogeneous inputs a, (d + 1, points).
 
-    `layers` are the negated (-W, -b) of `_negated_layers`.  Every layer's
-    activation is appended to acts if given; without acts each is dropped
-    as soon as the next layer has it.
+    `layers` are the -[W | b] of `_negated_layers`.  Every layer's
+    activation, ones row included, is appended to acts if given; without
+    acts each is dropped as soon as the next layer has it.
     """
-    for w, b in layers:
-        h = w[g] @ a
-        h += b[g][:, None]
-        a = _sigmoid_of_negated(h)
+    for wb in layers:
+        h = np.empty((wb.shape[1] + 1, a.shape[1]))
+        h[-1] = 1.0
+        _sigmoid_of_negated(np.matmul(wb[g], a, out=h[:-1]))
+        a = h
         if acts is not None:
             acts.append(a)
-    return a
+    return a[:-1]
 
 
 def forward_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray):
     """Constituent values Z (M x R) plus the activation cache for backprop.
 
     Z is the transposed view of a contiguous (R, M) array, and the cache holds
-    each stack's (width, M) activations, the inputs' (d, M) first.
+    each stack's homogeneous (width + 1, M) activations, the inputs' first.
     """
-    ut = _points(points, arch.d).T
+    a = _homogeneous(_points(points, arch.d))
     layers = _negated_layers(params, arch)
     stacks = []
+    outs = []
     for g in range(arch.groups):
-        acts = [ut]
-        _stack(ut, layers, g, acts)
+        acts = [a]
+        outs.append(_stack(a, layers, g, acts))
         stacks.append(acts)
-    outs = [acts[-1] for acts in stacks]
     zt = outs[0] if len(outs) == 1 else np.concatenate(outs)
     return zt.T, stacks
 
@@ -237,8 +255,13 @@ def backward_constituents(
     Works on dZ^T, (R, M), which is contiguous when dz is the transposed view
     that `training._core` passes.  Each stack's layers are walked from the
     output down; the input layer's activation gradient is never needed, so
-    each walk stops one product short.  Bias gradients are row sums taken as
-    dpre @ ones.
+    each walk stops one product short.  A layer's W gradient is dpre @ a^T
+    on its input a without the ones row, and its bias gradient the row sums
+    dpre @ ones.  Taking both from one product dpre @ a^T would round the
+    bias gradients differently, and that alone moves a 5000-epoch shallow
+    fit to another local minimum (criterion 5 of the acceptance tests, at
+    two BLAS threads).  A one-row layer (deep's output) is pulled back by a
+    broadcast multiply, which equals the K = 1 product bit for bit.
     """
     layers = _param_views(params, arch)
     grad = np.empty(np.size(params))
@@ -249,15 +272,16 @@ def backward_constituents(
     for g, acts in enumerate(cache):
         da = dzt[g * rows : (g + 1) * rows]
         for l in range(len(layers) - 1, -1, -1):
-            a = acts[l + 1]
+            a = acts[l + 1][:-1]
             dpre = 1.0 - a
             dpre *= a
             dpre *= da
             dw, db = grads[l]
-            np.matmul(dpre, acts[l].T, out=dw[g])
+            np.matmul(dpre, acts[l][:-1].T, out=dw[g])
             np.matmul(dpre, ones, out=db[g])
             if l:
-                da = layers[l][0][g].T @ dpre
+                w = layers[l][0][g]
+                da = w.T * dpre if w.shape[0] == 1 else w.T @ dpre
     return grad
 
 
@@ -286,8 +310,9 @@ def eval_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray
     rows = arch.r // arch.groups
     zt = np.empty((arch.r, u.shape[0]))
     for block in _point_blocks(u.shape[0]):
+        a = _homogeneous(u[block])
         for g in range(arch.groups):
-            zt[g * rows : (g + 1) * rows, block] = _stack(u[block].T, layers, g)
+            zt[g * rows : (g + 1) * rows, block] = _stack(a, layers, g)
     return zt.T
 
 

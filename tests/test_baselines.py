@@ -362,6 +362,18 @@ def test_nearest_voxel_lookup_matches_grid_nodes():
     np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
+@pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
+def test_empirical_pair_blocks_give_the_bits_of_one_pair_calls(m):
+    # 128 pairs is one block (_PAIR_CHUNK): one pair short of, at and past it
+    grid = make_grid(2, [7, 6])
+    emp = EmpiricalCovariance(FieldMatrix(grid, gaussian(make_rng(26), (30, 42))).centered())
+    rng = make_rng(27)
+    u, v = rng.random((m, 2)), rng.random((m, 2))
+    got = emp.kernel_pairs(u, v)
+    want = [emp.kernel_pairs(u[i : i + 1], v[i : i + 1])[0] for i in range(m)]
+    assert got.tolist() == want
+
+
 class PairLoopOracle:
     """Point-pair values computed one pair at a time from per-voxel values."""
 

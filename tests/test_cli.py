@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from covnet import cli
+from covnet.baselines import (
+    EmpiricalCovariance,
+    ZeroCovariance,
+    best_separable_2d,
+    relative_error_mc,
+)
 from covnet.cli import main, parse_config_text
 from covnet.crossval import cross_validate
 from covnet.errors import ConfigError, ModelFormatError
@@ -17,6 +23,7 @@ from covnet.model import (
     save_model,
 )
 from covnet.rng import gaussian, make_rng
+from covnet.simulate import BrownianSheet
 from covnet.training import TrainConfig
 
 
@@ -314,6 +321,31 @@ def test_eval_solves_for_the_separable_fit_only_after_the_config_is_accepted(
     assert [row.split(",")[0] for row in rows[1:]] == [
         "separable (nearest Kronecker product)", "zero", "empirical"
     ]
+
+
+def test_eval_errors_equal_one_relative_error_mc_call_per_estimator(tmp_path, monkeypatch):
+    data_out, fit_out = fit_smoke(tmp_path)
+    cfg = (
+        f"estimator = zero,empirical,separable,covnet\nfields = {data_out / 'fields.cvnf'}\n"
+        f"model = {fit_out / 'model.cvn'}\nkernel = brownian\nd = 2\nM = 3000\nseed = 7\n"
+    )
+    truth_calls = []
+    real = BrownianSheet.kernel_pairs
+
+    def counting(self, u, v):
+        truth_calls.append(len(u))
+        return real(self, u, v)
+
+    monkeypatch.setattr(BrownianSheet, "kernel_pairs", counting)
+    code, out = run(tmp_path, "eval", cfg, out=tmp_path / "ev")
+    assert code == 0
+    # one draw of the pairs and one evaluation of the truth serve all four estimators
+    assert truth_calls == [3000]
+    got = [float(row.split(",")[1]) for row in (out / "errors.csv").read_text().splitlines()[1:]]
+    emp = EmpiricalCovariance(read_fields(data_out / "fields.cvnf").centered())
+    estimators = [ZeroCovariance(), emp, best_separable_2d(emp), load_model(fit_out / "model.cvn")]
+    want = [relative_error_mc(est, BrownianSheet(2), 2, 3000, 7) for est in estimators]
+    assert got == want
 
 
 def test_eigen_constant_model(tmp_path):
