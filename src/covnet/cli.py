@@ -316,7 +316,6 @@ def _train_config(cfg: Config) -> TrainConfig:
         lr=cfg.float_("lr", default=TrainConfig.lr),
         rel_tol=cfg.float_("rel_tol", default=TrainConfig.rel_tol),
         seed=cfg.seed_("seed"),
-        center_mode=cfg.str_("center_mode", default=TrainConfig.center_mode),
         batch=cfg.int_("batch"),
     )
 

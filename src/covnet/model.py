@@ -353,27 +353,17 @@ def _check_lambda(lam: np.ndarray, r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FittedCovariance:
-    """Frozen constituents plus the PSD coefficient matrix Lambda.
-
-    `mean_coeffs`, when present, expresses the estimated mean field as
-    sum_r mean_coeffs[r] g_r (produced by joint mean-and-covariance fitting).
-    """
+    """Frozen constituents plus the PSD coefficient matrix Lambda."""
 
     arch: Architecture
     params: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
-    mean_coeffs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         params = np.asarray(self.params, dtype=float)
         _param_views(params, self.arch)  # rejects a vector of the wrong length
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "lam", _check_lambda(self.lam, self.arch.r))
-        if self.mean_coeffs is not None:
-            mc = np.asarray(self.mean_coeffs, dtype=float)
-            if mc.shape != (self.arch.r,):
-                raise ValueError(f"mean coefficients must have length {self.arch.r}")
-            object.__setattr__(self, "mean_coeffs", mc)
 
     def constituents(self, points: np.ndarray) -> np.ndarray:
         return eval_constituents(self.params, self.arch, points)
@@ -390,13 +380,6 @@ class FittedCovariance:
         a = ((zu @ self.lam) * zv).sum(axis=1)
         b = ((zv @ self.lam) * zu).sum(axis=1)
         return (a + b) / 2.0
-
-    def mean_at(self, points: np.ndarray) -> np.ndarray:
-        """Estimated mean field at the given points (zero if not estimated)."""
-        z = self.constituents(points)
-        if self.mean_coeffs is None:
-            return np.zeros(z.shape[0])
-        return z @ self.mean_coeffs
 
 
 def _format_floats(values: np.ndarray) -> str:
@@ -419,9 +402,6 @@ def save_model(path, model: FittedCovariance) -> None:
     lines.append(f"lambda {arch.r}")
     for i in range(arch.r):
         lines.append(_format_floats(model.lam[i, : i + 1]))
-    if model.mean_coeffs is not None:
-        lines.append(f"mean {arch.r}")
-        lines.append(_format_floats(model.mean_coeffs))
     lines.append("end")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -527,16 +507,12 @@ def load_model(path) -> FittedCovariance:
         row = floats(take(f"lambda row {i}"), i + 1, f"lambda row {i}")
         lam[i, : i + 1] = row
         lam[: i + 1, i] = row
-    mean_coeffs = None
     line = take("trailer")
     if line.split()[:1] == ["mean"]:
-        if ints(line.split()[1:], "mean R") != (r,):
-            raise ModelFormatError("expected 'mean R' block")
-        mean_coeffs = floats(take("mean values"), r, "mean coefficients")
-        line = take("trailer")
+        raise ModelFormatError("model has a 'mean' block: joint mean fitting was removed; refit")
     if line != "end":
         raise ModelFormatError(f"expected 'end', got {line!r}")
     try:
-        return FittedCovariance(arch, params, lam, mean_coeffs)
+        return FittedCovariance(arch, params, lam)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc

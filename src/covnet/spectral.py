@@ -108,10 +108,10 @@ def truncate(model: FittedCovariance, k: int, gram: np.ndarray) -> FittedCovaria
     """The model's rank-k truncation: its k leading eigenpairs under `gram`.
 
     Lambda_k = A_k^T diag(eta_k) A_k, from `eigendecompose(model, gram)`,
-    with the model's constituents and mean coefficients.  By Eckart-Young it
-    is the best rank-k approximation of the model in the Hilbert-Schmidt
-    norm that `gram` integrates.  For k at or above the rank the model itself
-    is returned, and for k at or above R without an eigensolve.
+    with the model's constituents.  By Eckart-Young it is the best rank-k
+    approximation of the model in the Hilbert-Schmidt norm that `gram`
+    integrates.  For k at or above the rank the model itself is returned,
+    and for k at or above R without an eigensolve.
     """
     if k < 1:
         raise ValueError(f"truncation level must be >= 1, got {k}")
@@ -122,4 +122,4 @@ def truncate(model: FittedCovariance, k: int, gram: np.ndarray) -> FittedCovaria
         return model
     a = system.coeffs[:k]
     lam = (a.T * system.values[:k]) @ a
-    return FittedCovariance(model.arch, model.params, (lam + lam.T) / 2.0, model.mean_coeffs)
+    return FittedCovariance(model.arch, model.params, (lam + lam.T) / 2.0)

@@ -16,10 +16,7 @@ and the gradients of the total follow in closed form:
     dl/dXi = (4 / N^2) Xi (Gz S Gz - P^T P),
     dl/dZ  = (4 / (N^2 D)) (Z S Gz S - X^T P S),
 
-after which dl/dZ is pulled back through the constituent networks.  The
-joint-mean variant adds the mean-mismatch penalty of the uncentered
-criterion; its pieces are folded into the matching self/cross terms so the
-breakdown identity total = xx + gg - 2 xg is preserved.
+after which dl/dZ is pulled back through the constituent networks.
 
 Several candidate architectures can train on the same fields in lockstep
 (`_fit_lockstep`, which cross-validation runs once per fold): same seed,
@@ -51,9 +48,6 @@ from .model import (
 )
 from .rng import make_rng
 
-PRE_CENTER = "pre_center"
-JOINT_MEAN = "joint_mean"
-
 DIVERGENCE_FACTOR = 1e6
 # ADAM's moment decay rates and denominator guard (Kingma & Ba's defaults)
 BETA1 = 0.9
@@ -77,13 +71,12 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Epoch budget, ADAM step size, stopping tolerance, seed, centering, batch."""
+    """Epoch budget, ADAM step size, stopping tolerance, seed, batch."""
 
     epochs: int = 5000
     lr: float = 1e-2
     rel_tol: float = 1e-7
     seed: int = 0
-    center_mode: str = PRE_CENTER
     batch: int | None = None
 
     def __post_init__(self):
@@ -93,8 +86,6 @@ class TrainConfig:
             raise ValueError("rel_tol must be nonnegative and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.center_mode not in (PRE_CENTER, JOINT_MEAN):
-            raise ValueError(f"unknown center_mode {self.center_mode!r}")
         if self.batch is not None and self.batch < 2:
             raise ValueError(f"batch must be >= 2 (at least 2 fields per step), got {self.batch}")
 
@@ -127,7 +118,6 @@ def _core(
     archs: list[Architecture],
     xis: list[np.ndarray],
     term_xx: float,
-    include_mean: bool,
     want_grads: bool,
 ):
     """Loss terms, and optionally gradients, of candidates trained in lockstep.
@@ -154,9 +144,6 @@ def _core(
     zt_all = zs[0].T if len(zs) == 1 else np.concatenate([z.T for z in zs])
     p_all = x @ zt_all.T
     p_all /= n_points
-    if include_mean:
-        xbar = x.mean(axis=0)
-        m_xx = float(xbar @ xbar) / n_points
 
     breakdowns, algebra = [], []
     for xi, block, z in zip(xis, blocks, zs):
@@ -168,19 +155,8 @@ def _core(
         term_gg = float((sgz * sgz.T).sum()) / n**2
         ptp = p.T @ p
         term_xg = float((s * ptp).sum()) / n**2
-        means = None
-        if include_mean:
-            xibar = xi.mean(axis=0)
-            pbar = p.mean(axis=0)
-            m_yy = float(xibar @ gz @ xibar)
-            m_xy = float(pbar @ xibar)
-            breakdowns.append(
-                LossBreakdown(term_xx + m_xx**2, term_gg + m_yy**2, term_xg + m_xy**2)
-            )
-            means = (xibar, pbar, m_yy, m_xy)
-        else:
-            breakdowns.append(LossBreakdown(term_xx, term_gg, term_xg))
-        algebra.append((gz, s, sgz, ptp, means))
+        breakdowns.append(LossBreakdown(term_xx, term_gg, term_xg))
+        algebra.append((gz, s, sgz, ptp))
     if not want_grads:
         return breakdowns, None, None
 
@@ -192,7 +168,7 @@ def _core(
     # -((P S)^T X - (S Gz S)^T Z^T), which rounds identically
     psx = _side_by_side([p_all[:, b] @ s for b, (_, s, *_) in zip(blocks, algebra)]).T @ x
     dparams, dxis = [], []
-    for param, arch, xi, block, (z, cache), (gz, s, sgz, ptp, means) in zip(
+    for param, arch, xi, block, (z, cache), (gz, s, sgz, ptp) in zip(
         params, archs, xis, blocks, forwards, algebra
     ):
         dxi = xi @ (gz @ s @ gz - ptp)
@@ -200,12 +176,6 @@ def _core(
         dzt = psx[block]
         dzt -= (sgz @ s).T @ z.T
         dzt *= -4.0 / (n**2 * n_points)
-        if include_mean:
-            xibar, pbar, m_yy, m_xy = means
-            dxibar = 4.0 * (m_yy * (gz @ xibar) - m_xy * pbar)
-            dxi += dxibar / n
-            ybar = z @ xibar
-            dzt += (4.0 / n_points) * np.outer(xibar, m_yy * ybar - m_xy * xbar)
         dparams.append(backward_constituents(param, arch, cache, dzt.T))
         dxis.append(dxi)
     return breakdowns, dparams, dxis
@@ -216,19 +186,12 @@ def loss(
     params: np.ndarray,
     arch: Architecture,
     xi: np.ndarray,
-    include_mean: bool = False,
 ) -> LossBreakdown:
-    """Three-term Gram loss; expects pre-centered fields unless `include_mean`.
-
-    With `include_mean` the fields are taken uncentered and the mean penalty
-    ||Xbar (x) Xbar - Ybar (x) Ybar||^2 is added; it expands into squared Gram
-    row-means, whose three pieces are folded into the matching terms of the
-    breakdown.
-    """
+    """Three-term Gram loss; expects pre-centered fields."""
     xi = np.asarray(xi, dtype=float)
     [breakdown], _, _ = _core(
         f.values, f.grid.coordinates(), [params], [arch], [xi],
-        data_self_term(f), include_mean=include_mean, want_grads=False,
+        data_self_term(f), want_grads=False,
     )
     return breakdown
 
@@ -238,13 +201,11 @@ def gradients(
     params: np.ndarray,
     arch: Architecture,
     xi: np.ndarray,
-    include_mean: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact gradients of the selected loss w.r.t. all parameters and Xi."""
+    """Exact gradients of the loss w.r.t. all parameters and Xi; expects pre-centered fields."""
     xi = np.asarray(xi, dtype=float)
     _, [dparams], [dxi] = _core(
-        f.values, f.grid.coordinates(), [params], [arch], [xi],
-        0.0, include_mean=include_mean, want_grads=True,
+        f.values, f.grid.coordinates(), [params], [arch], [xi], 0.0, want_grads=True
     )
     return dparams, dxi
 
@@ -281,8 +242,8 @@ def fit(
 ) -> tuple[FittedCovariance, np.ndarray]:
     """Fit a covariance network to observed fields with ADAM.
 
-    Returns the frozen model (Lambda from centered coefficients; mean
-    coefficients kept in joint_mean mode) and a loss trace of shape (T, 4)
+    The fields are centered by their sample mean first.  Returns the frozen
+    model (Lambda from centered coefficients) and a loss trace of shape (T, 4)
     with columns (total, term_xx, term_gg, term_xg).  Row e records the loss
     at the parameters entering epoch e; a final row records the loss after
     the last step.  With minibatching the recorded row is the mean over the
@@ -339,8 +300,7 @@ def _fit_lockstep(
             count_parameters(arch) + f.n * arch.r,
             f"R = {arch.r} constituents with {arch.depth} hidden layers",
         )
-    x = f.values - f.values.mean(axis=0) if cfg.center_mode == PRE_CENTER else f.values
-    include_mean = cfg.center_mode == JOINT_MEAN
+    x = f.values - f.values.mean(axis=0)
     points = f.grid.coordinates()
     gram = cross_gram(FieldMatrix(f.grid, x))
     term_xx = _gram_self_term(gram)
@@ -370,7 +330,7 @@ def _fit_lockstep(
         for idx, sub_xx in batches:
             breakdowns, dparams, dxis = _core(
                 x[idx], points, [c.params for c in live], archs_live,
-                [c.xi[idx] for c in live], sub_xx, include_mean, True,
+                [c.xi[idx] for c in live], sub_xx, want_grads=True,
             )
             t += 1
             for c, row, b, dp, dxi in zip(live, rows, breakdowns, dparams, dxis):
@@ -399,9 +359,7 @@ def _fit_lockstep(
                 prev = c.running_min[-STOP_WINDOW - 1]
                 stalled = prev - c.running_min[-1] < cfg.rel_tol * max(prev, 1e-300)
             if stalled or epoch == cfg.epochs - 1:
-                outcomes[c.index] = _freeze(
-                    x, points, c.params, c.arch, c.xi, term_xx, include_mean, c.trace
-                )
+                outcomes[c.index] = _freeze(x, points, c.params, c.arch, c.xi, term_xx, c.trace)
             else:
                 going_on.append(c)
         live = going_on
@@ -410,21 +368,12 @@ def _fit_lockstep(
     return outcomes
 
 
-def _freeze(x, points, params, arch, xi, term_xx, include_mean, trace_rows):
+def _freeze(x, points, params, arch, xi, term_xx, trace_rows):
     """A candidate's model, and its trace with the row of its final parameters."""
-    [breakdown], _, _ = _core(x, points, [params], [arch], [xi], term_xx, include_mean, False)
+    [breakdown], _, _ = _core(x, points, [params], [arch], [xi], term_xx, want_grads=False)
     trace_rows.append(
         (breakdown.total, breakdown.term_xx, breakdown.term_gg, breakdown.term_xg)
     )
 
-    lam = lambda_from_coefficients(xi)
-    mean_coeffs = None
-    if include_mean:
-        # the criterion is quadratic in the fitted fields, so their common
-        # sign is unidentified; align the estimated mean with the data mean
-        mean_coeffs = xi.mean(axis=0)
-        z = eval_constituents(params, arch, points)
-        if float((z @ mean_coeffs) @ x.mean(axis=0)) < 0:
-            mean_coeffs = -mean_coeffs
-    model = FittedCovariance(arch, params, lam, mean_coeffs)
+    model = FittedCovariance(arch, params, lambda_from_coefficients(xi))
     return model, np.array(trace_rows)

@@ -27,16 +27,12 @@ def report(criterion: int, detail: str) -> None:
     print(f"ACCEPTANCE {criterion:02d} PASS — {detail}")
 
 
-def dense_oracle(f, params, arch, xi, include_mean):
+def dense_oracle(f, params, arch, xi):
     x = f.values
     n, n_points = x.shape
     z = eval_constituents(params, arch, f.grid.coordinates())
     y = xi @ z.T
-    total = np.linalg.norm(x.T @ x / n - y.T @ y / n, "fro") ** 2 / n_points**2
-    if include_mean:
-        xb, yb = x.mean(axis=0), y.mean(axis=0)
-        total += np.linalg.norm(np.outer(xb, xb) - np.outer(yb, yb)) ** 2 / n_points**2
-    return total
+    return np.linalg.norm(x.T @ x / n - y.T @ y / n, "fro") ** 2 / n_points**2
 
 
 def test_criterion_01_loss_identity():
@@ -45,7 +41,6 @@ def test_criterion_01_loss_identity():
     checked = 0
     while checked < 50:
         variant = ("shallow", "deep", "deepshared")[checked % 3]
-        include_mean = bool(checked % 2)
         n = int(rng.integers(2, 7))
         k1 = int(rng.integers(2, 11))
         k2 = int(rng.integers(2, 11))  # D = k1 k2 <= 100
@@ -54,12 +49,10 @@ def test_criterion_01_loss_identity():
         arch = ARCH_MAKERS[variant](r, 2)
         params, xi = init_params(arch, n, seed=checked)
         x = gaussian(rng, (n, grid.n_points))
-        if not include_mean:
-            x = x - x.mean(axis=0)
-        f = covnet.FieldMatrix(grid, x)
-        got = covnet.loss(f, params, arch, 2.0 * xi, include_mean).total
-        want = dense_oracle(f, params, arch, 2.0 * xi, include_mean)
-        assert got == pytest.approx(want, rel=1e-8), (variant, include_mean, checked)
+        f = covnet.FieldMatrix(grid, x - x.mean(axis=0))
+        got = covnet.loss(f, params, arch, 2.0 * xi).total
+        want = dense_oracle(f, params, arch, 2.0 * xi)
+        assert got == pytest.approx(want, rel=1e-8), (variant, checked)
         checked += 1
     elapsed = time.time() - start
     assert elapsed < 10.0
@@ -72,23 +65,20 @@ def test_criterion_02_gradient_correctness():
     worst = 0.0
     for variant, maker in ARCH_MAKERS.items():
         for trial in range(20):
-            include_mean = trial % 2 == 1
             n, r = 4, 2
             grid = covnet.make_grid(2, [4, 4])
             arch = maker(r, 2)
             params, xi = init_params(arch, n, seed=1000 + trial)
             x = gaussian(rng, (n, 16))
-            if not include_mean:
-                x = x - x.mean(axis=0)
-            f = covnet.FieldMatrix(grid, x)
-            dparams, dxi = covnet.gradients(f, params, arch, xi, include_mean)
+            f = covnet.FieldMatrix(grid, x - x.mean(axis=0))
+            dparams, dxi = covnet.gradients(f, params, arch, xi)
             analytic = np.concatenate([dparams, dxi.ravel()])
             theta = np.concatenate([params, xi.ravel()])
             n_net = params.size
 
             def total_at(vec):
                 q = vec[n_net:].reshape(n, r)
-                return covnet.loss(f, vec[:n_net], arch, q, include_mean).total
+                return covnet.loss(f, vec[:n_net], arch, q).total
 
             for i in range(theta.size):
                 h = 1e-5 * (1 + abs(theta[i]))
@@ -338,19 +328,12 @@ def test_criterion_10_serialization(tmp_path):
         d = int(rng.integers(1, 4))
         arch = ARCH_MAKERS[variant](r, d)
         params, xi = init_params(arch, int(rng.integers(2, 8)), seed=idx)
-        model = covnet.FittedCovariance(
-            arch,
-            params,
-            covnet.lambda_from_coefficients(xi),
-            mean_coeffs=xi.mean(axis=0) if idx % 4 == 0 else None,
-        )
+        model = covnet.FittedCovariance(arch, params, covnet.lambda_from_coefficients(xi))
         path = tmp_path / f"m{idx}.cvn"
         covnet.save_model(path, model)
         back = covnet.load_model(path)
         assert np.array_equal(back.params, model.params), idx
         assert np.array_equal(back.lam, model.lam), idx
-        if model.mean_coeffs is not None:
-            assert np.array_equal(back.mean_coeffs, model.mean_coeffs), idx
 
     arch = covnet.Architecture.shallow(40, 3)
     params, xi = init_params(arch, 30, seed=7)

@@ -228,6 +228,25 @@ def test_load_model_bad_bytes_exit_3(tmp_path, blob):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("eigen", "model = {model}\nM = 100\n"),
+        ("eval", "estimator = covnet\nmodel = {model}\nkernel = brownian\nd = 2\nM = 100\n"),
+        ("export", "model = {model}\nK = 3\nv0 = 0.5,0.5\n"),
+    ],
+)
+def test_model_with_a_mean_block_exits_3(tmp_path, capsys, command, cfg):
+    # a file written while joint mean fitting existed
+    path, lines = saved_model_text(tmp_path)
+    lines[-1:-1] = ["mean 2", "0.5 -0.25"]
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run(tmp_path, command, cfg.format(model=path))
+    assert code == 3
+    assert "joint mean fitting was removed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def constant_model(tmp_path):
     """A shallow R=1 model whose kernel is 1 everywhere."""
     path = tmp_path / "const.cvn"
@@ -627,6 +646,13 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
             "simulate does not use config key(s): noise_seed",
         ),
         ("fit", FIT + "L = 3\n", "fit does not use config key(s): L"),
+        # no centering key: every fit centers the fields by their sample mean
+        ("fit", FIT + "center_mode = pre_center\n", "fit does not use config key(s): center_mode"),
+        (
+            "cv",
+            "fields = {fields}\narchs = shallow\nR_list = 2\ncenter_mode = pre_center\n",
+            "cv does not use config key(s): center_mode",
+        ),
         (
             "cv",
             "fields = {fields}\narchs = shallow\nR_list = 2\nL_list = 9\n",
@@ -670,7 +696,8 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         "simulate_huge_d", "fit_huge_L", "cv_huge_L_list", "fit_huge_L_zero_R",
         "simulate_nu_not_matern", "eval_nu_not_matern",
         "eigen_n_funcs_without_grid", "eigen_n_funcs_zero_without_grid",
-        "simulate_noise_seed_without_sigma", "fit_L_with_shallow", "cv_L_list_with_shallow",
+        "simulate_noise_seed_without_sigma", "fit_L_with_shallow", "fit_center_mode",
+        "cv_center_mode", "cv_L_list_with_shallow",
         "eval_model_without_covnet", "eval_fields_without_baselines", "eigen_d_without_grid",
         "export_seed", "eval_estimator_empty", "eval_estimator_comma", "cv_R_list_empty",
         "cv_R_list_comma", "cv_L_list_empty",
@@ -717,8 +744,7 @@ def test_value_error_inside_a_subcommand_is_not_a_config_error(tmp_path, capsys,
 
 def test_every_train_config_field_is_a_fit_key(tmp_path):
     settings = {
-        "epochs": "3", "lr": "0.02", "rel_tol": "0", "seed": "5",
-        "center_mode": "joint_mean", "batch": "4",
+        "epochs": "3", "lr": "0.02", "rel_tol": "0", "seed": "5", "batch": "4",
     }
     assert set(settings) == {f.name for f in dataclasses.fields(TrainConfig)}
     text = FIT.format(fields=gaussian_fields(tmp_path, 6)).replace("epochs = 5\n", "")

@@ -65,7 +65,7 @@ def model_text(work) -> str:
     arch = Architecture.deep(2, 2, 2)
     params, xi = init_params(arch, 5, seed=3)
     path = work / "valid.cvn"
-    model = FittedCovariance(arch, params, lambda_from_coefficients(xi), xi.mean(axis=0))
+    model = FittedCovariance(arch, params, lambda_from_coefficients(xi))
     save_model(path, model)
     return path.read_text()
 

@@ -453,20 +453,13 @@ def test_save_load_roundtrip_bit_exact(variant, tmp_path):
         "deepshared": Architecture.deepshared(3, 2, 2),
     }[variant]
     params, xi = init_params(arch, 6, seed=21)
-    model = FittedCovariance(
-        arch,
-        params,
-        lambda_from_coefficients(xi),
-        mean_coeffs=xi.mean(axis=0) if variant == "deepshared" else None,
-    )
+    model = FittedCovariance(arch, params, lambda_from_coefficients(xi))
     path = tmp_path / "m.cvn"
     save_model(path, model)
     back = load_model(path)
     assert back.arch == arch
     assert np.array_equal(back.params, model.params)
     assert np.array_equal(back.lam, model.lam)
-    if model.mean_coeffs is not None:
-        assert np.array_equal(back.mean_coeffs, model.mean_coeffs)
     rng = make_rng(22)
     u = rng.random((100, 2))
     v = rng.random((100, 2))
@@ -488,15 +481,28 @@ def test_load_rejects_tampered_lambda(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("header", ["mean 7", "meanwhile", "mean"])
-def test_load_rejects_tampered_mean_header(tmp_path, header):
+def test_load_rejects_a_mean_block(tmp_path):
+    # files written while joint mean fitting existed could end in a mean block
     arch = Architecture.shallow(2, 2)
     params, xi = init_params(arch, 5, seed=1)
-    model = FittedCovariance(arch, params, lambda_from_coefficients(xi), np.array([0.5, -0.25]))
     path = tmp_path / "m.cvn"
-    save_model(path, model)
+    save_model(path, FittedCovariance(arch, params, lambda_from_coefficients(xi)))
     text = path.read_text().splitlines()
-    text[text.index("mean 2")] = header
+    text[-1:-1] = ["mean 2", "0.5 -0.25"]
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(ModelFormatError, match="joint mean fitting was removed"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("header", ["mean 7", "meanwhile", "mean"])
+def test_load_rejects_tampered_mean_header(tmp_path, header):
+    # a line where a mean block once stood, well-formed or not, is refused
+    arch = Architecture.shallow(2, 2)
+    params, xi = init_params(arch, 5, seed=1)
+    path = tmp_path / "m.cvn"
+    save_model(path, FittedCovariance(arch, params, lambda_from_coefficients(xi)))
+    text = path.read_text().splitlines()
+    text[-1:-1] = [header, "0.5 -0.25"]
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ModelFormatError):
         load_model(path)

@@ -217,13 +217,11 @@ def test_truncate_matches_dense_grid_eigen_oracle():
             assert np.all(kept.values[k:] <= 1e-10 * system.values[0])
 
 
-def test_truncate_keeps_constituents_and_mean():
+def test_truncate_keeps_constituents():
     model = random_model(4, 2, seed=37)
-    model = FittedCovariance(model.arch, model.params, model.lam, np.arange(4.0))
     out = truncate(model, 2, constituent_gram(model, 5000, seed=38))
     assert out.arch == model.arch
     assert np.array_equal(out.params, model.params)
-    assert np.array_equal(out.mean_coeffs, model.mean_coeffs)
     assert np.linalg.matrix_rank(out.lam) == 2
 
 

@@ -34,21 +34,13 @@ ARCHS = {
 }
 
 
-def dense_loss_oracle(f, params, arch, xi, include_mean=False):
+def dense_loss_oracle(f, params, arch, xi):
     """Direct D x D Frobenius computation of the same criterion."""
     x = f.values
     n, n_points = x.shape
     z = eval_constituents(params, arch, f.grid.coordinates())
     y = xi @ z.T
-    total = np.linalg.norm(x.T @ x / n - y.T @ y / n, "fro") ** 2 / n_points**2
-    if include_mean:
-        xb = x.mean(axis=0)
-        yb = y.mean(axis=0)
-        total += (
-            np.linalg.norm(np.outer(xb, xb) - np.outer(yb, yb), "fro") ** 2
-            / n_points**2
-        )
-    return total
+    return np.linalg.norm(x.T @ x / n - y.T @ y / n, "fro") ** 2 / n_points**2
 
 
 def with_random_biases(params, arch, seed):
@@ -113,113 +105,72 @@ def test_loss_never_materializes_dense_objects():
     assert np.isfinite(b.total)
 
 
-def test_loss_with_mean_zero_at_perfect_fit():
-    f, params, arch, xi = perfect_fit_case(seed=5)
-    b = loss(f, params, arch, xi, include_mean=True)
-    assert abs(b.total) <= 1e-10 * (b.term_xx + b.term_gg)
-
-
-def test_loss_with_mean_constant_fields():
-    # fields identically mu and networks identically mu: zero criterion
-    grid = make_grid(1, [8])
-    mu = 0.7
-    f = FieldMatrix(grid, np.full((3, 8), mu))
-    arch = Architecture.shallow(1, 1)
-    params = np.zeros(2)  # g == 0.5 everywhere
-    xi = np.full((3, 1), 2 * mu)  # xi * 0.5 == mu
-    b = loss(f, params, arch, xi, include_mean=True)
-    assert abs(b.total) <= 1e-12 * max(b.term_xx, 1.0)
-
-
-@pytest.mark.parametrize("variant", list(ARCHS))
-def test_loss_with_mean_matches_dense_oracle(variant):
-    rng = make_rng(6)
-    grid = make_grid(2, [3, 4])
-    arch = ARCHS[variant](2, 2)
-    n = 4
-    x = gaussian(rng, (n, 12)) + 0.5
-    f = FieldMatrix(grid, x)
-    params, xi = init_params(arch, n, seed=2)
-    got = loss(f, params, arch, xi, include_mean=True).total
-    oracle = dense_loss_oracle(f, params, arch, xi, include_mean=True)
-    assert got == pytest.approx(oracle, rel=1e-8)
-
-
 def test_gradient_zero_at_perfect_fit():
     f, params, arch, xi = perfect_fit_case(seed=7)
     _, dxi = gradients(f, params, arch, xi)
     assert np.abs(dxi).max() <= 1e-8
 
 
+@pytest.mark.parametrize("biases", ["initial", "random"])
 @pytest.mark.parametrize("variant", list(ARCHS))
-@pytest.mark.parametrize("include_mean", [False, True])
-def test_gradients_match_central_differences(variant, include_mean):
+def test_gradients_match_central_differences(variant, biases):
     rng = make_rng(11)
     grid = make_grid(2, [4, 4])
     arch = ARCHS[variant](2, 2)
     n = 4
     x = gaussian(rng, (n, 16))
-    if not include_mean:
-        x = x - x.mean(axis=0)
-    f = FieldMatrix(grid, x)
+    f = FieldMatrix(grid, x - x.mean(axis=0))
     params, xi = init_params(arch, n, seed=8)
     n_net = params.size
 
     def total_at(vec):
         q = vec[n_net:].reshape(n, arch.r)
-        return loss(f, vec[:n_net], arch, q, include_mean).total
+        return loss(f, vec[:n_net], arch, q).total
 
-    for p in (params, with_random_biases(params, arch, seed=12)):
-        dparams, dxi = gradients(f, p, arch, xi, include_mean=include_mean)
-        analytic = np.concatenate([dparams, dxi.ravel()])
-        theta = np.concatenate([p, xi.ravel()])
-        fd = np.empty_like(theta)
-        for i in range(theta.size):
-            h = 1e-5 * (1 + abs(theta[i]))
-            up, down = theta.copy(), theta.copy()
-            up[i] += h
-            down[i] -= h
-            fd[i] = (total_at(up) - total_at(down)) / (2 * h)
-        for a, g in zip(analytic, fd):
-            if abs(g) < 1e-6:
-                assert abs(a - g) < 1e-8
-            else:
-                assert abs(a - g) / abs(g) < 1e-5
+    p = params if biases == "initial" else with_random_biases(params, arch, seed=12)
+    dparams, dxi = gradients(f, p, arch, xi)
+    analytic = np.concatenate([dparams, dxi.ravel()])
+    theta = np.concatenate([p, xi.ravel()])
+    fd = np.empty_like(theta)
+    for i in range(theta.size):
+        h = 1e-5 * (1 + abs(theta[i]))
+        up, down = theta.copy(), theta.copy()
+        up[i] += h
+        down[i] -= h
+        fd[i] = (total_at(up) - total_at(down)) / (2 * h)
+    for a, g in zip(analytic, fd):
+        if abs(g) < 1e-6:
+            assert abs(a - g) < 1e-8
+        else:
+            assert abs(a - g) / abs(g) < 1e-5
 
 
-def x_transpose_dz(x, points, params, arch, xi, include_mean):
+def x_transpose_dz(x, points, params, arch, xi):
     """dl/dZ formed as Z (S Gz S) - X^T (P S), the orientation of the derivation."""
     n, n_points = x.shape
     z, _ = forward_constituents(params, arch, points)
     gz = z.T @ z / n_points
     s = xi.T @ xi
     p = x @ z / n_points
-    dz = (4.0 / (n**2 * n_points)) * (z @ (s @ gz @ s) - x.T @ (p @ s))
-    if include_mean:
-        xibar = xi.mean(axis=0)
-        m_yy = float(xibar @ gz @ xibar)
-        m_xy = float(p.mean(axis=0) @ xibar)
-        ybar = z @ xibar
-        dz = dz + (4.0 / n_points) * np.outer(m_yy * ybar - m_xy * x.mean(axis=0), xibar)
-    return dz
+    return (4.0 / (n**2 * n_points)) * (z @ (s @ gz @ s) - x.T @ (p @ s))
 
 
 DZ_CASES = {
-    # architecture, include_mean, minibatch size
-    "shallow": (Architecture.shallow(6, 2), False, None),
-    "deep": (Architecture.deep(4, 2, 3), False, None),
-    "deepshared": (Architecture.deepshared(5, 2, 2), False, None),
-    "joint_mean": (Architecture.deepshared(5, 2, 2), True, None),
-    "minibatch": (Architecture.shallow(6, 2), False, 7),
+    # architecture, minibatch size
+    "shallow": (Architecture.shallow(6, 2), None),
+    "deep": (Architecture.deep(4, 2, 3), None),
+    "deepshared": (Architecture.deepshared(5, 2, 2), None),
+    "minibatch": (Architecture.shallow(6, 2), 7),
+    "deep_minibatch": (Architecture.deep(4, 2, 3), 7),
 }
 
 
 @pytest.mark.parametrize("case", list(DZ_CASES))
 def test_core_dz_matches_the_x_transpose_orientation(case, monkeypatch):
-    arch, include_mean, batch = DZ_CASES[case]
+    arch, batch = DZ_CASES[case]
     grid = make_grid(2, [9, 8])
     f = sample_gaussian_fields(BrownianSheet(2), grid, 30, seed=21)
-    x = f.values if include_mean else f.centered().values
+    x = f.centered().values
     params, xi = init_params(arch, f.n, seed=22)
     if batch is not None:  # the rows fit passes for one minibatch
         idx = make_rng(23).permutation(f.n)[:batch]
@@ -233,9 +184,9 @@ def test_core_dz_matches_the_x_transpose_orientation(case, monkeypatch):
         return backward(params, arch, cache, dz)
 
     monkeypatch.setattr(training, "backward_constituents", capture)
-    _, [dparams], _ = _core(x, points, [params], [arch], [xi], 0.0, include_mean, True)
+    _, [dparams], _ = _core(x, points, [params], [arch], [xi], 0.0, want_grads=True)
     [got] = seen
-    want = x_transpose_dz(x, points, params, arch, xi, include_mean)
+    want = x_transpose_dz(x, points, params, arch, xi)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     _, cache = forward_constituents(params, arch, points)
@@ -243,16 +194,15 @@ def test_core_dz_matches_the_x_transpose_orientation(case, monkeypatch):
     assert np.abs(dparams - want_params).max() <= 1e-13 * np.abs(want_params).max()
 
 
-@pytest.mark.parametrize("center_mode", ["pre_center", "joint_mean"])
-def test_fit_trace_row_zero_is_the_initial_loss_bit_for_bit(center_mode):
+@pytest.mark.parametrize("variant", list(ARCHS))
+def test_fit_trace_row_zero_is_the_initial_loss_bit_for_bit(variant):
     grid = make_grid(2, [6, 5])
     f = sample_gaussian_fields(BrownianSheet(2), grid, 14, seed=24)
-    arch = Architecture.deepshared(3, 2, 2)
-    cfg = TrainConfig(epochs=3, seed=6, center_mode=center_mode)
+    arch = ARCHS[variant](3, 2)
+    cfg = TrainConfig(epochs=3, seed=6)
     _, trace = fit(f, arch, cfg)
-    joint = center_mode == "joint_mean"
     params, xi = init_params(arch, f.n, cfg.seed)
-    b = loss(f if joint else f.centered(), params, arch, xi, include_mean=joint)
+    b = loss(f.centered(), params, arch, xi)
     assert trace[0].tolist() == [b.total, b.term_xx, b.term_gg, b.term_xg]
 
 
@@ -390,36 +340,24 @@ def test_fit_running_minimum_non_increasing():
     assert np.all(np.diff(running) <= 0)
 
 
-def test_fit_frozen_lambda_psd():
+@pytest.mark.parametrize("variant", list(ARCHS))
+def test_fit_frozen_lambda_psd(variant):
     grid = make_grid(1, [8])
     f = sample_gaussian_fields(BrownianSheet(1), grid, 10, seed=4)
-    for mode in ("pre_center", "joint_mean"):
-        model, _ = fit(
-            f,
-            Architecture.shallow(3, 1),
-            TrainConfig(epochs=60, seed=2, center_mode=mode),
-        )
-        assert np.linalg.eigvalsh(model.lam)[0] >= -1e-10 * np.trace(model.lam)
-        if mode == "joint_mean":
-            assert model.mean_coeffs is not None
-        else:
-            assert model.mean_coeffs is None
+    model, _ = fit(f, ARCHS[variant](3, 1), TrainConfig(epochs=60, seed=2))
+    assert np.linalg.eigvalsh(model.lam)[0] >= -1e-10 * np.trace(model.lam)
 
 
-def test_fit_joint_mean_estimates_mean():
+def test_fit_ignores_the_mean_field():
+    # every fit centers by the sample mean, so a mean curve added to every
+    # field changes the fit only by the rounding of the centered values
     grid = make_grid(1, [12])
-    rng = make_rng(41)
+    f = sample_gaussian_fields(BrownianSheet(1), grid, 40, seed=41)
     mean_curve = 1.5 + grid.coordinates().ravel()
-    x = 0.05 * gaussian(rng, (40, 12)) + mean_curve
-    f = FieldMatrix(grid, x)
-    model, _ = fit(
-        f,
-        Architecture.shallow(3, 1),
-        TrainConfig(epochs=3000, seed=3, center_mode="joint_mean"),
-    )
-    est = model.mean_at(grid.coordinates())
-    rel = np.linalg.norm(est - mean_curve) / np.linalg.norm(mean_curve)
-    assert rel < 0.05
+    shifted = FieldMatrix(grid, f.values + mean_curve)
+    cfg = TrainConfig(epochs=200, seed=3)
+    arch = Architecture.shallow(3, 1)
+    assert_same_fit(fit(shifted, arch, cfg), fit(f, arch, cfg), rtol=1e-10)
 
 
 def test_fit_minibatch_runs_and_is_deterministic():
@@ -495,10 +433,6 @@ def assert_same_fit(got, want, rtol=1e-12):
     assert_close(got_trace, want_trace, rtol)
     assert_close(got_model.params, want_model.params, rtol)
     assert_close(got_model.lam, want_model.lam, rtol)
-    if want_model.mean_coeffs is None:
-        assert got_model.mean_coeffs is None
-    else:
-        assert_close(got_model.mean_coeffs, want_model.mean_coeffs, rtol)
 
 
 LOCKSTEP_ARCHS = [
@@ -509,7 +443,6 @@ LOCKSTEP_ARCHS = [
 ]
 LOCKSTEP_CONFIGS = {
     "full_batch": TrainConfig(epochs=60, seed=3, rel_tol=0.0),
-    "joint_mean": TrainConfig(epochs=60, seed=3, rel_tol=0.0, center_mode="joint_mean"),
     "minibatch": TrainConfig(epochs=30, seed=3, rel_tol=0.0, batch=7),
 }
 
@@ -606,6 +539,6 @@ def test_train_config_validation():
         with pytest.raises(ValueError):
             TrainConfig(rel_tol=bad)
     with pytest.raises(ValueError):
-        TrainConfig(center_mode="bogus")
+        TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(batch=0)
