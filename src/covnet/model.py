@@ -29,9 +29,9 @@ The engine is feature-major and homogeneous: every activation, the inputs
 included, is a (width + 1, points) array whose last row is ones, so each
 affine layer is one product [W | b] a with the points along the long,
 contiguous axis.  Z comes back as the (M, R) transposed view of an (R, M)
-array.  Only the training forward keeps the activations that the backward
-pass needs; evaluation walks the same layers in blocks of points and keeps
-none.
+array.  One walk (`_walk`) goes through the layers a block of points at a
+time: evaluation keeps no activation, and training has each block record
+the activations that the backward pass reads.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ DEEP = "deep"
 DEEPSHARED = "deepshared"
 VARIANTS = (SHALLOW, DEEP, DEEPSHARED)
 
-# points per block in eval_constituents, so that its temporaries are
+# points per block of the constituent walk, so that its temporaries are
 # p x _POINT_BLOCK however many points are asked for
 _POINT_BLOCK = 4096
 
@@ -212,79 +212,6 @@ def _homogeneous(u: np.ndarray) -> np.ndarray:
     return a
 
 
-def _stack(a: np.ndarray, layers, g: int, acts: list | None = None) -> np.ndarray:
-    """Output (R / G, points) of stack g at the homogeneous inputs a, (d + 1, points).
-
-    `layers` are the -[W | b] of `_negated_layers`.  Every layer's
-    activation, ones row included, is appended to acts if given; without
-    acts each is dropped as soon as the next layer has it.
-    """
-    for wb in layers:
-        h = np.empty((wb.shape[1] + 1, a.shape[1]))
-        h[-1] = 1.0
-        _sigmoid_of_negated(np.matmul(wb[g], a, out=h[:-1]))
-        a = h
-        if acts is not None:
-            acts.append(a)
-    return a[:-1]
-
-
-def forward_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray):
-    """Constituent values Z (M x R) plus the activation cache for backprop.
-
-    Z is the transposed view of a contiguous (R, M) array, and the cache holds
-    each stack's homogeneous (width + 1, M) activations, the inputs' first.
-    """
-    a = _homogeneous(_points(points, arch.d))
-    layers = _negated_layers(params, arch)
-    stacks = []
-    outs = []
-    for g in range(arch.groups):
-        acts = [a]
-        outs.append(_stack(a, layers, g, acts))
-        stacks.append(acts)
-    zt = outs[0] if len(outs) == 1 else np.concatenate(outs)
-    return zt.T, stacks
-
-
-def backward_constituents(
-    params: np.ndarray, arch: Architecture, cache, dz: np.ndarray
-) -> np.ndarray:
-    """Pull a gradient dZ (M x R) back onto the flat parameter vector.
-
-    Works on dZ^T, (R, M), which is contiguous when dz is the transposed view
-    that `training._core` passes.  Each stack's layers are walked from the
-    output down; the input layer's activation gradient is never needed, so
-    each walk stops one product short.  A layer's W gradient is dpre @ a^T
-    on its input a without the ones row, and its bias gradient the row sums
-    dpre @ ones.  Taking both from one product dpre @ a^T would round the
-    bias gradients differently, and that alone moves a 5000-epoch shallow
-    fit to another local minimum (criterion 5 of the acceptance tests, at
-    two BLAS threads).  A one-row layer (deep's output) is pulled back by a
-    broadcast multiply, which equals the K = 1 product bit for bit.
-    """
-    layers = _param_views(params, arch)
-    grad = np.empty(np.size(params))
-    grads = _param_views(grad, arch)
-    dzt = dz.T
-    ones = np.ones(dzt.shape[1])
-    rows = arch.r // arch.groups
-    for g, acts in enumerate(cache):
-        da = dzt[g * rows : (g + 1) * rows]
-        for l in range(len(layers) - 1, -1, -1):
-            a = acts[l + 1][:-1]
-            dpre = 1.0 - a
-            dpre *= a
-            dpre *= da
-            dw, db = grads[l]
-            np.matmul(dpre, acts[l][:-1].T, out=dw[g])
-            np.matmul(dpre, ones, out=db[g])
-            if l:
-                w = layers[l][0][g]
-                da = w.T * dpre if w.shape[0] == 1 else w.T @ dpre
-    return grad
-
-
 def _point_blocks(m: int) -> list[slice]:
     """Blocks of _POINT_BLOCK points starting at its multiples.
 
@@ -297,23 +224,90 @@ def _point_blocks(m: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], m])]
 
 
-def eval_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray) -> np.ndarray:
-    """Constituent values g_r(point_i) as an (M, R) matrix.
+def _walk(params: np.ndarray, arch: Architecture, points: np.ndarray, cache: list | None = None):
+    """Constituent values Z (M x R), walking the layers one point block at a time.
 
-    Walks the layers one point block at a time and keeps no activations, so
-    beyond its output it holds a few p x _POINT_BLOCK arrays however large
-    M is.  The output is the transposed view of an (R, M) array, and with
-    one BLAS thread it equals forward_constituents' Z bit for bit.
+    Z is the transposed view of an (R, M) array, into whose rows each stack's
+    output layer writes.  Without a cache each activation is dropped as soon
+    as the next layer has it; with one, each block appends, per stack, every
+    layer's activation without its ones row, its rows of Z^T last.
     """
     u = _points(points, arch.d)
     layers = _negated_layers(params, arch)
     rows = arch.r // arch.groups
     zt = np.empty((arch.r, u.shape[0]))
     for block in _point_blocks(u.shape[0]):
-        a = _homogeneous(u[block])
+        inputs = _homogeneous(u[block])
+        stacks = []
         for g in range(arch.groups):
-            zt[g * rows : (g + 1) * rows, block] = _stack(a, layers, g)
+            a, acts = inputs, [inputs[:-1]]
+            for wb in layers[:-1]:
+                h = np.empty((wb.shape[1] + 1, a.shape[1]))
+                h[-1] = 1.0
+                _sigmoid_of_negated(np.matmul(wb[g], a, out=h[:-1]))
+                a = h
+                if cache is not None:
+                    acts.append(h[:-1])
+            out = zt[g * rows : (g + 1) * rows, block]
+            _sigmoid_of_negated(np.matmul(layers[-1][g], a, out=out))
+            stacks.append([*acts, out])
+        if cache is not None:
+            cache.append(stacks)
     return zt.T
+
+
+def backward_constituents(
+    params: np.ndarray, arch: Architecture, cache, dz: np.ndarray
+) -> np.ndarray:
+    """Pull a gradient dZ (M x R) back onto the flat parameter vector.
+
+    `cache` is what `_walk` recorded for the same points.  Works on dZ^T
+    (R, M), contiguous when dz is the transposed view that `training._core`
+    passes, over the walk's blocks; later blocks add to the first's layer
+    gradients.  Each stack's layers are walked from the output down; the input
+    layer's activation gradient is never needed, so each walk stops one
+    product short.  A layer's W gradient is dpre @ a^T on its input a, and its
+    bias gradient the row sums dpre @ ones.  Taking both from one product on
+    the input with its ones row would round the bias gradients differently,
+    and that alone moves a 5000-epoch shallow fit to another local minimum
+    (criterion 5 of the acceptance tests, at two BLAS threads).  A one-row
+    layer (deep's output) is pulled back by a broadcast multiply, which equals
+    the K = 1 product bit for bit.
+    """
+    layers = _param_views(params, arch)
+    grad = np.empty(np.size(params))
+    grads = _param_views(grad, arch)
+    dzt = dz.T
+    rows = arch.r // arch.groups
+    for i, (block, stacks) in enumerate(zip(_point_blocks(dzt.shape[1]), cache)):
+        ones = np.ones(block.stop - block.start)
+        for g, acts in enumerate(stacks):
+            da = dzt[g * rows : (g + 1) * rows, block]
+            for l in range(len(layers) - 1, -1, -1):
+                a = acts[l + 1]
+                dpre = 1.0 - a
+                dpre *= a
+                dpre *= da
+                dw, db = grads[l]
+                if i == 0:
+                    np.matmul(dpre, acts[l].T, out=dw[g])
+                    np.matmul(dpre, ones, out=db[g])
+                else:
+                    dw[g] += dpre @ acts[l].T
+                    db[g] += dpre @ ones
+                if l:
+                    w = layers[l][0][g]
+                    da = w.T * dpre if w.shape[0] == 1 else w.T @ dpre
+    return grad
+
+
+def eval_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray) -> np.ndarray:
+    """Constituent values g_r(point_i) as an (M, R) matrix, bit for bit training's Z.
+
+    Keeps no activations: beyond its output it holds a few p x _POINT_BLOCK
+    arrays however large M is.
+    """
+    return _walk(params, arch, points)
 
 
 def lambda_from_coefficients(xi: np.ndarray) -> np.ndarray:

@@ -39,10 +39,9 @@ from .fields import FieldMatrix, cross_gram
 from .model import (
     Architecture,
     FittedCovariance,
+    _walk,
     backward_constituents,
     count_parameters,
-    eval_constituents,
-    forward_constituents,
     init_params,
     lambda_from_coefficients,
 )
@@ -127,19 +126,15 @@ def _core(
     (P S)^T X, are each formed once for all candidates' constituents side by
     side; the Gram algebra is each candidate's own, on its column block.
     Each Z is the (D, R) view of a contiguous, feature-major Z^T (see
-    `model`).  With want_grads the constituents come from
-    forward_constituents, whose activation cache the backward pass reads;
-    without, from eval_constituents, which keeps none and gives the same
-    bits.  Returns the per-candidate breakdowns and, with want_grads, the
+    `model`), from the one constituent walk; with want_grads the walk also
+    fills each candidate's activation cache, which the backward pass reads.
+    Returns the per-candidate breakdowns and, with want_grads, the
     per-candidate parameter and coefficient gradients.
     """
     n, n_points = x.shape
     blocks = _spans(arch.r for arch in archs)
-    if want_grads:
-        forwards = [forward_constituents(p, a, points) for p, a in zip(params, archs)]
-        zs = [z for z, _ in forwards]
-    else:  # no backward pass, so no activation cache
-        zs = [eval_constituents(p, a, points) for p, a in zip(params, archs)]
+    caches = [[] if want_grads else None for _ in archs]
+    zs = [_walk(p, a, points, cache) for p, a, cache in zip(params, archs, caches)]
     # each Z is the (D, R) view of a contiguous Z^T; the Z^T blocks stack along rows
     zt_all = zs[0].T if len(zs) == 1 else np.concatenate([z.T for z in zs])
     p_all = x @ zt_all.T
@@ -168,8 +163,8 @@ def _core(
     # -((P S)^T X - (S Gz S)^T Z^T), which rounds identically
     psx = _side_by_side([p_all[:, b] @ s for b, (_, s, *_) in zip(blocks, algebra)]).T @ x
     dparams, dxis = [], []
-    for param, arch, xi, block, (z, cache), (gz, s, sgz, ptp) in zip(
-        params, archs, xis, blocks, forwards, algebra
+    for param, arch, xi, block, z, cache, (gz, s, sgz, ptp) in zip(
+        params, archs, xis, blocks, zs, caches, algebra
     ):
         dxi = xi @ (gz @ s @ gz - ptp)
         dxi *= 4.0 / n**2
@@ -300,9 +295,10 @@ def _fit_lockstep(
             count_parameters(arch) + f.n * arch.r,
             f"R = {arch.r} constituents with {arch.depth} hidden layers",
         )
-    x = f.values - f.values.mean(axis=0)
+    f = f.centered()
+    x = f.values
     points = f.grid.coordinates()
-    gram = cross_gram(FieldMatrix(f.grid, x))
+    gram = cross_gram(f)
     term_xx = _gram_self_term(gram)
 
     live = []

@@ -304,19 +304,23 @@ def test_cross_validate_refuses_bad_levels_before_training(monkeypatch, levels, 
 
 
 def poison_constituents(monkeypatch, doomed, after=0):
-    """Make every training forward of a `doomed` architecture NaN after `after` calls."""
-    real = training.forward_constituents
+    """Make every training walk of a `doomed` architecture NaN after `after` calls.
+
+    Only walks that fill an activation cache are training walks; the loss
+    evaluation of a freeze passes none and stays clean.
+    """
+    real = training._walk
     seen = []
 
-    def forward(params, arch, points):
-        z, cache = real(params, arch, points)
-        if doomed(arch):
+    def walk(params, arch, points, cache=None):
+        z = real(params, arch, points, cache)
+        if cache is not None and doomed(arch):
             seen.append(None)
             if len(seen) > after:
                 z = np.full_like(z, np.nan)
-        return z, cache
+        return z
 
-    monkeypatch.setattr(training, "forward_constituents", forward)
+    monkeypatch.setattr(training, "_walk", walk)
 
 
 def test_cross_validate_excludes_diverged_candidate(monkeypatch):

@@ -7,14 +7,15 @@ import pytest
 from covnet.errors import ModelFormatError
 from covnet.fields import FieldMatrix, make_grid
 from covnet.model import (
+    _negated_layers,
     _param_views,
     _sigmoid_of_negated,
+    _walk,
     Architecture,
     FittedCovariance,
     backward_constituents,
     count_parameters,
     eval_constituents,
-    forward_constituents,
     init_params,
     lambda_from_coefficients,
     load_model,
@@ -73,18 +74,43 @@ def test_init_xi_variance():
     assert np.all(np.abs(var - 1 / r) <= 0.2 / r)
 
 
+def whole_grid_constituents(params, arch, pts):
+    """The walk's layer arithmetic in one pass over all points, with no blocks."""
+    layers = _negated_layers(params, arch)
+    outs = []
+    for g in range(arch.groups):
+        a = np.ones((arch.d + 1, len(pts)))
+        a[:-1] = pts.T
+        for wb in layers:
+            h = np.empty((wb.shape[1] + 1, a.shape[1]))
+            h[-1] = 1.0
+            _sigmoid_of_negated(np.matmul(wb[g], a, out=h[:-1]))
+            a = h
+        outs.append(a[:-1])
+    return np.concatenate(outs).T
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("variant", ["shallow", "deep", "deepshared"])
-def test_eval_constituents_equals_forward_bit_for_bit(variant, d):
+def test_walk_with_and_without_cache_equal_one_pass_bit_for_bit(variant, d):
     # point blocks start at multiples of 4096; a 1-row remainder joins the
     # block before it
     widths = () if variant == "shallow" else (20, 20, 20)
     arch = Architecture(variant, 20, d, widths)
     params, _ = init_params(arch, 2, seed=d)
     pts = make_rng(30 + d).random((12289, d))
-    for m in (1, 2, 3, 4095, 4096, 4097, 8193, 12289):
-        z, _ = forward_constituents(params, arch, pts[:m])
+    for m, n_blocks in ((1, 1), (2, 1), (3, 1), (4095, 1), (4096, 1), (4097, 1),
+                        (8193, 2), (12289, 3)):
+        cache = []
+        z = _walk(params, arch, pts[:m], cache)
+        assert np.array_equal(_walk(params, arch, pts[:m]), z), m
         assert np.array_equal(eval_constituents(params, arch, pts[:m]), z), m
+        assert np.array_equal(whole_grid_constituents(params, arch, pts[:m]), z), m
+        # one cache entry per block; each stack's last activation is its rows
+        # of Z^T in that block
+        assert len(cache) == n_blocks, m
+        outputs = [np.hstack([stacks[g][-1] for stacks in cache]) for g in range(arch.groups)]
+        assert np.array_equal(np.vstack(outputs), z.T), m
 
 
 def test_deep_eval_holds_its_output_plus_one_point_block(traced_peak):
@@ -198,7 +224,7 @@ def test_constituents_match_numpy_oracle_at_nonzero_biases(variant):
     assert all(np.all(b != 0) for _, b in _param_views(params, arch))
     pts = make_rng(41).random((300, 3))
     want = numpy_constituents(params, arch, pts)
-    z, _ = forward_constituents(params, arch, pts)
+    z = _walk(params, arch, pts, [])
     np.testing.assert_allclose(z, want, rtol=1e-13)
     np.testing.assert_allclose(eval_constituents(params, arch, pts), want, rtol=1e-13)
 
@@ -235,11 +261,14 @@ def test_backward_matches_numpy_oracle_at_nonzero_biases(variant, r):
     arch = Architecture(variant, r, 3, widths)
     params = gaussian(make_rng(42), count_parameters(arch, include_lambda=False))
     assert all(np.all(b != 0) for _, b in _param_views(params, arch))
-    pts = make_rng(43).random((300, 3))
-    dz = gaussian(make_rng(44), (r, 300)).T  # the transposed view training passes
-    _, cache = forward_constituents(params, arch, pts)
-    got = backward_constituents(params, arch, cache, dz)
-    np.testing.assert_allclose(got, numpy_backward(params, arch, pts, dz), rtol=1e-12)
+    # 8193 points walk as two blocks, the second adding to the first's gradients
+    for m in (300, 8193):
+        pts = make_rng(43).random((m, 3))
+        dz = gaussian(make_rng(44), (r, m)).T  # the transposed view training passes
+        cache = []
+        _walk(params, arch, pts, cache)
+        got = backward_constituents(params, arch, cache, dz)
+        np.testing.assert_allclose(got, numpy_backward(params, arch, pts, dz), rtol=1e-12)
 
 
 def test_constituents_within_sigmoid_bounds():

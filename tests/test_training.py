@@ -7,8 +7,8 @@ from covnet.fields import FieldMatrix, make_grid
 from covnet.model import (
     Architecture,
     _param_views,
+    _walk,
     eval_constituents,
-    forward_constituents,
     init_params,
 )
 from covnet.rng import gaussian, make_rng
@@ -111,26 +111,16 @@ def test_gradient_zero_at_perfect_fit():
     assert np.abs(dxi).max() <= 1e-8
 
 
-@pytest.mark.parametrize("biases", ["initial", "random"])
-@pytest.mark.parametrize("variant", list(ARCHS))
-def test_gradients_match_central_differences(variant, biases):
-    rng = make_rng(11)
-    grid = make_grid(2, [4, 4])
-    arch = ARCHS[variant](2, 2)
-    n = 4
-    x = gaussian(rng, (n, 16))
-    f = FieldMatrix(grid, x - x.mean(axis=0))
-    params, xi = init_params(arch, n, seed=8)
-    n_net = params.size
+def assert_gradients_match_central_differences(f, params, arch, xi):
+    n, n_net = f.n, params.size
 
     def total_at(vec):
         q = vec[n_net:].reshape(n, arch.r)
         return loss(f, vec[:n_net], arch, q).total
 
-    p = params if biases == "initial" else with_random_biases(params, arch, seed=12)
-    dparams, dxi = gradients(f, p, arch, xi)
+    dparams, dxi = gradients(f, params, arch, xi)
     analytic = np.concatenate([dparams, dxi.ravel()])
-    theta = np.concatenate([p, xi.ravel()])
+    theta = np.concatenate([params, xi.ravel()])
     fd = np.empty_like(theta)
     for i in range(theta.size):
         h = 1e-5 * (1 + abs(theta[i]))
@@ -145,10 +135,37 @@ def test_gradients_match_central_differences(variant, biases):
             assert abs(a - g) / abs(g) < 1e-5
 
 
+@pytest.mark.parametrize("biases", ["initial", "random"])
+@pytest.mark.parametrize("variant", list(ARCHS))
+def test_gradients_match_central_differences(variant, biases):
+    rng = make_rng(11)
+    grid = make_grid(2, [4, 4])
+    arch = ARCHS[variant](2, 2)
+    n = 4
+    x = gaussian(rng, (n, 16))
+    f = FieldMatrix(grid, x - x.mean(axis=0))
+    params, xi = init_params(arch, n, seed=8)
+    p = params if biases == "initial" else with_random_biases(params, arch, seed=12)
+    assert_gradients_match_central_differences(f, p, arch, xi)
+
+
+@pytest.mark.parametrize("variant", ["shallow", "deep"])
+def test_gradients_match_central_differences_over_two_point_blocks(variant):
+    # 65 x 64 = 4160 points walk as blocks of 4096 and 64; the second block
+    # adds its layer gradients to the first's
+    grid = make_grid(2, [65, 64])
+    arch = ARCHS[variant](2, 2)
+    n = 4
+    x = gaussian(make_rng(14), (n, grid.n_points))
+    f = FieldMatrix(grid, x - x.mean(axis=0))
+    params, xi = init_params(arch, n, seed=9)
+    assert_gradients_match_central_differences(f, with_random_biases(params, arch, 15), arch, xi)
+
+
 def x_transpose_dz(x, points, params, arch, xi):
     """dl/dZ formed as Z (S Gz S) - X^T (P S), the orientation of the derivation."""
     n, n_points = x.shape
-    z, _ = forward_constituents(params, arch, points)
+    z = eval_constituents(params, arch, points)
     gz = z.T @ z / n_points
     s = xi.T @ xi
     p = x @ z / n_points
@@ -189,7 +206,8 @@ def test_core_dz_matches_the_x_transpose_orientation(case, monkeypatch):
     want = x_transpose_dz(x, points, params, arch, xi)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    _, cache = forward_constituents(params, arch, points)
+    cache = []
+    _walk(params, arch, points, cache)
     want_params = backward(params, arch, cache, want)
     assert np.abs(dparams - want_params).max() <= 1e-13 * np.abs(want_params).max()
 
@@ -471,19 +489,23 @@ def test_lockstep_candidates_stop_when_their_solo_fits_stop():
 
 
 def poison_constituents(monkeypatch, doomed: Architecture, after: int) -> None:
-    """Make `doomed`'s training constituents NaN from its after-th forward pass on."""
-    real = training.forward_constituents
+    """Make `doomed`'s training constituents NaN from its after-th training walk on.
+
+    Only walks that fill an activation cache are training walks; the loss
+    evaluation of a freeze passes none and stays clean.
+    """
+    real = training._walk
     seen = []
 
-    def forward(params, arch, points):
-        z, cache = real(params, arch, points)
-        if arch == doomed:
+    def walk(params, arch, points, cache=None):
+        z = real(params, arch, points, cache)
+        if cache is not None and arch == doomed:
             seen.append(None)
             if len(seen) > after:
                 z = np.full_like(z, np.nan)
-        return z, cache
+        return z
 
-    monkeypatch.setattr(training, "forward_constituents", forward)
+    monkeypatch.setattr(training, "_walk", walk)
 
 
 @pytest.mark.parametrize("batch", [None, 6])
