@@ -150,9 +150,9 @@ class Config:
             raise ConfigError(f"{key} must be >= {minimum}, got {val}")
         return val
 
-    def seed_(self, key, default=0):
-        """An integer seed in [0, 2^64), the key range of make_rng."""
-        val = self.int_(key, default=default)
+    def seed_(self, key):
+        """An integer seed in [0, 2^64), the key range of make_rng; 0 by default."""
+        val = self.int_(key, default=0)
         if not 0 <= val < 2**64:
             raise ConfigError(f"{key} must lie in [0, 2^64), got {val}")
         return val
@@ -268,10 +268,7 @@ def run_simulate(cfg: Config, out_dir: str) -> None:
     spec = _kernel_from(cfg, grid.d)
     n = cfg.int_("N", required=True, minimum=1)
     seed = cfg.seed_("seed")
-    sigma = cfg.float_("sigma", default=0.0)
-    noise = None
-    if sigma:
-        noise = NoiseSpec(sigma, cfg.seed_("noise_seed", default=seed + 1))
+    noise = NoiseSpec(cfg.float_("sigma", default=0.0))
     name = cfg.str_("name", default="fields")
     cfg.reject_unread()
     fields_ = sample_gaussian_fields(spec, grid, n, seed, noise)
@@ -283,7 +280,7 @@ def run_simulate(cfg: Config, out_dir: str) -> None:
         f"sizes = {','.join(str(s) for s in grid.sizes)}",
         f"N = {n}",
         f"seed = {seed}",
-        f"sigma = {_fmt(sigma or 0.0)}",
+        f"sigma = {_fmt(noise.sigma or 0.0)}",
     ]
     if "nu" in cfg.used:
         meta.insert(1, f"nu = {cfg.used['nu']}")

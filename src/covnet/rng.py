@@ -6,6 +6,10 @@ sequences are reproducible across platforms and processes.  Gaussian variates
 are produced by the Box-Muller transform applied to consecutive uniform
 pairs, rather than numpy's ziggurat, to keep the normal stream pinned to the
 documented uniform stream.
+
+Streams of one seed are independent, one per purpose: 0 simulated fields,
+initial weights, Gram points and Monte-Carlo pairs; 1 minibatch order; 2
+cross-validation folds; 3 the measurement noise of a simulated draw.
 """
 
 from __future__ import annotations

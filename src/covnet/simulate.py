@@ -15,17 +15,18 @@ loads it.
 
 Sampling draws rows L z with L a jittered Cholesky factor of the kernel
 matrix at the grid midpoints, optionally adding i.i.d. pointwise measurement
-noise.  For the unrotated product kernels the D x D matrix is never formed:
-on a tensor grid it is C_1 (x) ... (x) C_d with C_k the 1-D kernel matrix of
-axis k, and chol(A (x) B) = chol(A) (x) chol(B), so L is applied as one
-K_k x K_k factor per axis.  Rotated sheets and Matern are not separable;
-they take the dense factor of the whole grid.  Either way each factor
-overwrites the N x D draw block by block, so beside a noise draw that is
-the only N x D array a sample holds.  The dense factor is written over the
-kernel matrix (by LAPACK beyond _CHOLESKY_BLOCK points), and a failed
-attempt is retried from the matrix its strict upper triangle still holds,
-so the dense path holds one D x D array beside the draw; it is capped at
-KERNEL_MATRIX_CAP points, checked before anything is allocated.
+noise from stream 3 of the draw's seed.  For the unrotated product kernels
+the D x D matrix is never formed: on a tensor grid it is C_1 (x) ... (x) C_d
+with C_k the 1-D kernel matrix of axis k, and chol(A (x) B) = chol(A) (x)
+chol(B), so L is applied as one K_k x K_k factor per axis.  Rotated sheets
+and Matern are not separable; they take the dense factor of the whole grid.
+Either way each factor overwrites the N x D draw block by block, so beside a
+noise draw that is the only N x D array a sample holds; memory is checked
+for both.  The dense factor is written over the kernel matrix (by LAPACK
+beyond _CHOLESKY_BLOCK points), and a failed attempt is retried from the
+matrix its strict upper triangle still holds, so the dense path holds one
+D x D array beside the draw; it is capped at KERNEL_MATRIX_CAP points,
+checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -130,10 +131,9 @@ class Matern(_Kernel):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """I.i.d. centered Gaussian measurement noise added per grid value."""
+    """I.i.d. centered Gaussian measurement noise of s.d. sigma added per grid value."""
 
     sigma: float
-    seed: int = 0
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -295,13 +295,13 @@ def _check_cap(n: int, where: str = "") -> None:
         )
 
 
-def _block_factors(spec: _Kernel, grid: Grid, n: int = 1) -> list[np.ndarray]:
+def _block_factors(spec: _Kernel, grid: Grid, n: int = 1, noisy: bool = False) -> list[np.ndarray]:
     """Cholesky factors whose Kronecker product factors the kernel matrix.
 
     A product kernel gets one factor per axis, from its 1-D kernel matrix;
     every other kernel gets one dense factor of the whole grid.  Each factor
-    is checked against KERNEL_MATRIX_CAP, and then the n draws it will be
-    applied to against memory, before any factor is built.
+    is checked against KERNEL_MATRIX_CAP, and then the n draws (and their
+    noise, when noisy) against memory, before any factor is built.
     """
     _check_dimension(spec, grid)
     grids, where = [grid], ""
@@ -310,16 +310,13 @@ def _block_factors(spec: _Kernel, grid: Grid, n: int = 1) -> list[np.ndarray]:
         where = f": one axis factor of a grid of {grid.n_points} points"
     for g in grids:
         _check_cap(g.n_points, where)
-    _check_memory(n * grid.n_points, f"{n} fields of {grid.n_points} points")
+    what = f"{n} fields of {grid.n_points} points" + (" and their noise" if noisy else "")
+    _check_memory((1 + noisy) * n * grid.n_points, what)
     return [_jittered_cholesky(kernel_matrix(spec, g)) for g in grids]
 
 
 def sample_gaussian_fields(
-    spec: _Kernel,
-    grid: Grid,
-    n: int,
-    seed: int,
-    noise: NoiseSpec | None = None,
+    spec: _Kernel, grid: Grid, n: int, seed: int, noise: NoiseSpec | None = None
 ) -> FieldMatrix:
     """Draw n i.i.d. centered Gaussian fields with covariance `spec` on `grid`.
 
@@ -335,17 +332,19 @@ def sample_gaussian_fields(
     applied in place to the standard normal draw, which becomes the
     returned values, and the noise is added in place, so the sample holds
     one N x D array beside its noise draw.
-    Deterministic for a fixed seed; noise, when given, uses its own seed so
-    the field draw is unchanged.
+    Deterministic for a fixed seed: the fields come from its stream 0 and
+    the noise, when sigma > 0, from its stream 3, independent of every
+    field draw and leaving this one unchanged.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     n_points = grid.n_points
-    factors = _block_factors(spec, grid, n)
+    noisy = noise is not None and noise.sigma > 0
+    factors = _block_factors(spec, grid, n, noisy)
     values = gaussian(make_rng(seed), (n, n_points))
     _kronecker_in_place(factors, values)
-    if noise is not None and noise.sigma > 0:
-        e = gaussian(make_rng(noise.seed), (n, n_points))
+    if noisy:
+        e = gaussian(make_rng(seed, stream=3), (n, n_points))
         e *= noise.sigma
         values += e
     return FieldMatrix(grid, values)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from covnet import cli
+from covnet import cli, errors
 from covnet.baselines import (
     EmpiricalCovariance,
     ZeroCovariance,
@@ -645,6 +645,12 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
             SIMULATE + "noise_seed = 5\n",
             "simulate does not use config key(s): noise_seed",
         ),
+        # the noise comes from the draw's own seed
+        (
+            "simulate",
+            SIMULATE + "sigma = 0.5\nnoise_seed = 5\n",
+            "simulate does not use config key(s): noise_seed",
+        ),
         ("fit", FIT + "L = 3\n", "fit does not use config key(s): L"),
         # no centering key: every fit centers the fields by their sample mean
         ("fit", FIT + "center_mode = pre_center\n", "fit does not use config key(s): center_mode"),
@@ -696,7 +702,8 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         "simulate_huge_d", "fit_huge_L", "cv_huge_L_list", "fit_huge_L_zero_R",
         "simulate_nu_not_matern", "eval_nu_not_matern",
         "eigen_n_funcs_without_grid", "eigen_n_funcs_zero_without_grid",
-        "simulate_noise_seed_without_sigma", "fit_L_with_shallow", "fit_center_mode",
+        "simulate_noise_seed_without_sigma", "simulate_noise_seed_with_sigma",
+        "fit_L_with_shallow", "fit_center_mode",
         "cv_center_mode", "cv_L_list_with_shallow",
         "eval_model_without_covnet", "eval_fields_without_baselines", "eigen_d_without_grid",
         "export_seed", "eval_estimator_empty", "eval_estimator_comma", "cv_R_list_empty",
@@ -762,16 +769,40 @@ def test_every_train_config_field_is_a_fit_key(tmp_path):
         ("simulate", SIMULATE + "seed = -1\n", [], "seed must lie in [0, 2^64), got -1"),
         ("eval", "estimator = zero\nkernel = brownian\nd = 2\nM = 10\n", ["--seed", "-3"],
          "seed must lie in [0, 2^64), got -3"),
-        ("simulate", SIMULATE + "sigma = 0.1\nnoise_seed = 18446744073709551616\n", [],
-         "noise_seed must lie in [0, 2^64), got 18446744073709551616"),
-        # the default noise_seed is seed + 1
-        ("simulate", SIMULATE + "sigma = 0.1\nseed = 18446744073709551615\n", [],
-         "noise_seed must lie in [0, 2^64), got 18446744073709551616"),
     ],
-    ids=["simulate_seed", "eval_flag_seed", "noise_seed", "default_noise_seed"],
+    ids=["simulate_seed", "eval_flag_seed"],
 )
 def test_seed_outside_64_bits_exits_2(tmp_path, capsys, command, cfg_text, extra, message):
     code, out = run(tmp_path, command, cfg_text, extra)
     assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 2**64 - 1])
+def test_simulate_noise_is_stream_3_of_the_seed(tmp_path, seed):
+    clean_code, clean_out = run(tmp_path, "simulate", SIMULATE + f"seed = {seed}\n")
+    cfg = SIMULATE + f"seed = {seed}\nsigma = 0.1\n"
+    noisy_code, noisy_out = run(tmp_path, "simulate", cfg, out=tmp_path / "noisy")
+    assert clean_code == noisy_code == 0
+    clean = read_fields(clean_out / "fields.cvnf").values
+    noisy = read_fields(noisy_out / "fields.cvnf").values
+    assert np.array_equal(noisy, clean + 0.1 * gaussian(make_rng(seed, 3), clean.shape))
+    # not the normals behind the fields of the next seed
+    if seed < 2**64 - 1:
+        assert not np.allclose((noisy - clean) / 0.1, gaussian(make_rng(seed + 1), clean.shape))
+    # the seed and sigma in the sidecar reproduce the draw
+    meta = (noisy_out / "fields.meta.txt").read_text().splitlines()
+    assert f"seed = {seed}" in meta and "sigma = 0.10000000000000001" in meta
+
+
+def test_simulate_noisy_draw_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # the 4 x 16 draw fits in memory, the draw and its noise do not
+    monkeypatch.setattr(errors, "_MEMORY_BYTES", 8 * 4 * 16)
+    code, out = run(tmp_path, "simulate", SIMULATE, out=tmp_path / "clean")
+    assert code == 0 and (out / "fields.cvnf").exists()
+    code, out = run(tmp_path, "simulate", SIMULATE + "sigma = 0.5\n")
+    assert code == 2
+    message = "4 fields of 16 points and their noise do not fit in memory"
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()

@@ -45,7 +45,7 @@ def test_3d_integrated_rotated_sampling_psd():
 def test_noisy_measurements_fit_smoke():
     grid = covnet.make_grid(2, [8, 8])
     spec = covnet.BrownianSheet(2)
-    noise = covnet.NoiseSpec(sigma=0.25, seed=9)
+    noise = covnet.NoiseSpec(sigma=0.25)
     f = covnet.sample_gaussian_fields(spec, grid, 120, seed=8, noise=noise)
     model, trace = covnet.fit(
         f, covnet.Architecture.shallow(6, 2), covnet.TrainConfig(epochs=600, seed=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from functools import reduce
@@ -5,7 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from covnet import simulate
+from covnet import errors, simulate
 from covnet.errors import ResourceLimitError
 from covnet.fields import make_grid
 from covnet.rng import gaussian, make_rng
@@ -271,16 +272,41 @@ def test_sampling_mean_near_zero():
 def test_noise_changes_fields_but_not_draw():
     grid = make_grid(1, [4])
     clean = sample_gaussian_fields(BrownianSheet(1), grid, 5, seed=11)
-    noisy = sample_gaussian_fields(
-        BrownianSheet(1), grid, 5, seed=11, noise=NoiseSpec(sigma=0.5, seed=3)
-    )
-    zero_noise = sample_gaussian_fields(
-        BrownianSheet(1), grid, 5, seed=11, noise=NoiseSpec(sigma=0.0, seed=3)
-    )
+    noisy = sample_gaussian_fields(BrownianSheet(1), grid, 5, seed=11, noise=NoiseSpec(0.5))
+    zero_noise = sample_gaussian_fields(BrownianSheet(1), grid, 5, seed=11, noise=NoiseSpec(0.0))
     assert np.array_equal(clean.values, zero_noise.values)
     assert not np.array_equal(clean.values, noisy.values)
     resid = noisy.values - clean.values
     assert np.std(resid) == pytest.approx(0.5, rel=0.3)
+
+
+def test_noise_is_stream_3_of_the_draw_seed():
+    # the draw's seed is the noise's only seed
+    assert [f.name for f in dataclasses.fields(NoiseSpec)] == ["sigma"]
+    grid = make_grid(2, [4, 3])
+    noise = {}
+    for seed in (1, 2):
+        clean = sample_gaussian_fields(BrownianSheet(2), grid, 6, seed).values
+        noisy = sample_gaussian_fields(BrownianSheet(2), grid, 6, seed, NoiseSpec(0.5)).values
+        assert np.array_equal(noisy, clean + 0.5 * gaussian(make_rng(seed, 3), clean.shape))
+        noise[seed] = noisy - clean
+    # draws at different seeds get different noise
+    assert not np.allclose(noise[1], noise[2])
+
+
+def test_noisy_draw_checks_memory_for_the_noise(monkeypatch):
+    # n * D values fit in memory, the draw and its noise (twice that) do not
+    grid = make_grid(2, [4, 4])
+    monkeypatch.setattr(errors, "_MEMORY_BYTES", 8 * 4 * grid.n_points)
+    assert sample_gaussian_fields(BrownianSheet(2), grid, 4, seed=1).n == 4
+
+    def unbuilt(*args):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setattr(simulate, "kernel_matrix", unbuilt)
+    message = "4 fields of 16 points and their noise do not fit in memory"
+    with pytest.raises(ResourceLimitError, match=message):
+        sample_gaussian_fields(BrownianSheet(2), grid, 4, seed=1, noise=NoiseSpec(0.1))
 
 
 def test_noise_spec_rejects_negative_sigma():
@@ -441,7 +467,7 @@ def out_of_place_draw(spec, grid, n, seed, noise=None):
             y = np.matmul(f, y.reshape(-1, sizes[k], after))
     values = y.reshape(n, grid.n_points)
     if noise is not None:
-        values = values + noise.sigma * gaussian(make_rng(noise.seed), values.shape)
+        values = values + noise.sigma * gaussian(make_rng(seed, stream=3), values.shape)
     return values
 
 
@@ -458,7 +484,7 @@ KRONECKER_DRAWS = [
 ]
 
 
-@pytest.mark.parametrize("noise", [None, NoiseSpec(0.3, 9)], ids=["clean", "noisy"])
+@pytest.mark.parametrize("noise", [None, NoiseSpec(0.3)], ids=["clean", "noisy"])
 @pytest.mark.parametrize("product", [BrownianSheet, IntegratedBrownianSheet])
 @pytest.mark.parametrize(
     "sizes, n", KRONECKER_DRAWS, ids=[f"{'x'.join(map(str, k))}-N{n}" for k, n in KRONECKER_DRAWS]
@@ -474,7 +500,7 @@ def test_kronecker_draw_holds_one_output_array(traced_peak):
     output = 400 * grid.n_points * 8
     peak = traced_peak(lambda: sample_gaussian_fields(BrownianSheet(2), grid, 400, seed=5))
     assert peak <= output + 4 * 2**20
-    noise = NoiseSpec(0.1, 6)
+    noise = NoiseSpec(0.1)
     peak = traced_peak(lambda: sample_gaussian_fields(BrownianSheet(2), grid, 400, 5, noise))
     assert peak <= 2 * output + 4 * 2**20
 
