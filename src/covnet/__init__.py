@@ -42,7 +42,6 @@ from .model import (
     count_parameters,
     eval_constituents,
     init_params,
-    lambda_from_coefficients,
     load_model,
     save_model,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "gradients",
     "init_params",
     "kernel_matrix",
-    "lambda_from_coefficients",
     "load_model",
     "loss",
     "make_grid",

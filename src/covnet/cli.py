@@ -9,6 +9,14 @@ config error.  The value rules are the library's own: the library objects a
 subcommand builds from its config refuse bad values, and a ValueError raised
 before the config is accepted (`Config.reject_unread`) is a config error.  A
 size that cannot be allocated is one too.
+A command's `seed` (or `--seed`) keys stream 0 of that seed for the
+command's own draw: simulate's fields, fit's initial weights and
+coefficients, eval's Monte-Carlo pairs and eigen's Gram points (simulate's
+noise comes from stream 3, fit's minibatch order from stream 1, cv's folds
+from stream 2).  One seed given to simulate, fit, eval and eigen reuses that
+stream, so give each command its own seed, for instance one derived per
+purpose through `numpy.random.SeedSequence`, as
+`bench/workloads.py::derive_seed` does.
 Outputs are byte-reproducible for a fixed config, seed and BLAS thread count:
 BLAS products over many rows round differently with a different number of
 threads.  Exit codes: 0 success, 2 config error, 3 I/O or file-format error,

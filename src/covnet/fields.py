@@ -65,12 +65,14 @@ class Grid:
     def flat_index(self, points: np.ndarray) -> np.ndarray:
         """Nearest-voxel flat indices for points in [0,1]^d (rows).
 
-        Points outside the cube map to the nearest edge voxel; points are
-        checked as by _points.
+        Points outside the cube map to the nearest edge voxel, however far
+        out: they are clipped to the cube in floating point, before u * K
+        and the integer cast, so nothing overflows.  Points are checked as
+        by _points.
         """
-        pts = _points(points, self.d)
+        pts = np.clip(_points(points, self.d), 0.0, 1.0)
         idx = [
-            np.clip((pts[:, k] * self.sizes[k]).astype(np.int64), 0, self.sizes[k] - 1)
+            np.minimum(pts[:, k] * self.sizes[k], self.sizes[k] - 1).astype(np.int64)
             for k in range(self.d)
         ]
         return np.ravel_multi_index(idx, self.sizes)

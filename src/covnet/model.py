@@ -22,8 +22,8 @@ stack), and deep is deepshared with G = R stacks of one output row each.
 
 During fitting the kernel is represented through an N x R coefficient matrix
 Xi: the fitted fields are Xi Z^T with Z the constituents evaluated on the
-grid, and Lambda is recovered at freeze time as the (centered) second moment
-of the coefficient columns, which makes it PSD by construction.
+grid, and Lambda is frozen as the coefficients' second moment Xi^T Xi / N,
+the matrix that training scores, which makes it PSD by construction.
 
 The engine is feature-major and homogeneous: every activation, the inputs
 included, is a (width + 1, points) array whose last row is ones, so each
@@ -310,14 +310,6 @@ def eval_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray
     return _walk(params, arch, points)
 
 
-def lambda_from_coefficients(xi: np.ndarray) -> np.ndarray:
-    """Coefficient covariance N^{-1} (Xi - mean)^T (Xi - mean), PSD by construction."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    xi = xi - xi.mean(axis=0)
-    lam = xi.T @ xi / xi.shape[0]
-    return (lam + lam.T) / 2.0
-
-
 def count_parameters(arch: Architecture, include_lambda: bool = True) -> int:
     """Free-parameter count of the architecture (optionally plus Lambda)."""
     n = sum(math.prod(w) + math.prod(b) for w, b in _layer_shapes(arch))
@@ -366,14 +358,21 @@ class FittedCovariance:
         """Kernel values c(u_i, v_i) for paired rows; exactly swap-symmetric.
 
         Both quadratic-form orders are averaged so that swapping u and v
-        changes only the order of a commutative float addition.
+        changes only the order of a commutative float addition.  Pairs are
+        taken in the constituent walk's point blocks, so that the
+        temporaries are a few _POINT_BLOCK x R arrays however many pairs
+        are asked for, and each block's constituents have the bits of one
+        walk over all the points.
         """
         u, v = _point_pairs(u, v, self.arch.d)
-        zu = self.constituents(u)
-        zv = self.constituents(v)
-        a = ((zu @ self.lam) * zv).sum(axis=1)
-        b = ((zv @ self.lam) * zu).sum(axis=1)
-        return (a + b) / 2.0
+        out = np.empty(u.shape[0])
+        for block in _point_blocks(u.shape[0]):
+            zu = self.constituents(u[block])
+            zv = self.constituents(v[block])
+            a = ((zu @ self.lam) * zv).sum(axis=1)
+            b = ((zv @ self.lam) * zu).sum(axis=1)
+            out[block] = (a + b) / 2.0
+        return out
 
 
 def _format_floats(values: np.ndarray) -> str:

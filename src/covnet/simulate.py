@@ -60,7 +60,8 @@ def _check_rotation(o: np.ndarray, d: int) -> np.ndarray:
     o = np.asarray(o, dtype=float)
     if o.shape != (d, d):
         raise ValueError(f"rotation must be {d}x{d}, got {o.shape}")
-    if np.abs(o.T @ o - np.eye(d)).max() > 1e-12:
+    # negated, so that a nan entry, whose comparisons are all false, is refused
+    if not np.abs(o.T @ o - np.eye(d)).max() <= 1e-12:
         raise ValueError("rotation matrix is not orthogonal to 1e-12")
     return o
 
@@ -136,7 +137,7 @@ class NoiseSpec:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # so that nan is refused too
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 

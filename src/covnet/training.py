@@ -43,7 +43,6 @@ from .model import (
     backward_constituents,
     count_parameters,
     init_params,
-    lambda_from_coefficients,
 )
 from .rng import make_rng
 
@@ -238,8 +237,9 @@ def fit(
     """Fit a covariance network to observed fields with ADAM.
 
     The fields are centered by their sample mean first.  Returns the frozen
-    model (Lambda from centered coefficients) and a loss trace of shape (T, 4)
-    with columns (total, term_xx, term_gg, term_xg).  Row e records the loss
+    model and a loss trace of shape (T, 4) with columns (total, term_xx,
+    term_gg, term_xg); the model's Lambda = Xi^T Xi / N is the second
+    moment that the trace's last row scored.  Row e records the loss
     at the parameters entering epoch e; a final row records the loss after
     the last step.  With minibatching the recorded row is the mean over the
     epoch's batches (the batch gradients of the cross-sample terms are
@@ -370,6 +370,6 @@ def _freeze(x, points, params, arch, xi, term_xx, trace_rows):
     trace_rows.append(
         (breakdown.total, breakdown.term_xx, breakdown.term_gg, breakdown.term_xg)
     )
-
-    model = FittedCovariance(arch, params, lambda_from_coefficients(xi))
+    # Lambda = S / N, the second moment that this last row scored
+    model = FittedCovariance(arch, params, xi.T @ xi / xi.shape[0])
     return model, np.array(trace_rows)

@@ -9,6 +9,11 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def second_moment(xi):
+    """Xi^T Xi / N, the PSD Lambda that `fit` freezes from its coefficients Xi (N x R)."""
+    return xi.T @ xi / len(xi)
+
+
 @pytest.fixture
 def traced_peak():
     """peak(fn): the peak bytes that tracemalloc sees while fn() runs."""

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import second_moment
 import covnet
 from covnet.model import eval_constituents, init_params
 from covnet.rng import gaussian, make_rng
@@ -328,7 +329,7 @@ def test_criterion_10_serialization(tmp_path):
         d = int(rng.integers(1, 4))
         arch = ARCH_MAKERS[variant](r, d)
         params, xi = init_params(arch, int(rng.integers(2, 8)), seed=idx)
-        model = covnet.FittedCovariance(arch, params, covnet.lambda_from_coefficients(xi))
+        model = covnet.FittedCovariance(arch, params, second_moment(xi))
         path = tmp_path / f"m{idx}.cvn"
         covnet.save_model(path, model)
         back = covnet.load_model(path)
@@ -337,7 +338,7 @@ def test_criterion_10_serialization(tmp_path):
 
     arch = covnet.Architecture.shallow(40, 3)
     params, xi = init_params(arch, 30, seed=7)
-    model = covnet.FittedCovariance(arch, params, covnet.lambda_from_coefficients(xi))
+    model = covnet.FittedCovariance(arch, params, second_moment(xi))
     sizes = set()
     for tag in ("a", "b"):
         path = tmp_path / f"big_{tag}.cvn"

@@ -362,6 +362,16 @@ def test_nearest_voxel_lookup_matches_grid_nodes():
     np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
+def test_baselines_read_the_edge_voxel_at_huge_coordinates():
+    grid = make_grid(2, [4, 5])
+    emp = EmpiricalCovariance(sample_gaussian_fields(BrownianSheet(2), grid, 12, seed=19).centered())
+    far = np.array([[1e300, 0.5], [0.3, -1e300]])
+    edge = np.array([[1.0, 0.5], [0.3, 0.0]])
+    v = np.full((2, 2), 0.6)
+    for est in (emp, best_separable_2d(emp)):
+        np.testing.assert_array_equal(est.kernel_pairs(far, v), est.kernel_pairs(edge, v))
+
+
 @pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
 def test_empirical_pair_blocks_give_the_bits_of_one_pair_calls(m):
     # 128 pairs is one block (_PAIR_CHUNK): one pair short of, at and past it

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import second_moment
 from covnet import cli, errors
 from covnet.baselines import (
     EmpiricalCovariance,
@@ -18,7 +19,6 @@ from covnet.model import (
     Architecture,
     FittedCovariance,
     init_params,
-    lambda_from_coefficients,
     load_model,
     save_model,
 )
@@ -187,7 +187,7 @@ def saved_model_text(tmp_path):
     arch = Architecture.deep(2, 2, 2)
     params, xi = init_params(arch, 5, seed=3)
     path = tmp_path / "m.cvn"
-    save_model(path, FittedCovariance(arch, params, lambda_from_coefficients(xi)))
+    save_model(path, FittedCovariance(arch, params, second_moment(xi)))
     return path, path.read_text().splitlines()
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import second_moment
 from covnet import crossval, spectral, training
 from covnet.crossval import _cell_seed, cross_validate, cv_loss
 from covnet.fields import FieldMatrix, make_grid
@@ -11,7 +12,6 @@ from covnet.model import (
     FittedCovariance,
     eval_constituents,
     init_params,
-    lambda_from_coefficients,
 )
 from covnet.rng import gaussian, make_rng
 from covnet.spectral import truncate
@@ -50,7 +50,7 @@ def test_cv_loss_matches_dense_oracle():
     arch = Architecture.deepshared(3, 2, 2)
     params, _ = init_params(arch, 4, seed=5)
     xi = gaussian(make_rng(6), (4, 3))
-    lam = lambda_from_coefficients(xi)
+    lam = second_moment(xi)
     model = FittedCovariance(arch, params, lam)
     x = gaussian(make_rng(7), (4, 36))
     x = x - x.mean(axis=0)
@@ -62,11 +62,27 @@ def test_cv_loss_matches_dense_oracle():
     assert cv_loss(model, f_va) == pytest.approx(oracle, rel=1e-8)
 
 
+@pytest.mark.parametrize("batch", [None, 7])
+@pytest.mark.parametrize("variant", ["shallow", "deep", "deepshared"])
+def test_cv_loss_of_a_fit_on_its_centered_fields_is_its_last_trace_row(variant, batch):
+    # fit freezes the model its last trace row scored, so CV scores fits in
+    # the criterion they were trained on
+    grid = make_grid(2, [7, 6])
+    f = FieldMatrix(grid, gaussian(make_rng(14), (20, 42)).cumsum(axis=1))
+    arch = {
+        "shallow": Architecture.shallow(3, 2),
+        "deep": Architecture.deep(3, 2, 2),
+        "deepshared": Architecture.deepshared(3, 2, 2),
+    }[variant]
+    model, trace = fit(f, arch, TrainConfig(epochs=40, seed=2, batch=batch))
+    assert cv_loss(model, f.centered()) == pytest.approx(trace[-1, 0], rel=1e-12, abs=0.0)
+
+
 def test_cv_loss_nonnegative():
     grid = make_grid(1, [9])
     arch = Architecture.shallow(2, 1)
     params, xi = init_params(arch, 6, seed=8)
-    model = FittedCovariance(arch, params, lambda_from_coefficients(xi))
+    model = FittedCovariance(arch, params, second_moment(xi))
     x = gaussian(make_rng(9), (6, 9))
     val = cv_loss(model, FieldMatrix(grid, x - x.mean(axis=0)))
     assert val >= -1e-10 * max(abs(val), 1.0)
@@ -75,7 +91,7 @@ def test_cv_loss_nonnegative():
 def test_cv_loss_grid_mismatch():
     arch = Architecture.shallow(2, 2)
     params, xi = init_params(arch, 3, seed=1)
-    model = FittedCovariance(arch, params, lambda_from_coefficients(xi))
+    model = FittedCovariance(arch, params, second_moment(xi))
     f = FieldMatrix(make_grid(1, [5]), np.ones((2, 5)))
     with pytest.raises(ValueError):
         cv_loss(model, f)

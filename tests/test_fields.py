@@ -1,6 +1,7 @@
 import os
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,18 @@ def test_flat_index_clips_points_outside_the_cube():
     grid = make_grid(2, [2, 3])
     pts = np.array([[-0.5, 0.5], [1.5, 0.5], [0.0, 1.0], [0.99, 0.0]])
     np.testing.assert_array_equal(grid.flat_index(pts), [1, 4, 2, 3])
+
+
+def test_flat_index_maps_huge_coordinates_to_the_edge_voxel():
+    # points are clipped to the cube before u * K and the int64 cast: no warning, no wrap
+    grid = make_grid(2, [2, 3])
+    far = np.array([[1e300, 0.5], [-1e300, 0.5], [0.5, np.finfo(float).max]])
+    edge = np.array([[1.0, 0.5], [0.0, 0.5], [0.5, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = grid.flat_index(far)
+    np.testing.assert_array_equal(got, grid.flat_index(edge))
+    np.testing.assert_array_equal(got, [4, 1, 5])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import second_moment
 from covnet.cli import main
 from covnet.errors import FieldFormatError, ModelFormatError
 from covnet.fields import FieldMatrix, make_grid, read_fields, write_fields
@@ -20,7 +21,6 @@ from covnet.model import (
     Architecture,
     FittedCovariance,
     init_params,
-    lambda_from_coefficients,
     load_model,
     save_model,
 )
@@ -65,7 +65,7 @@ def model_text(work) -> str:
     arch = Architecture.deep(2, 2, 2)
     params, xi = init_params(arch, 5, seed=3)
     path = work / "valid.cvn"
-    model = FittedCovariance(arch, params, lambda_from_coefficients(xi))
+    model = FittedCovariance(arch, params, second_moment(xi))
     save_model(path, model)
     return path.read_text()
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import second_moment
 from covnet.errors import ModelFormatError
 from covnet.fields import FieldMatrix, make_grid
 from covnet.model import (
@@ -17,7 +18,6 @@ from covnet.model import (
     count_parameters,
     eval_constituents,
     init_params,
-    lambda_from_coefficients,
     load_model,
     save_model,
 )
@@ -325,22 +325,6 @@ def test_fitted_fields_matches_double_loop():
     np.testing.assert_allclose(got, oracle, rtol=1e-14)
 
 
-def test_lambda_centered_variance():
-    lam = lambda_from_coefficients(np.array([[1.0], [-1.0]]))
-    np.testing.assert_allclose(lam, [[1.0]])
-
-
-def test_lambda_zero():
-    np.testing.assert_array_equal(lambda_from_coefficients(np.zeros((4, 3))), 0.0)
-
-
-def test_lambda_is_psd():
-    xi = gaussian(make_rng(8), (6, 3))
-    for shift in (0.0, 5.0):  # centering removes any common offset
-        lam = lambda_from_coefficients(xi + shift)
-        assert np.linalg.eigvalsh(lam)[0] >= -1e-12
-
-
 def test_kernel_constant_model():
     arch = Architecture.shallow(1, 2)
     model = FittedCovariance(arch, np.zeros(3), np.array([[4.0]]))
@@ -380,6 +364,26 @@ def test_kernel_swap_symmetry_bit_exact():
     u = rng.random((40, 3))
     v = rng.random((40, 3))
     np.testing.assert_array_equal(model.kernel_pairs(u, v), model.kernel_pairs(v, u))
+
+
+@pytest.mark.parametrize("m", [4097, 8193, 12289])
+def test_kernel_pairs_over_point_blocks_give_the_bits_of_one_pass(m):
+    model = random_model(Architecture.deep(4, 2, 2), seed=12)
+    rng = make_rng(13)
+    u, v = rng.random((m, 2)), rng.random((m, 2))
+    zu, zv = model.constituents(u), model.constituents(v)
+    a = ((zu @ model.lam) * zv).sum(axis=1)
+    b = ((zv @ model.lam) * zu).sum(axis=1)
+    np.testing.assert_array_equal(model.kernel_pairs(u, v), (a + b) / 2.0)
+
+
+def test_kernel_pairs_hold_less_than_one_m_by_r_array(traced_peak):
+    model = random_model(Architecture.deep(20, 2, 3), seed=14)
+    m = 50_000
+    rng = make_rng(15)
+    u, v = rng.random((m, 2)), rng.random((m, 2))
+    # an unblocked pass holds Z of both sides and two products of their size, 4 m R floats
+    assert traced_peak(lambda: model.kernel_pairs(u, v)) < m * model.arch.r * 8
 
 
 def test_kernel_nonnegative_definite_on_samples():
@@ -460,7 +464,7 @@ def test_fitted_covariance_rejects_wrong_vector_length(variant):
         "deepshared": Architecture.deepshared(3, 2, 2),
     }[variant]
     params, xi = init_params(arch, 4, seed=3)
-    lam = lambda_from_coefficients(xi)
+    lam = second_moment(xi)
     FittedCovariance(arch, params, lam)
     for bad in (params[:-1], np.append(params, 0.0)):
         with pytest.raises(ValueError):
@@ -482,7 +486,7 @@ def test_save_load_roundtrip_bit_exact(variant, tmp_path):
         "deepshared": Architecture.deepshared(3, 2, 2),
     }[variant]
     params, xi = init_params(arch, 6, seed=21)
-    model = FittedCovariance(arch, params, lambda_from_coefficients(xi))
+    model = FittedCovariance(arch, params, second_moment(xi))
     path = tmp_path / "m.cvn"
     save_model(path, model)
     back = load_model(path)
@@ -498,7 +502,7 @@ def test_save_load_roundtrip_bit_exact(variant, tmp_path):
 def test_load_rejects_tampered_lambda(tmp_path):
     arch = Architecture.shallow(2, 2)
     params, xi = init_params(arch, 5, seed=1)
-    model = FittedCovariance(arch, params, lambda_from_coefficients(xi))
+    model = FittedCovariance(arch, params, second_moment(xi))
     path = tmp_path / "m.cvn"
     save_model(path, model)
     text = path.read_text().splitlines()
@@ -515,7 +519,7 @@ def test_load_rejects_a_mean_block(tmp_path):
     arch = Architecture.shallow(2, 2)
     params, xi = init_params(arch, 5, seed=1)
     path = tmp_path / "m.cvn"
-    save_model(path, FittedCovariance(arch, params, lambda_from_coefficients(xi)))
+    save_model(path, FittedCovariance(arch, params, second_moment(xi)))
     text = path.read_text().splitlines()
     text[-1:-1] = ["mean 2", "0.5 -0.25"]
     path.write_text("\n".join(text) + "\n")
@@ -529,7 +533,7 @@ def test_load_rejects_tampered_mean_header(tmp_path, header):
     arch = Architecture.shallow(2, 2)
     params, xi = init_params(arch, 5, seed=1)
     path = tmp_path / "m.cvn"
-    save_model(path, FittedCovariance(arch, params, lambda_from_coefficients(xi)))
+    save_model(path, FittedCovariance(arch, params, second_moment(xi)))
     text = path.read_text().splitlines()
     text[-1:-1] = [header, "0.5 -0.25"]
     path.write_text("\n".join(text) + "\n")
@@ -547,7 +551,7 @@ def test_load_rejects_bad_header(tmp_path):
 def test_model_file_size_grid_independent(tmp_path):
     arch = Architecture.shallow(40, 3)
     params, xi = init_params(arch, 50, seed=2)
-    model = FittedCovariance(arch, params, lambda_from_coefficients(xi))
+    model = FittedCovariance(arch, params, second_moment(xi))
     path = tmp_path / "m.cvn"
     save_model(path, model)
     # 40*3 + 40 + 820 floats at <= 25 bytes each stays far below 100 KB

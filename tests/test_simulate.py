@@ -147,6 +147,14 @@ def test_rotated_specs_validate_orthogonality():
         RotatedBrownianSheet(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("family", [RotatedBrownianSheet, RotatedIntegratedBrownianSheet])
+def test_rotated_specs_reject_a_nan_entry(family):
+    o = rotation_2d_45()
+    o[1, 0] = np.nan
+    with pytest.raises(ValueError, match="not orthogonal"):
+        family(o)
+
+
 def test_kernel_symmetry():
     rng = np.random.Generator(np.random.Philox(key=1))
     u = rng.random((50, 2))
@@ -312,6 +320,11 @@ def test_noisy_draw_checks_memory_for_the_noise(monkeypatch):
 def test_noise_spec_rejects_negative_sigma():
     with pytest.raises(ValueError):
         NoiseSpec(sigma=-0.1)
+
+
+def test_noise_spec_rejects_nan_sigma():
+    with pytest.raises(ValueError, match="sigma must be >= 0"):
+        NoiseSpec(sigma=float("nan"))
 
 
 def jittered_cholesky_oracle(c):

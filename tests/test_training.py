@@ -366,6 +366,29 @@ def test_fit_frozen_lambda_psd(variant):
     assert np.linalg.eigvalsh(model.lam)[0] >= -1e-10 * np.trace(model.lam)
 
 
+@pytest.mark.parametrize("batch", [None, 7])
+@pytest.mark.parametrize("variant", list(ARCHS))
+def test_fit_freezes_lambda_as_the_second_moment_of_its_final_coefficients(
+    variant, batch, monkeypatch
+):
+    # Lambda = Xi^T Xi / N, uncentered: the S = Xi^T Xi that every trace row scores
+    grid = make_grid(2, [7, 6])
+    f = sample_gaussian_fields(BrownianSheet(2), grid, 20, seed=13)
+    final_xi = []
+    freeze = training._freeze
+
+    def capture(x, points, params, arch, xi, term_xx, trace_rows):
+        final_xi.append(xi.copy())
+        return freeze(x, points, params, arch, xi, term_xx, trace_rows)
+
+    monkeypatch.setattr(training, "_freeze", capture)
+    model, _ = fit(f, ARCHS[variant](3, 2), TrainConfig(epochs=40, seed=2, batch=batch))
+    [xi] = final_xi
+    assert np.abs(xi.mean(axis=0)).max() > 1e-3  # centering them would change Lambda
+    s = xi.T @ xi / f.n
+    np.testing.assert_array_equal(model.lam, 0.5 * s + 0.5 * s.T)
+
+
 def test_fit_ignores_the_mean_field():
     # every fit centers by the sample mean, so a mean curve added to every
     # field changes the fit only by the rounding of the centered values
