@@ -23,8 +23,8 @@ and Matern are not separable; they take the dense factor of the whole grid.
 Either way each factor overwrites the N x D draw block by block, so beside a
 noise draw that is the only N x D array a sample holds; memory is checked
 for both.  The dense factor is written over the kernel matrix (by LAPACK
-beyond _CHOLESKY_BLOCK points), and a failed attempt is retried from the
-matrix its strict upper triangle still holds, so the dense path holds one
+beyond _CHOLESKY_BLOCK points), and a failed attempt's matrix is dropped
+and the retry factors a freshly built one, so the dense path holds one
 D x D array beside the draw; it is capped at KERNEL_MATRIX_CAP points,
 checked before anything is allocated.
 """
@@ -32,7 +32,9 @@ checked before anything is allocated.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -139,6 +141,10 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.sigma >= 0:  # so that nan is refused too
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        # every Box-Muller normal is below sqrt(-2 ln 2^-53) ~ 8.58 in size,
+        # so noise of a sigma whose 9 sigma is finite cannot overflow
+        if not math.isfinite(9.0 * float(self.sigma)):
+            raise ValueError(f"sigma {self.sigma} is so large that its noise can overflow")
 
 
 def rotation_2d_45() -> np.ndarray:
@@ -238,14 +244,11 @@ def _cholesky_in_place(c: np.ndarray) -> bool:
     A matrix of at most _CHOLESKY_BLOCK points is factored exactly as by
     np.linalg.cholesky(c), which works on a copy.  A larger one is factored
     in place by LAPACK's dpotrf on its transpose: c's lower triangle is the
-    Fortran-ordered upper triangle of c.T, so dpotrf needs no copy of c and
-    reads or writes only that triangle; on success each row's strict upper
-    part is then zeroed.  Returns False when c is not numerically positive
-    definite, with the strict upper triangle still holding the matrix and
-    the lower triangle possibly overwritten.
+    Fortran-ordered upper triangle of c.T, so dpotrf needs no copy of c, and
+    scipy's wrapper then zeroes the other triangle.  Returns False when c is
+    not numerically positive definite, with c possibly overwritten.
     """
-    n = c.shape[0]
-    if n <= _CHOLESKY_BLOCK:
+    if c.shape[0] <= _CHOLESKY_BLOCK:
         try:
             c[...] = np.linalg.cholesky(c)
         except np.linalg.LinAlgError:
@@ -255,35 +258,29 @@ def _cholesky_in_place(c: np.ndarray) -> bool:
     # process that has imported covnet, and only larger matrices need it
     from scipy.linalg.lapack import dpotrf
 
-    # clean=False: a failed attempt must leave the matrix above the diagonal
-    _, info = dpotrf(c.T, lower=False, overwrite_a=True, clean=False)
-    if info:
-        return False
-    for i in range(n - 1):
-        c[i, i + 1 :] = 0.0
-    return True
+    _, info = dpotrf(c.T, lower=False, overwrite_a=True, clean=True)
+    return not info
 
 
-def _jittered_cholesky(c: np.ndarray) -> np.ndarray:
-    """Cholesky factor of c + jitter I, escalating jitter from 1e-12 trace / n.
+def _jittered_cholesky(build: Callable[[], np.ndarray]) -> np.ndarray:
+    """Cholesky factor of build() + jitter I, escalating jitter from 1e-12 trace / n.
 
-    The factor, zero above the diagonal, is written over c, which must be
-    exactly symmetric, and returned.  A failed attempt leaves the matrix in
-    the strict upper triangle, so the next one restores the lower triangle
-    from it row by row, and the diagonal from a saved copy.
+    build() returns a new, exactly symmetric matrix on every call.  Each
+    attempt adds its jitter to a fresh matrix's diagonal and writes the
+    factor, zero above the diagonal, over it; a failed attempt's matrix is
+    dropped before the next is built, so one matrix is held at a time.
     """
+    c = build()
     n = c.shape[0]
     base = 1e-12 * np.trace(c) / n
     if base == 0 and not c.any():
         return c  # a zero covariance has the zero factor
-    diag = c.diagonal().copy()
-    jitter = 0.0
     for attempt in range(7):
         if attempt:
-            for i in range(1, n):
-                c[i, :i] = c[:i, i]
+            del c
+            c = build()
         jitter = base * 10.0**attempt
-        np.fill_diagonal(c, diag + jitter)
+        c.flat[:: n + 1] += jitter
         if _cholesky_in_place(c):
             return c
     raise NumericError(f"cholesky failed for kernel matrix even with jitter {jitter:g}")
@@ -313,7 +310,7 @@ def _block_factors(spec: _Kernel, grid: Grid, n: int = 1, noisy: bool = False) -
         _check_cap(g.n_points, where)
     what = f"{n} fields of {grid.n_points} points" + (" and their noise" if noisy else "")
     _check_memory((1 + noisy) * n * grid.n_points, what)
-    return [_jittered_cholesky(kernel_matrix(spec, g)) for g in grids]
+    return [_jittered_cholesky(partial(kernel_matrix, spec, g)) for g in grids]
 
 
 def sample_gaussian_fields(

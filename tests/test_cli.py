@@ -574,6 +574,8 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         ("simulate", SIMULATE + "sigma = -1\n", "sigma must be >= 0"),
         ("simulate", SIMULATE + "sigma = nan\n", "sigma must be a finite number"),
         ("simulate", SIMULATE + "sigma = inf\n", "sigma must be a finite number"),
+        # a finite noise level whose noise can overflow
+        ("simulate", SIMULATE + "sigma = 1e308\n", "noise can overflow"),
         ("simulate", "kernel = matern\nnu = inf\nd = 2\nK = 4\nN = 4\n", "nu must be"),
         ("fit", FIT + "lr = nan\n", "lr must be"),
         ("fit", FIT + "lr = inf\n", "lr must be"),
@@ -693,7 +695,7 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         ),
     ],
     ids=[
-        "sigma_negative", "sigma_nan", "sigma_inf", "nu_inf", "lr_nan", "lr_inf",
+        "sigma_negative", "sigma_nan", "sigma_inf", "sigma_huge", "nu_inf", "lr_nan", "lr_inf",
         "rel_tol_nan", "v0_nan", "lr_zero", "fit_one_field", "separable_d3",
         "empirical_no_field", "separable_no_field",
         "cv_v_above_n", "cv_small_fold", "cv_no_archs", "cv_r_zero", "cv_level_zero",

@@ -327,6 +327,20 @@ def test_noise_spec_rejects_nan_sigma():
         NoiseSpec(sigma=float("nan"))
 
 
+@pytest.mark.parametrize("sigma", [math.inf, 1e308])
+def test_noise_spec_rejects_a_sigma_whose_noise_can_overflow(sigma):
+    # refused on construction, before any factor or draw; the suite turns a
+    # RuntimeWarning, such as an overflow in the noise, into an error
+    with pytest.raises(ValueError, match="noise can overflow"):
+        NoiseSpec(sigma)
+
+
+def test_noise_spec_accepts_a_huge_sigma_whose_noise_stays_finite():
+    # 9 sigma is finite, and so is every noisy value
+    noisy = sample_gaussian_fields(BrownianSheet(1), make_grid(1, [4]), 5, 11, NoiseSpec(1e300))
+    assert np.isfinite(noisy.values).all()
+
+
 def jittered_cholesky_oracle(c):
     """np.linalg.cholesky of c + jitter I at the first jitter that succeeds, and that jitter."""
     base = 1e-12 * np.trace(c) / c.shape[0]
@@ -427,23 +441,49 @@ def test_one_block_dense_draws_are_bit_identical_to_oracle(spec, k):
     assert np.array_equal(got, dense_factor_draw(spec, grid, 6, seed=12))
 
 
-def test_jitter_escalation_restores_a_matrix_a_failed_attempt_overwrote():
-    # B B^T has rank 1050 < D = 1100, so B B^T - delta I is indefinite until
-    # the jitter exceeds delta, 50 times the first jitter: attempt 2.  Its
-    # leading 1024 x 1024 block, (B B^T)_11 - delta I, has smallest eigenvalue
-    # about (sqrt(1050) - sqrt(1024))^2 = 0.16, so each failed attempt has
-    # overwritten that block and its panel before it fails
+def escalating_matrix():
+    """A D = 1100 matrix that the third jitter, base * 100, is the first to factor.
+
+    B B^T has rank 1050 < D, so B B^T - delta I is indefinite until the
+    jitter exceeds delta, 50 times the first jitter.  Its leading 1024 x 1024
+    block, (B B^T)_11 - delta I, has smallest eigenvalue about
+    (sqrt(1050) - sqrt(1024))^2 = 0.16, so each failed attempt has overwritten
+    that block and its panel before it fails.
+    """
     d = 1100
     b = gaussian(make_rng(21), (d, 1050))
     c = b @ b.T
     c = (c + c.T) / 2  # exactly symmetric
     c[np.diag_indices(d)] -= 5e-11 * np.trace(c) / d
+    return c
+
+
+def test_jitter_retry_factors_a_fresh_matrix_after_a_failed_attempt_overwrote_the_last():
+    c = escalating_matrix()
+    d = c.shape[0]
     base = 1e-12 * np.trace(c) / d
     block = simulate._CHOLESKY_BLOCK
     np.linalg.cholesky(c[:block, :block] + base * np.eye(block))
     _, jitter = jittered_cholesky_oracle(c)
     assert jitter == base * 100.0
-    assert_factors_with_oracle_jitter(simulate._jittered_cholesky(c.copy()), c)
+    builds = []
+
+    def build():
+        builds.append(1)
+        return c.copy()
+
+    assert_factors_with_oracle_jitter(simulate._jittered_cholesky(build), c)
+    assert len(builds) == 3  # one fresh matrix per attempt
+
+
+def test_jitter_retry_holds_one_matrix_at_a_time(traced_peak):
+    # the failed attempt's matrix is dropped before the next is built.  The
+    # sampler imports LAPACK on first use; it is imported here first
+    import scipy.linalg.lapack  # noqa: F401
+
+    c = escalating_matrix()
+    peak = traced_peak(lambda: simulate._jittered_cholesky(c.copy))
+    assert peak < 1.5 * c.nbytes
 
 
 def test_sampling_empirical_covariance_integrated_sheet():
