@@ -1,9 +1,12 @@
 """Config-driven command line: simulate, fit, eval, eigen, cv, export.
 
 Every subcommand reads a `key = value` text config (flags override) and
-checks all of it before it writes anything; `main` then writes a
-resolved-config copy beside its artifacts in the output directory, which is
-made with the first file.  A key is declared where a subcommand reads it: a
+checks all of it before it writes anything.  Outputs have fixed names in the
+output directory, which is made with the first file, so separate runs need
+separate `--out` directories.  A run's one record is the
+`resolved_<command>.cfg` that `main` writes beside them after a successful
+run: every key the run read, defaults included, so `--config` on it repeats
+the run.  A key is declared where a subcommand reads it: a
 given key that the subcommand never reads would take no effect, so it is a
 config error.  The value rules are the library's own: the library objects a
 subcommand builds from its config refuse bad values, and a ValueError raised
@@ -89,22 +92,25 @@ def _finite_float(text) -> float:
     return val
 
 
-def parse_config_text(text: str) -> dict[str, str]:
+def _settings(items) -> dict[str, str]:
+    """The `key = value` settings of (source, text) items, each key set once."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
+    for where, text in items:
+        if "=" not in text:
+            raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+        key, value = text.split("=", 1)
         key = key.strip()
         if not key:
-            raise ConfigError(f"line {lineno}: empty key")
+            raise ConfigError(f"{where}: empty key")
         if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{where}: duplicate key {key!r}")
         out[key] = value.strip()
     return out
+
+
+def parse_config_text(text: str) -> dict[str, str]:
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return _settings((f"line {n}", line) for n, line in enumerate(lines, start=1) if line)
 
 
 class Config:
@@ -195,11 +201,8 @@ def _merge_config(args) -> dict[str, str]:
                 raw = parse_config_text(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        raw[key.strip()] = value.strip()
+    # a --set key may override a config-file key, but not another --set key
+    raw.update(_settings(("--set", item) for item in args.set or []))
     if args.seed is not None:
         raw["seed"] = str(args.seed)
     return raw
@@ -277,22 +280,10 @@ def run_simulate(cfg: Config, out_dir: str) -> None:
     n = cfg.int_("N", required=True, minimum=1)
     seed = cfg.seed_("seed")
     noise = NoiseSpec(cfg.float_("sigma", default=0.0))
-    name = cfg.str_("name", default="fields")
     cfg.reject_unread()
     fields_ = sample_gaussian_fields(spec, grid, n, seed, noise)
-    path = _out_path(out_dir, f"{name}.cvnf")
+    path = _out_path(out_dir, "fields.cvnf")
     write_fields(path, fields_)
-    meta = [
-        f"kernel = {cfg.used['kernel']}",
-        f"d = {grid.d}",
-        f"sizes = {','.join(str(s) for s in grid.sizes)}",
-        f"N = {n}",
-        f"seed = {seed}",
-        f"sigma = {_fmt(noise.sigma or 0.0)}",
-    ]
-    if "nu" in cfg.used:
-        meta.insert(1, f"nu = {cfg.used['nu']}")
-    _write_lines(_out_path(out_dir, f"{name}.meta.txt"), meta)
     print(f"wrote {path} (N={n}, D={grid.n_points})")
 
 
@@ -331,13 +322,12 @@ def run_fit(cfg: Config, out_dir: str) -> None:
         raise ConfigError(f"fit needs at least two fields, got {f.n}")
     arch = _arch_from(cfg, f.grid.d)
     train_cfg = _train_config(cfg)
-    name = cfg.str_("name", default="model")
     cfg.reject_unread()
     model, trace = fit(f, arch, train_cfg)
-    model_path = _out_path(out_dir, f"{name}.cvn")
+    model_path = _out_path(out_dir, "model.cvn")
     save_model(model_path, model)
     _write_csv(
-        _out_path(out_dir, f"{name}_trace.csv"),
+        _out_path(out_dir, "model_trace.csv"),
         ["epoch", "total", "term_xx", "term_gg", "term_xg"],
         [[str(e), *map(_fmt, t)] for e, t in enumerate(trace)],
     )
@@ -352,7 +342,6 @@ def run_eval(cfg: Config, out_dir: str) -> None:
     truth = _kernel_from(cfg, d)
     m = cfg.int_("M", default=100_000, minimum=1)
     seed = cfg.seed_("seed")
-    name = cfg.str_("name", default="errors")
     est_names = cfg.list_("estimator", required=True)
     if "separable" in est_names and d != 2:
         raise ConfigError(f"the separable estimator needs d = 2, got d = {d}")
@@ -398,7 +387,7 @@ def run_eval(cfg: Config, out_dir: str) -> None:
         rows.append([label, _fmt(err), str(m), str(seed)])
         print(f"{label}: relative error {_fmt(err)}")
     _write_csv(
-        _out_path(out_dir, f"{name}.csv"),
+        _out_path(out_dir, "errors.csv"),
         ["estimator", "relative_error", "M", "seed"],
         rows,
     )
@@ -408,7 +397,6 @@ def run_eigen(cfg: Config, out_dir: str) -> None:
     model = load_model(cfg.str_("model", required=True))
     m = cfg.int_("M", default=100_000, minimum=1)
     seed = cfg.seed_("seed")
-    name = cfg.str_("name", default="eigen")
     grid = None
     n_funcs = 0
     if "K" in cfg.raw or "sizes" in cfg.raw:
@@ -422,13 +410,13 @@ def run_eigen(cfg: Config, out_dir: str) -> None:
         # resolved after the eigensolve: the default is the rank found there
         n_funcs = n_funcs or cfg.int_("n_funcs", default=system.rank)
     _write_csv(
-        _out_path(out_dir, f"{name}_values.csv"),
+        _out_path(out_dir, "eigen_values.csv"),
         ["index", "eigenvalue"],
         [[str(i), _fmt(v)] for i, v in enumerate(system.values)],
     )
     for i in range(min(n_funcs, system.rank)):
         _write_point_csv(
-            _out_path(out_dir, f"{name}_fn{i}.csv"),
+            _out_path(out_dir, f"eigen_fn{i}.csv"),
             pts,
             eval_eigenfunction(model, system, i, pts),
         )
@@ -443,7 +431,6 @@ def run_cv(cfg: Config, out_dir: str) -> None:
     f = read_fields(cfg.str_("fields", required=True))
     v = cfg.int_("V", default=5, minimum=2)
     seed = cfg.seed_("seed")
-    name = cfg.str_("name", default="cv")
     variants = cfg.list_("archs", default=",".join(VARIANTS))
     # truncation levels: every architecture is built at the widest
     levels = cfg.list_("R_list", item=int) or DEFAULT_LEVELS
@@ -470,7 +457,7 @@ def run_cv(cfg: Config, out_dir: str) -> None:
 
     header = ["candidate", "arch", "R", "L"]
     _write_csv(
-        _out_path(out_dir, f"{name}_report.csv"),
+        _out_path(out_dir, "cv_report.csv"),
         [*header, "fold", "loss"],
         [
             [*columns(c.candidate), str(c.fold), "failed" if c.failed else _fmt(c.loss)]
@@ -478,7 +465,7 @@ def run_cv(cfg: Config, out_dir: str) -> None:
         ],
     )
     _write_csv(
-        _out_path(out_dir, f"{name}_summary.csv"),
+        _out_path(out_dir, "cv_summary.csv"),
         [*header, "mean_loss", "selected"],
         [
             [
@@ -498,11 +485,10 @@ def run_export(cfg: Config, out_dir: str) -> None:
     v0 = np.array(cfg.list_("v0", item=float, required=True), dtype=float)
     if v0.shape != (model.arch.d,):
         raise ConfigError(f"v0 must list {model.arch.d} coordinates")
-    name = cfg.str_("name", default="kernel_slice")
     cfg.reject_unread()
     pts = grid.coordinates()
     vals = model.kernel_pairs(pts, np.broadcast_to(v0, pts.shape))
-    path = _out_path(out_dir, f"{name}.csv")
+    path = _out_path(out_dir, "kernel_slice.csv")
     _write_point_csv(path, pts, vals)
     print(f"wrote {path} ({grid.n_points} rows)")
 

@@ -52,8 +52,11 @@ def test_simulate_writes_expected_header(tmp_path):
     f = read_fields(out / "fields.cvnf")
     assert f.n == 50
     assert f.grid.n_points == 100
-    assert (out / "fields.meta.txt").exists()
-    assert (out / "resolved_simulate.cfg").exists()
+    # the resolved config is the run's one record: no sidecar is written
+    assert sorted(p.name for p in out.iterdir()) == ["fields.cvnf", "resolved_simulate.cfg"]
+    assert (out / "resolved_simulate.cfg").read_text().splitlines() == [
+        "K = 10", "N = 50", "d = 2", "kernel = brownian", "seed = 1", "sigma = 0.0"
+    ]
 
 
 def test_simulate_byte_identical(tmp_path):
@@ -565,6 +568,15 @@ def gaussian_fields(tmp_path, n):
 
 SIMULATE = "kernel = brownian\nd = 2\nK = 4\nN = 4\n"
 FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
+# a valid config of each subcommand
+VALID = {
+    "simulate": SIMULATE,
+    "fit": FIT,
+    "eval": "estimator = zero\nkernel = brownian\nd = 2\nM = 100\n",
+    "eigen": "model = {model}\nM = 100\n",
+    "cv": "fields = {fields}\narchs = shallow\nR_list = 2\nepochs = 2\n",
+    "export": "model = {model}\nK = 3\nv0 = 0.5,0.5\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -693,6 +705,18 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
             ("cv", f"fields = {{fields}}\n{key} = {e}\n", f"{key} must name at least one value")
             for key, e in (("R_list", ""), ("R_list", ","), ("L_list", ""))
         ),
+        # every output has a fixed name, so a name key is never read
+        *(
+            (command, text + "name = x\n", f"{command} does not use config key(s): name")
+            for command, text in VALID.items()
+        ),
+        *(
+            (f"{command} --set name=x", text, f"{command} does not use config key(s): name")
+            for command, text in VALID.items()
+        ),
+        # --set keeps a config file's rules: a key is not empty and is set once
+        ("simulate --set =5", SIMULATE, "--set: empty key"),
+        ("simulate --set N=3 --set N=4", SIMULATE, "--set: duplicate key 'N'"),
     ],
     ids=[
         "sigma_negative", "sigma_nan", "sigma_inf", "sigma_huge", "nu_inf", "lr_nan", "lr_inf",
@@ -710,9 +734,13 @@ FIT = "fields = {fields}\narch = shallow\nR = 2\nepochs = 5\n"
         "eval_model_without_covnet", "eval_fields_without_baselines", "eigen_d_without_grid",
         "export_seed", "eval_estimator_empty", "eval_estimator_comma", "cv_R_list_empty",
         "cv_R_list_comma", "cv_L_list_empty",
+        *(f"{command}_name" for command in VALID),
+        *(f"{command}_set_name" for command in VALID),
+        "set_empty_key", "set_duplicate_key",
     ],
 )
 def test_config_value_error_exits_2(tmp_path, capsys, command, cfg_text, message):
+    command, *flags = command.split()  # flags given after the config file
     text = cfg_text.format(
         model=constant_model(tmp_path),
         fields=gaussian_fields(tmp_path, 6),
@@ -720,7 +748,7 @@ def test_config_value_error_exits_2(tmp_path, capsys, command, cfg_text, message
         zero=gaussian_fields(tmp_path, 0),
         three=gaussian_fields(tmp_path, 3),
     )
-    code, out = run(tmp_path, command, text)
+    code, out = run(tmp_path, command, text, flags)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
@@ -793,9 +821,9 @@ def test_simulate_noise_is_stream_3_of_the_seed(tmp_path, seed):
     # not the normals behind the fields of the next seed
     if seed < 2**64 - 1:
         assert not np.allclose((noisy - clean) / 0.1, gaussian(make_rng(seed + 1), clean.shape))
-    # the seed and sigma in the sidecar reproduce the draw
-    meta = (noisy_out / "fields.meta.txt").read_text().splitlines()
-    assert f"seed = {seed}" in meta and "sigma = 0.10000000000000001" in meta
+    # the seed and sigma in the resolved config reproduce the draw
+    resolved = (noisy_out / "resolved_simulate.cfg").read_text().splitlines()
+    assert f"seed = {seed}" in resolved and "sigma = 0.1" in resolved
 
 
 def test_simulate_noisy_draw_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
@@ -808,3 +836,46 @@ def test_simulate_noisy_draw_beyond_memory_exits_2(tmp_path, capsys, monkeypatch
     message = "4 fields of 16 points and their noise do not fit in memory"
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+# a tiny chain: a noisy draw, a deep fit, all four estimators, the eigenfunctions
+# at eigen's post-solve n_funcs default, cv and export
+CHAIN = {
+    "simulate": "kernel = brownian\nd = 2\nK = 4\nN = 12\nseed = 1\nsigma = 0.1\n",
+    "fit": "fields = {fields}\narch = deep\nR = 2\nL = 2\nepochs = 5\nseed = 2\n",
+    "eval": (
+        "estimator = zero,empirical,separable,covnet\nfields = {fields}\nmodel = {model}\n"
+        "kernel = brownian\nd = 2\nM = 500\nseed = 3\n"
+    ),
+    "eigen": "model = {model}\nM = 500\nseed = 4\nK = 4\n",
+    "cv": (
+        "fields = {fields}\narchs = shallow,deep\nR_list = 1,2\nL_list = 2\nV = 3\n"
+        "epochs = 5\nseed = 5\n"
+    ),
+    "export": "model = {model}\nK = 4\nv0 = 0.5,0.5\n",
+}
+
+
+@pytest.fixture(scope="module")
+def chain_inputs(tmp_path_factory):
+    """The chain's field and model files."""
+    base = tmp_path_factory.mktemp("chain")
+    inputs = {"fields": base / "fields.cvnf", "model": base / "model.cvn"}
+    for command in ("simulate", "fit"):
+        cfg = base / f"{command}.cfg"
+        cfg.write_text(CHAIN[command].format(**inputs))
+        assert main([command, "--config", str(cfg), "--out", str(base)]) == 0
+    return inputs
+
+
+@pytest.mark.parametrize("command", CHAIN)
+def test_resolved_config_reproduces_the_run(tmp_path, chain_inputs, command):
+    code, first = run(tmp_path, command, CHAIN[command].format(**chain_inputs))
+    assert code == 0
+    again = tmp_path / "again"
+    resolved = first / f"resolved_{command}.cfg"
+    assert main([command, "--config", str(resolved), "--out", str(again)]) == 0
+    written = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in again.iterdir()) == written
+    for name in written:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
