@@ -13,8 +13,8 @@ subcommand builds from its config refuse bad values, and a ValueError raised
 before the config is accepted (`Config.reject_unread`) is a config error.  A
 size that cannot be allocated is one too.
 A command's `seed` (or `--seed`) keys stream 0 of that seed for the
-command's own draw: simulate's fields, fit's initial weights and
-coefficients, eval's Monte-Carlo pairs and eigen's Gram points (simulate's
+command's own draw: simulate's fields, fit's initial probe points, weights
+and coefficients, eval's Monte-Carlo pairs and eigen's Gram points (simulate's
 noise comes from stream 3, fit's minibatch order from stream 1, cv's folds
 from stream 2).  One seed given to simulate, fit, eval and eigen reuses that
 stream, so give each command its own seed, for instance one derived per

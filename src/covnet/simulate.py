@@ -20,13 +20,17 @@ the D x D matrix is never formed: on a tensor grid it is C_1 (x) ... (x) C_d
 with C_k the 1-D kernel matrix of axis k, and chol(A (x) B) = chol(A) (x)
 chol(B), so L is applied as one K_k x K_k factor per axis.  Rotated sheets
 and Matern are not separable; they take the dense factor of the whole grid.
-Either way each factor overwrites the N x D draw block by block, so beside a
-noise draw that is the only N x D array a sample holds; memory is checked
-for both.  The dense factor is written over the kernel matrix (by LAPACK
-beyond _CHOLESKY_BLOCK points), and a failed attempt's matrix is dropped
-and the retry factors a freshly built one, so the dense path holds one
-D x D array beside the draw; it is capped at KERNEL_MATRIX_CAP points,
-checked before anything is allocated.
+Either way each factor overwrites the N x D draw block by block.  Beside
+the draw and its noise, the factor of one axis of several makes temporaries
+of about _POINT_BLOCK x K_k values, but a factor of the whole grid (dense,
+or a 1-D grid's) is applied to row blocks of up to _POINT_BLOCK fields, each
+product a temporary of up to _POINT_BLOCK x D values: a draw of at most
+_POINT_BLOCK fields briefly holds a second N x D array.  Memory is checked
+for the draw and its noise, not for that temporary.  The dense factor is
+written over the kernel matrix (by LAPACK beyond _CHOLESKY_BLOCK points),
+and a failed attempt's matrix is dropped and the retry factors a freshly
+built one, so the dense path holds one D x D array beside the draw; it is
+capped at KERNEL_MATRIX_CAP points, checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -328,8 +332,10 @@ def sample_gaussian_fields(
     D x D array (beyond 1024 points; np.linalg.cholesky's copy and factor
     below) and is capped at KERNEL_MATRIX_CAP points.  The factors are
     applied in place to the standard normal draw, which becomes the
-    returned values, and the noise is added in place, so the sample holds
-    one N x D array beside its noise draw.
+    returned values, and the noise is added in place.  Beside the draw and
+    its noise, a factor of the whole grid makes one product temporary of
+    min(N, _POINT_BLOCK) x D values, a second N x D array for a draw of at
+    most _POINT_BLOCK fields; per-axis factors make only small ones.
     Deterministic for a fixed seed: the fields come from its stream 0 and
     the noise, when sigma > 0, from its stream 3, independent of every
     field draw and leaving this one unchanged.

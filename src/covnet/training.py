@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,11 @@ class LossBreakdown:
         return self.term_xx + self.term_gg - 2.0 * self.term_xg
 
 
+def _is_count(value) -> bool:
+    """An integer, and not a bool (True would count as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Epoch budget, ADAM step size, stopping tolerance, seed, batch."""
@@ -78,6 +84,10 @@ class TrainConfig:
     batch: int | None = None
 
     def __post_init__(self):
+        if not _is_count(self.epochs):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
+        if self.batch is not None and not _is_count(self.batch):
+            raise ValueError(f"batch must be an integer or None, got {self.batch!r}")
         if not (0 < self.lr < math.inf):
             raise ValueError("learning rate must be positive and finite")
         if not (0 <= self.rel_tol < math.inf):

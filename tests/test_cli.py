@@ -507,7 +507,7 @@ def test_fit_divergence_exits_4(tmp_path):
         out=tmp_path / "dd",
     )
     assert code == 0
-    cfg = f"fields = {out / 'fields.cvnf'}\narch = shallow\nR = 2\nlr = 15.0\nseed = 0\n"
+    cfg = f"fields = {out / 'fields.cvnf'}\narch = shallow\nR = 2\nlr = 100.0\nseed = 0\n"
     code, _ = run(tmp_path, "fit", cfg, out=tmp_path / "dfit")
     assert code == 4
 

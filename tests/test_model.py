@@ -63,15 +63,59 @@ def test_init_shallow_shapes():
     # one group: the output layer of the single shared stack
     assert w[0].shape == (3, 2)
     assert b[0].shape == (3,)
-    assert np.all(b == 0)
     assert xi.shape == (4, 3)
+    # each unit's hyperplane w . u + b = 0 cuts the unit square
+    corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    pre = corners @ w[0].T + b[0]
+    assert np.all(pre.min(axis=0) < 0) and np.all(pre.max(axis=0) > 0)
+
+
+@pytest.mark.parametrize(
+    "arch",
+    [Architecture.shallow(20, 2), Architecture.deepshared(10, 2, 2), Architecture.deep(20, 2, 3)],
+    ids=["shallow", "deepshared", "deep"],
+)
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_init_spans_more_than_affine_functions(arch, seed):
+    # constituents close to a + b . u would give the Gram Z^T Z / D about
+    # 3 = d + 1 eigenvalues above 1e-6 of its largest
+    points = make_grid(2, [25, 25]).coordinates()
+    params, _ = init_params(arch, 3, seed)
+    z = eval_constituents(params, arch, points)
+    eigs = np.linalg.eigvalsh(z.T @ z / len(points))
+    assert np.count_nonzero(eigs > 1e-6 * eigs[-1]) >= arch.r / 2
+
+
+def initial_field_variance(params, arch, xi):
+    """Variance of the fitted fields Xi Z^T at init, averaged over a 25x25 grid."""
+    z = eval_constituents(params, arch, make_grid(2, [25, 25]).coordinates())
+    return np.einsum("ir,rs,is->i", z, xi.T @ xi / len(xi), z).mean()
 
 
 def test_init_xi_variance():
+    # Xi is normal less each row's component along the constituents' means:
+    # Xi^T Xi / N has R - 1 near-equal eigenvalues and one null direction,
+    # of positive entries, along the constituents' domain mean; the fields'
+    # variance is set over 64 probe points, so the grid's is close to it
     r = 5
-    _, xi = init_params(Architecture.shallow(r, 2), 10000, seed=1)
-    var = xi.var(axis=0)
-    assert np.all(np.abs(var - 1 / r) <= 0.2 / r)
+    arch = Architecture.shallow(r, 2)
+    params, xi = init_params(arch, 10000, seed=1)
+    eigs, vecs = np.linalg.eigh(xi.T @ xi / len(xi))
+    assert abs(eigs[0]) <= 1e-12 * eigs[-1]
+    assert np.all(np.abs(eigs[1:] / eigs[1:].mean() - 1) <= 0.1)
+    null = vecs[:, 0] * np.sign(vecs[0, 0])
+    assert np.all(null > 0)
+    mean = eval_constituents(params, arch, make_grid(2, [25, 25]).coordinates()).mean(axis=0)
+    assert null @ mean / np.linalg.norm(mean) > 0.99
+    assert abs(initial_field_variance(params, arch, xi) - 0.1) <= 0.03
+
+
+def test_init_single_constituent_keeps_its_coefficients():
+    # with R = 1 the means' direction is all of Xi, and Xi = 0 is a
+    # stationary point of the loss that a fit would never leave
+    arch = Architecture.shallow(1, 2)
+    params, xi = init_params(arch, 10000, seed=1)
+    assert abs(initial_field_variance(params, arch, xi) - 0.1) <= 0.03
 
 
 def whole_grid_constituents(params, arch, pts):
@@ -217,7 +261,7 @@ def numpy_constituents(params, arch, pts):
 
 @pytest.mark.parametrize("variant", ["shallow", "deep", "deepshared"])
 def test_constituents_match_numpy_oracle_at_nonzero_biases(variant):
-    # init_params draws every bias as 0, so a bias slip shows only here
+    # every bias drawn from N(0, 1), none of them zero
     widths = () if variant == "shallow" else (5, 4, 3)
     arch = Architecture(variant, 4, 3, widths)
     params = gaussian(make_rng(40), count_parameters(arch, include_lambda=False))

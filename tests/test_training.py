@@ -44,7 +44,7 @@ def dense_loss_oracle(f, params, arch, xi):
 
 
 def with_random_biases(params, arch, seed):
-    """A copy of params with every bias drawn from N(0, 1); init_params leaves them 0."""
+    """A copy of params with every bias drawn from N(0, 1) in place of init_params's."""
     params = params.copy()
     rng = make_rng(seed)
     for _, b in _param_views(params, arch):
@@ -501,7 +501,7 @@ def test_lockstep_fit_matches_each_solo_fit(case):
 def test_lockstep_candidates_stop_when_their_solo_fits_stop():
     grid = make_grid(2, [7, 6])
     f = sample_gaussian_fields(BrownianSheet(2), grid, 20, seed=33)
-    cfg = TrainConfig(epochs=400, seed=4, rel_tol=0.03)
+    cfg = TrainConfig(epochs=400, seed=5, rel_tol=0.05)
     solo = [fit(f, arch, cfg) for arch in LOCKSTEP_ARCHS]
     lengths = [len(trace) for _, trace in solo]
     # some stop early, at different epochs, while others run out of epochs
@@ -564,7 +564,7 @@ def test_fit_divergence_guard():
     grid = make_grid(1, [6])
     f = sample_gaussian_fields(BrownianSheet(1), grid, 8, seed=7)
     with pytest.raises(TrainingDivergedError) as err:
-        fit(f, Architecture.shallow(2, 1), TrainConfig(epochs=4000, lr=15.0, seed=0))
+        fit(f, Architecture.shallow(2, 1), TrainConfig(epochs=4000, lr=100.0, seed=0))
     assert err.value.epoch >= 0
 
 
@@ -587,3 +587,13 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(batch=0)
+    # counts must be integers: range() would refuse 2.5 only inside fit, and
+    # True would fit one epoch
+    for bad in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=bad)
+        with pytest.raises(ValueError):
+            TrainConfig(batch=bad, epochs=2)
+    with pytest.raises(ValueError):
+        TrainConfig(epochs=None)
+    assert TrainConfig(epochs=np.int64(3), batch=np.int64(4)).epochs == 3
