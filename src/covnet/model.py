@@ -266,13 +266,13 @@ def _homogeneous(u: np.ndarray) -> np.ndarray:
     return a
 
 
-def _point_blocks(m: int) -> list[slice]:
-    """Blocks of _POINT_BLOCK points starting at its multiples.
+def _point_blocks(m: int, size: int = _POINT_BLOCK) -> list[slice]:
+    """Blocks of `size` points starting at its multiples.
 
     A 1-point remainder joins the block before it: BLAS rounds a 1-column
     product differently from the same column inside a larger one.
     """
-    starts = list(range(0, m, _POINT_BLOCK))
+    starts = list(range(0, m, size))
     if len(starts) > 1 and m - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], m])]
@@ -522,7 +522,10 @@ def load_model(path) -> FittedCovariance:
             raise ModelFormatError("expected 'widths ...' line for deep variants")
         widths = ints(line[1:], "widths")
     try:
-        arch = Architecture(variant, r, d, widths)
+        # a deep net of depth 1 was warned about when it was built, not when read
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "depth below 2", UserWarning)
+            arch = Architecture(variant, r, d, widths)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
     # checked before anything is allocated: a header cannot ask for more

@@ -5,7 +5,8 @@ keyed directly by a 64-bit seed (plus an optional stream index), so draw
 sequences are reproducible across platforms and processes.  Gaussian variates
 are produced by the Box-Muller transform applied to consecutive uniform
 pairs, rather than numpy's ziggurat, to keep the normal stream pinned to the
-documented uniform stream.
+documented uniform stream.  The cosine and sine of its angle 2 pi u come from
+one tangent of half the angle, which costs a fraction of a cos and a sin.
 
 Streams of one seed are independent, one per purpose: 0 simulated fields,
 initial weights, Gram points and Monte-Carlo pairs; 1 minibatch order; 2
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 
-# Box-Muller pairs per block in gaussian, so that its temporaries are a few
+# Box-Muller pairs per block in gaussian, so that its temporaries are four
 # arrays of _GAUSSIAN_BLOCK floats however many variates are asked for
 _GAUSSIAN_BLOCK = 1 << 16
 
@@ -37,19 +38,38 @@ def gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     Pair i consumes uniforms (2i, 2i+1) of the stream; the two resulting
     normals are laid out consecutively in the flattened output.  For an odd
     number of variates the trailing normal of the last pair is dropped.
-    Pairs are drawn and transformed in blocks of _GAUSSIAN_BLOCK, which
-    continue one stream and give the same values as a single draw.
+    With r = sqrt(-2 ln(1 - u_2i)) and t = tan(pi u_(2i+1)), the pair is
+    r (cos, sin)(2 pi u_(2i+1)) = (q - r, t q) for q = 2 r / (1 + t^2): one
+    tangent, no cos or sin.  Each normal lies within a few ulp of r of the
+    cos/sin form, and |z| <= r (1 + 2^-52), so no normal exceeds
+    sqrt(-2 ln 2^-53) (1 + 2^-52) < 8.58 in size.  Pairs are drawn and
+    transformed in blocks of _GAUSSIAN_BLOCK, which continue one stream and
+    give the same values as a single draw.
     """
     shape = tuple(np.atleast_1d(shape)) if not isinstance(shape, tuple) else shape
     n = int(np.prod(shape, dtype=np.int64)) if shape else 1
     npairs = (n + 1) // 2
     z = np.empty(2 * npairs)
+    pairs = z.reshape(npairs, 2)
+    # one set of block buffers, refilled for each block
+    block = min(_GAUSSIAN_BLOCK, npairs)
+    u, r, t = np.empty((block, 2)), np.empty(block), np.empty(block)
     for start in range(0, npairs, _GAUSSIAN_BLOCK):
-        stop = min(start + _GAUSSIAN_BLOCK, npairs)
-        u = rng.random((stop - start, 2))
-        r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # 1 - u in (0, 1], so log is finite
-        theta = 2.0 * np.pi * u[:, 1]
-        z[2 * start : 2 * stop : 2] = r * np.cos(theta)
-        z[2 * start + 1 : 2 * stop : 2] = r * np.sin(theta)
+        m = min(block, npairs - start)
+        um, rm, tm = u[:m], r[:m], t[:m]
+        rng.random(out=um)
+        np.subtract(1.0, um[:, 0], out=rm)  # exact and in (0, 1], so log is finite
+        np.log(rm, out=rm)
+        rm *= -2.0
+        np.sqrt(rm, out=rm)
+        np.multiply(um[:, 1], np.pi, out=tm)
+        np.tan(tm, out=tm)  # finite: no double is pi / 2
+        z0, z1 = pairs[start : start + m, 0], pairs[start : start + m, 1]
+        np.square(tm, out=z0)  # z0 holds q until r is taken from it
+        z0 += 1.0
+        np.divide(rm, z0, out=z0)
+        z0 *= 2.0
+        np.multiply(tm, z0, out=z1)
+        z0 -= rm
     out = z[:n]
     return out.reshape(shape) if shape else float(out[0])

@@ -22,11 +22,10 @@ chol(B), so L is applied as one K_k x K_k factor per axis.  Rotated sheets
 and Matern are not separable; they take the dense factor of the whole grid.
 Either way each factor overwrites the N x D draw block by block.  Beside
 the draw and its noise, the factor of one axis of several makes temporaries
-of about _POINT_BLOCK x K_k values, but a factor of the whole grid (dense,
-or a 1-D grid's) is applied to row blocks of up to _POINT_BLOCK fields, each
-product a temporary of up to _POINT_BLOCK x D values: a draw of at most
-_POINT_BLOCK fields briefly holds a second N x D array.  Memory is checked
-for the draw and its noise, not for that temporary.  The dense factor is
+of about _POINT_BLOCK x K_k values, and the fastest axis's factor (the last
+axis's, or the one factor of a dense or 1-D draw) maps row blocks of at
+most _PRODUCT_BLOCK values, so no draw holds a second N x D array.  Memory
+is checked for the draw and its noise.  The dense factor is
 written over the kernel matrix (by LAPACK beyond _CHOLESKY_BLOCK points),
 and a failed attempt's matrix is dropped and the retry factors a freshly
 built one, so the dense path holds one D x D array beside the draw; it is
@@ -60,6 +59,10 @@ _MATRIX_BLOCK = 1 << 16
 # a kernel matrix of at most this many rows is factored by np.linalg.cholesky
 # on a copy, a larger one in place by LAPACK
 _CHOLESKY_BLOCK = 1024
+# values per row block when a factor maps the fastest axis, so that its
+# product temporary is at most 2 MiB however many fields are drawn; factors
+# of up to 64 points keep row blocks of _POINT_BLOCK
+_PRODUCT_BLOCK = 1 << 18
 
 
 def _check_rotation(o: np.ndarray, d: int) -> np.ndarray:
@@ -145,8 +148,9 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.sigma >= 0:  # so that nan is refused too
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        # every Box-Muller normal is below sqrt(-2 ln 2^-53) ~ 8.58 in size,
-        # so noise of a sigma whose 9 sigma is finite cannot overflow
+        # every normal of rng.gaussian is at most sqrt(-2 ln 2^-53) (1 + 2^-52)
+        # < 8.58 in size, so noise of a sigma whose 9 sigma is finite cannot
+        # overflow
         if not math.isfinite(9.0 * float(self.sigma)):
             raise ValueError(f"sigma {self.sigma} is so large that its noise can overflow")
 
@@ -333,9 +337,8 @@ def sample_gaussian_fields(
     below) and is capped at KERNEL_MATRIX_CAP points.  The factors are
     applied in place to the standard normal draw, which becomes the
     returned values, and the noise is added in place.  Beside the draw and
-    its noise, a factor of the whole grid makes one product temporary of
-    min(N, _POINT_BLOCK) x D values, a second N x D array for a draw of at
-    most _POINT_BLOCK fields; per-axis factors make only small ones.
+    its noise, every factor makes only block temporaries: a factor of the
+    whole grid maps row blocks of at most _PRODUCT_BLOCK values.
     Deterministic for a fixed seed: the fields come from its stream 0 and
     the noise, when sigma > 0, from its stream 3, independent of every
     field draw and leaving this one unchanged.
@@ -364,16 +367,18 @@ def _kronecker_in_place(factors: list[np.ndarray], y: np.ndarray) -> None:
     values, so one block's product is the only temporary; each slice is its
     own product, so that blocking changes no bit.  Once every later axis has
     size 1, axis k varies fastest and is one (rows, K_k) product, taken in
-    the row blocks of _point_blocks; past _POINT_BLOCK rows that rounds like
-    the whole product for some K_k (up to 256, and 512) but not for others
-    (300, 625).
+    the row blocks of _point_blocks, of at most _POINT_BLOCK rows and
+    _PRODUCT_BLOCK values; past one block that rounds like the whole product
+    for some K_k (up to 256 in whole blocks, 512, and 1024 to 4096) but not
+    for others (300, 625).
     """
     sizes = [f.shape[0] for f in factors]
     for k, f in enumerate(factors):
         after = math.prod(sizes[k + 1 :])
         if after == 1:
             rows = y.reshape(-1, sizes[k])
-            for block in _point_blocks(rows.shape[0]):
+            size = max(1, min(_POINT_BLOCK, _PRODUCT_BLOCK // sizes[k]))
+            for block in _point_blocks(rows.shape[0], size):
                 rows[block] = rows[block] @ f.T
         else:
             y3 = y.reshape(-1, sizes[k], after)

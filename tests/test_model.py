@@ -543,6 +543,23 @@ def test_save_load_roundtrip_bit_exact(variant, tmp_path):
     np.testing.assert_array_equal(back.kernel_pairs(u, v), model.kernel_pairs(u, v))
 
 
+def test_one_width_deep_model_reloads_without_a_warning(tmp_path):
+    # building a deep net of depth 1 warns; reading its file back does not,
+    # and leaves the warning in place for the next one built
+    with pytest.warns(UserWarning, match="depth below 2"):
+        arch = Architecture.deep(2, 2, depth=1)
+    params, xi = init_params(arch, 6, seed=21)
+    path = tmp_path / "m.cvn"
+    save_model(path, FittedCovariance(arch, params, second_moment(xi)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_model(path)
+    assert back.arch == arch
+    assert np.array_equal(back.params, params)
+    with pytest.warns(UserWarning, match="depth below 2"):
+        Architecture.deep(2, 2, depth=1)
+
+
 def test_load_rejects_tampered_lambda(tmp_path):
     arch = Architecture.shallow(2, 2)
     params, xi = init_params(arch, 5, seed=1)

@@ -18,6 +18,7 @@ from covnet.simulate import (
     NoiseSpec,
     RotatedBrownianSheet,
     RotatedIntegratedBrownianSheet,
+    _PRODUCT_BLOCK,
     _block_factors,
     kernel_matrix,
     rotation_2d_45,
@@ -569,13 +570,13 @@ def test_kronecker_draw_rss_grows_by_about_one_output(rss_growth):
 
 def test_dense_draw_rss_grows_by_one_kernel_matrix_and_the_draw(rss_growth):
     # the kernel matrix, which LAPACK factors in place, and the N x D draw and
-    # its product; the slack covers what the first BLAS and LAPACK calls
-    # touch, 11.6 MiB on x86-64 Linux with numpy 2.4 and scipy 1.17.  The
-    # sampler imports scipy.linalg.lapack on first use, which is imported
-    # before the baseline here (beside covnet, which loads no scipy, it
-    # adds about 27 MiB).  A blocked factor with 1024 x 1024 block copies
-    # grew by 28 MiB more than that, and factoring into a new array held
-    # three kernel matrices
+    # one row block's product; the slack covers what the first BLAS and
+    # LAPACK calls touch, 11.6 MiB on x86-64 Linux with numpy 2.4 and scipy
+    # 1.17.  The sampler imports scipy.linalg.lapack on first use, which is
+    # imported before the baseline here (beside covnet, which loads no
+    # scipy, it adds about 27 MiB).  A blocked factor with 1024 x 1024 block
+    # copies grew by 28 MiB more than that, factoring into a new array held
+    # three kernel matrices, and a product of all the rows a second draw
     growth = rss_growth(
         "g = covnet.make_grid(2, [48, 48])\n"
         "spec = covnet.RotatedBrownianSheet(covnet.rotation_2d_45())\n"
@@ -583,7 +584,7 @@ def test_dense_draw_rss_grows_by_one_kernel_matrix_and_the_draw(rss_growth):
         imports="import scipy.linalg.lapack",
     )
     d = 48 * 48
-    assert growth <= (d * d + 2 * 300 * d) * 8 + 15 * 2**20
+    assert growth <= (d * d + 300 * d + _PRODUCT_BLOCK) * 8 + 15 * 2**20
 
 
 def test_kernel_matrix_cap_bounds_the_dense_sampler_to_4_gib():
@@ -605,17 +606,18 @@ def test_dense_cap_fails_before_allocating(traced_peak):
 
 def test_dense_sampling_holds_one_kernel_matrix_and_the_draw(traced_peak):
     # the kernel matrix, filled in row blocks, with the jitter on its diagonal
-    # and the factor written over it; beside it the N x D draw and its
-    # product.  The peak was 2.2 kB above those three arrays; a factor in a
-    # new array held two kernel matrices.  The sampler imports LAPACK on
-    # first use; its 2.1 MiB of module objects are imported here first
+    # and the factor written over it; beside it the N x D draw and one row
+    # block's product.  The peak was 2.0 MiB above the matrix and the draw;
+    # a product of all the rows held a second draw, and a factor in a new
+    # array held two kernel matrices.  The sampler imports LAPACK on first
+    # use; its 2.1 MiB of module objects are imported here first
     import scipy.linalg.lapack  # noqa: F401
 
     grid = make_grid(2, [48, 48])
     spec = RotatedBrownianSheet(rotation_2d_45())
     peak = traced_peak(lambda: sample_gaussian_fields(spec, grid, 300, seed=5))
     d = grid.n_points
-    assert peak <= (d * d + 2 * 300 * d) * 8 + 2**20
+    assert peak <= (d * d + 300 * d + _PRODUCT_BLOCK) * 8 + 2**20
 
 
 def test_gaussian_holds_its_output_plus_a_few_blocks(traced_peak):
@@ -624,14 +626,59 @@ def test_gaussian_holds_its_output_plus_a_few_blocks(traced_peak):
     assert peak <= shape[0] * shape[1] * 8 + 8 * 2**20
 
 
+EPS = np.finfo(float).eps
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 2 * 65536, 2 * 65536 + 1, 2 * 65536 + 3, 300_001])
 def test_gaussian_blocks_continue_one_box_muller_stream(n):
-    # the unblocked transform: pair i takes uniforms (2i, 2i + 1)
+    # the unblocked transform: pair i takes uniforms (2i, 2i + 1), and its
+    # angle's cosine and sine come from the tangent of half the angle
     u = make_rng(11).random(((n + 1) // 2, 2))
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0]))
+    t = np.tan(np.pi * u[:, 1])
+    q = 2.0 * (r / (1.0 + t * t))
+    got = gaussian(make_rng(11), (n,))
+    assert np.array_equal(got, np.stack([q - r, t * q], axis=1).ravel()[:n])
+    # the cos/sin Box-Muller, within a few roundings of each pair's radius
     r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
     theta = 2.0 * np.pi * u[:, 1]
     want = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1).ravel()[:n]
-    assert np.array_equal(gaussian(make_rng(11), (n,)), want)
+    assert np.all(np.abs(got - want) <= 4 * EPS * np.repeat(r, 2)[:n])
+
+
+class ChosenUniforms:
+    """A generator stub whose random(out=...) fills in the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, out):
+        out[...] = self.u.reshape(out.shape)
+        return out
+
+
+@pytest.mark.parametrize(
+    "u2, direction", [(0.0, (1, 0)), (0.25, (0, 1)), (0.5, (-1, 0)), (0.75, (0, -1))]
+)
+def test_gaussian_pairs_at_quarter_turns_are_axis_aligned(u2, direction):
+    u0 = np.array([0.0, 2.0**-53, 0.3, 0.5, 0.9, 1 - 2.0**-53])
+    pairs = gaussian(ChosenUniforms(np.stack([u0, np.full_like(u0, u2)], axis=1)), (2 * u0.size,))
+    r = np.sqrt(-2.0 * np.log1p(-u0))[:, None]
+    assert np.all(np.abs(pairs.reshape(-1, 2) - r * np.array(direction)) <= 4 * EPS * r)
+
+
+def test_gaussian_normals_stay_below_the_largest_radius():
+    # u_2i = 1 - 2^-53 gives the largest radius sqrt(-2 ln 2^-53); no angle,
+    # the quarter turns and their neighbours included, takes a normal past
+    # it by more than one rounding, which backs NoiseSpec's 9 sigma bound
+    k = np.arange(-64, 65)
+    near = [c + k * 2.0**-53 for c in (0.25, 0.5, 0.75)]
+    u2 = np.concatenate([np.arange(4096) / 4096, *near, 1 - 2.0**-53 * np.arange(1, 65)])
+    u = np.stack([np.full_like(u2, 1 - 2.0**-53), u2], axis=1)
+    z = gaussian(ChosenUniforms(u), (2 * u2.size,))
+    bound = math.sqrt(-2.0 * math.log(2.0**-53)) * (1 + 2.0**-52)
+    assert bound < 8.58
+    assert np.abs(z).max() <= bound
 
 
 @pytest.mark.parametrize("value", [-1, 2**64])
