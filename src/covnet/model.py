@@ -29,8 +29,11 @@ part and the same scale for every seed.
 
 During fitting the kernel is represented through an N x R coefficient matrix
 Xi: the fitted fields are Xi Z^T with Z the constituents evaluated on the
-grid, and Lambda is frozen as the coefficients' second moment Xi^T Xi / N,
-the matrix that training scores, which makes it PSD by construction.
+grid.  At the end of a fit Xi is solved in closed form, as the ridge
+least-squares coefficients Xi* of the centered fields on the final
+constituents, and Lambda is frozen as their second moment Xi*^T Xi* / N,
+the matrix that the last trace row scores, which makes it PSD by
+construction.
 
 The engine is feature-major and homogeneous: every activation, the inputs
 included, is a (width + 1, points) array whose last row is ones, so each

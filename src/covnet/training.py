@@ -53,6 +53,10 @@ BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
 STOP_WINDOW = 50  # epochs over which the running-minimum loss must improve
+# ridge of the closed-form coefficients that a fit freezes, relative to tr(Gz);
+# on 10-epoch fits of the benchmark's sizes 1e-3 left 1.1-8x the final loss
+# of 1e-5, and 1e-8 up to 3.5x less but entries of Lambda up to 9e3 (1e-5: 5)
+_FREEZE_RIDGE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,20 @@ def _spans(sizes) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
+def _gram_terms(gz: np.ndarray, p: np.ndarray, xi: np.ndarray, term_xx: float):
+    """One candidate's breakdown from its Gram Gz and data product P at coefficients Xi.
+
+    Returns the breakdown and (S, S Gz, P^T P), which the gradients reuse.
+    """
+    n = p.shape[0]
+    s = xi.T @ xi
+    sgz = s @ gz
+    term_gg = float((sgz * sgz.T).sum()) / n**2
+    ptp = p.T @ p
+    term_xg = float((s * ptp).sum()) / n**2
+    return LossBreakdown(term_xx, term_gg, term_xg), (s, sgz, ptp)
+
+
 def _core(
     x: np.ndarray,
     points: np.ndarray,
@@ -151,16 +169,11 @@ def _core(
 
     breakdowns, algebra = [], []
     for xi, block, z in zip(xis, blocks, zs):
-        p = p_all[:, block]
         gz = z.T @ z
         gz /= n_points
-        s = xi.T @ xi
-        sgz = s @ gz
-        term_gg = float((sgz * sgz.T).sum()) / n**2
-        ptp = p.T @ p
-        term_xg = float((s * ptp).sum()) / n**2
-        breakdowns.append(LossBreakdown(term_xx, term_gg, term_xg))
-        algebra.append((gz, s, sgz, ptp))
+        breakdown, terms = _gram_terms(gz, p_all[:, block], xi, term_xx)
+        breakdowns.append(breakdown)
+        algebra.append((gz, *terms))
     if not want_grads:
         return breakdowns, None, None
 
@@ -248,12 +261,15 @@ def fit(
 
     The fields are centered by their sample mean first.  Returns the frozen
     model and a loss trace of shape (T, 4) with columns (total, term_xx,
-    term_gg, term_xg); the model's Lambda = Xi^T Xi / N is the second
-    moment that the trace's last row scored.  Row e records the loss
-    at the parameters entering epoch e; a final row records the loss after
-    the last step.  With minibatching the recorded row is the mean over the
-    epoch's batches (the batch gradients of the cross-sample terms are
-    biased; full batch is the default).
+    term_gg, term_xg).  Row e records the loss at the parameters entering
+    epoch e.  ADAM trains the constituents and the coefficients Xi; at the
+    end, Xi is replaced by the ridge least-squares coefficients Xi* of the
+    centered fields on the final constituents (see `_freeze`), the model's
+    Lambda is their second moment Xi*^T Xi* / N, and a final row records
+    the loss that Lambda scores.  With minibatching the recorded row is the
+    mean over the epoch's batches (the batch gradients of the cross-sample
+    terms are biased; full batch is the default), and Xi* is solved on all
+    the fields.
 
     Stops early when the running-minimum total improves by less than
     rel_tol (relatively) over STOP_WINDOW epochs; raises
@@ -365,7 +381,7 @@ def _fit_lockstep(
                 prev = c.running_min[-STOP_WINDOW - 1]
                 stalled = prev - c.running_min[-1] < cfg.rel_tol * max(prev, 1e-300)
             if stalled or epoch == cfg.epochs - 1:
-                outcomes[c.index] = _freeze(x, points, c.params, c.arch, c.xi, term_xx, c.trace)
+                outcomes[c.index] = _freeze(x, points, c.params, c.arch, term_xx, c.trace)
             else:
                 going_on.append(c)
         live = going_on
@@ -374,12 +390,32 @@ def _fit_lockstep(
     return outcomes
 
 
-def _freeze(x, points, params, arch, xi, term_xx, trace_rows):
-    """A candidate's model, and its trace with the row of its final parameters."""
-    [breakdown], _, _ = _core(x, points, [params], [arch], [xi], term_xx, want_grads=False)
+def _freeze(x, points, params, arch, term_xx, trace_rows):
+    """A candidate's model, with Lambda solved for its final constituents, and its trace.
+
+    For fixed constituents Z the loss is least squares in the fitted fields
+    Xi Z^T, and its minimizer is Xi* = P Gz^-1 (variable projection).  The
+    ridge mu = _FREEZE_RIDGE tr(Gz) keeps Xi* continuous in the
+    constituents when Gz is near singular: Xi* = P (Gz + mu I)^-1 on the
+    full centered data, also after minibatch steps.  Lambda = Xi*^T Xi* / N
+    is PSD by construction, and the trace's last row scores it, from the
+    one walk of the constituents.  Constituents that vanish on the whole
+    grid (tr(Gz) = 0) freeze Xi* = 0.
+    """
+    n_points = x.shape[1]
+    z = _walk(params, arch, points)
+    gz = z.T @ z
+    gz /= n_points
+    p = x @ z
+    p /= n_points
+    ridge = _FREEZE_RIDGE * np.trace(gz)
+    if ridge == 0:  # every constituent is 0 at every grid point
+        xi = np.zeros_like(p)
+    else:
+        xi = np.linalg.solve(gz + ridge * np.eye(arch.r), p.T).T
+    breakdown, _ = _gram_terms(gz, p, xi, term_xx)
     trace_rows.append(
         (breakdown.total, breakdown.term_xx, breakdown.term_gg, breakdown.term_xg)
     )
-    # Lambda = S / N, the second moment that this last row scored
     model = FittedCovariance(arch, params, xi.T @ xi / xi.shape[0])
     return model, np.array(trace_rows)

@@ -10,7 +10,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def second_moment(xi):
-    """Xi^T Xi / N, the PSD Lambda that `fit` freezes from its coefficients Xi (N x R)."""
+    """Xi^T Xi / N, the PSD Lambda that `fit` freezes from its final coefficients Xi (N x R)."""
     return xi.T @ xi / len(xi)
 
 

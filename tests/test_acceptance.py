@@ -214,20 +214,23 @@ def test_criterion_08_complexity_scaling():
     arch = covnet.Architecture.shallow(r, 2)
     rng = make_rng(808)
 
-    def step_time(k):
+    def step_case(k):
         grid = covnet.make_grid(2, [k, k])
         x = gaussian(rng, (n, grid.n_points))
-        f = covnet.FieldMatrix(grid, x - x.mean(axis=0))
-        params, xi = init_params(arch, n, seed=1)
-        best = np.inf
-        for _ in range(5):
+        return covnet.FieldMatrix(grid, x - x.mean(axis=0)), *init_params(arch, n, seed=1)
+
+    # one timed step of each grid per round, as for the eigen times below, so
+    # a stall of the machine or of two-thread BLAS falls on both sides alike;
+    # an untimed step first warms the caches that the other grid's step left
+    cases = [step_case(10), step_case(40)]
+    best = [np.inf, np.inf]
+    for _ in range(20):
+        for i, (f, params, xi) in enumerate(cases):
+            covnet.gradients(f, params, arch, xi)
             t0 = time.perf_counter()
             covnet.gradients(f, params, arch, xi)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    step_time(10)  # warm the caches before timing
-    t10, t40 = step_time(10), step_time(40)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    t10, t40 = best
     ratio = t40 / t10
     assert ratio < 1.6 * 16  # linear in D with slack 1.6
 
@@ -299,6 +302,8 @@ def test_criterion_09_cross_validation_sanity():
         covnet.relative_error_mc(covnet.truncate(model, k, gram), truth, 2, 50_000, seed=12)
         for k in levels
     ]
+    # the fit's second component is there: truncating it away costs accuracy
+    assert errors[0] > errors[1]
     gap = errors[report_cv.selected] - min(errors)
     assert gap <= 0.05  # pass threshold 5 percentage points
     report(

@@ -366,27 +366,67 @@ def test_fit_frozen_lambda_psd(variant):
     assert np.linalg.eigvalsh(model.lam)[0] >= -1e-10 * np.trace(model.lam)
 
 
+def ridge_coefficients(f, params, arch, ridge):
+    """argmin of ||X - Xi Z^T||^2 / D + mu ||Xi||^2 over Xi, by lstsq on the stacked system."""
+    x = f.centered().values
+    z = eval_constituents(params, arch, f.grid.coordinates())
+    mu = ridge * np.trace(z.T @ z) / f.grid.n_points
+    a = np.vstack([z / np.sqrt(f.grid.n_points), np.sqrt(mu) * np.eye(arch.r)])
+    b = np.vstack([x.T / np.sqrt(f.grid.n_points), np.zeros((arch.r, f.n))])
+    return np.linalg.lstsq(a, b, rcond=None)[0].T
+
+
 @pytest.mark.parametrize("batch", [None, 7])
 @pytest.mark.parametrize("variant", list(ARCHS))
 def test_fit_freezes_lambda_as_the_second_moment_of_its_final_coefficients(
     variant, batch, monkeypatch
 ):
-    # Lambda = Xi^T Xi / N, uncentered: the S = Xi^T Xi that every trace row scores
+    # the final coefficients are not ADAM's last Xi but Xi*, the ridge
+    # least-squares coefficients of the full centered data on the final
+    # constituents, and Lambda = Xi*^T Xi* / N
     grid = make_grid(2, [7, 6])
     f = sample_gaussian_fields(BrownianSheet(2), grid, 20, seed=13)
-    final_xi = []
-    freeze = training._freeze
+    arch = ARCHS[variant](3, 2)
+    adam_xis = []
+    step = training.adam_step
 
-    def capture(x, points, params, arch, xi, term_xx, trace_rows):
-        final_xi.append(xi.copy())
-        return freeze(x, points, params, arch, xi, term_xx, trace_rows)
+    def capture(theta, *args):
+        out = step(theta, *args)
+        if out.ndim == 2:  # the coefficients; the parameters are a flat vector
+            adam_xis.append(out.copy())
+        return out
 
-    monkeypatch.setattr(training, "_freeze", capture)
-    model, _ = fit(f, ARCHS[variant](3, 2), TrainConfig(epochs=40, seed=2, batch=batch))
-    [xi] = final_xi
-    assert np.abs(xi.mean(axis=0)).max() > 1e-3  # centering them would change Lambda
+    monkeypatch.setattr(training, "adam_step", capture)
+    model, trace = fit(f, arch, TrainConfig(epochs=40, seed=2, batch=batch))
+    xi = ridge_coefficients(f, model.params, arch, training._FREEZE_RIDGE)
     s = xi.T @ xi / f.n
-    np.testing.assert_array_equal(model.lam, 0.5 * s + 0.5 * s.T)
+    assert np.abs(model.lam - s).max() <= 1e-11 * np.abs(s).max()
+    centered = f.centered()
+    row = loss(centered, model.params, arch, xi)
+    np.testing.assert_allclose(
+        trace[-1], [row.total, row.term_xx, row.term_gg, row.term_xg], rtol=1e-12
+    )
+    assert trace[-1, 0] <= loss(centered, model.params, arch, adam_xis[-1]).total
+
+
+def test_fit_freezes_zero_lambda_when_every_constituent_vanishes(monkeypatch):
+    # output biases of -1000 put every sigmoid at exactly 0 on the grid, so
+    # Gz = 0 and the ridge is 0 too: the freeze takes Xi* = 0, not a solve
+    grid = make_grid(2, [7, 6])
+    f = sample_gaussian_fields(BrownianSheet(2), grid, 20, seed=13)
+    arch = Architecture.shallow(3, 2)
+    init = training.init_params
+
+    def vanishing(*args):
+        params, xi = init(*args)
+        _param_views(params, arch)[-1][1][...] = -1000.0
+        return params, xi
+
+    monkeypatch.setattr(training, "init_params", vanishing)
+    model, trace = fit(f, arch, TrainConfig(epochs=5, seed=2))
+    assert not eval_constituents(model.params, arch, grid.coordinates()).any()
+    assert np.array_equal(model.lam, np.zeros((3, 3)))
+    assert trace[-1, 0] == trace[-1, 1] == data_self_term(f.centered())
 
 
 def test_fit_ignores_the_mean_field():
