@@ -423,21 +423,17 @@ def run_eigen(cfg: Config, out_dir: str) -> None:
     print(f"rank {system.rank}, leading eigenvalue {_fmt(system.values[0])}")
 
 
-DEFAULT_LEVELS = [5, 10, 20, 40]
-DEFAULT_DEPTHS = [2, 3, 4]
-
-
 def run_cv(cfg: Config, out_dir: str) -> None:
     f = read_fields(cfg.str_("fields", required=True))
     v = cfg.int_("V", default=5, minimum=2)
     seed = cfg.seed_("seed")
     variants = cfg.list_("archs", default=",".join(VARIANTS))
     # truncation levels: every architecture is built at the widest
-    levels = cfg.list_("R_list", item=int) or DEFAULT_LEVELS
+    levels = cfg.list_("R_list", item=int, default="5,10,20,40")
     _check_levels(levels)
     # depths apply to the deep variants only
     deep = any(variant != SHALLOW for variant in variants)
-    l_list = (cfg.list_("L_list", item=int) if deep else None) or DEFAULT_DEPTHS
+    l_list = cfg.list_("L_list", item=int, default="2,3,4") if deep else []
     base = _train_config(cfg)
     if v > f.n:
         raise ConfigError(f"cannot split {f.n} fields into V = {v} folds")

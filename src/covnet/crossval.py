@@ -2,11 +2,9 @@
 
 The CV score of a fitted model against a held-out fold is the squared
 Hilbert-Schmidt distance between the validation empirical covariance and the
-frozen model, the fitting criterion's three terms on the validation fields:
-with Z the constituents on the validation grid, Gz = Z^T Z / D and
-Q = X_va Z / D,
-
-    score = N2^-2 sum <X_n, X_m>^2 + tr((Gz Lambda)^2) - (2 / N2) tr(Q Lambda Q^T).
+frozen model: the fitting criterion, `training._gram_terms`, on the N2
+validation fields at S = N2 Lambda.  `cv_loss` of a fit on its own centered
+fields is therefore its trace's last row, bit for bit.
 
 The candidates are truncation levels of architectures.  A CovNet
 covariance has a closed-form eigendecomposition, so its rank-k truncation
@@ -40,7 +38,7 @@ from .fields import FieldMatrix
 from .model import Architecture, FittedCovariance, count_parameters
 from .rng import make_rng
 from .spectral import truncate
-from .training import LossBreakdown, TrainConfig, _fit_lockstep, data_self_term
+from .training import TrainConfig, _fit_lockstep, _gram_terms, _grams, data_self_term
 
 
 def cv_loss(model: FittedCovariance, f_va: FieldMatrix) -> float:
@@ -62,17 +60,11 @@ def _level_losses(
     scores `truncate(model, k, Gz)` with that grid's Gram Gz, so a level at
     R scores the model as it is.
     """
-    z = model.constituents(f_va.grid.coordinates())
-    gz = z.T @ z / f_va.grid.n_points
-    q = f_va.values @ z / f_va.grid.n_points
-    losses = []
-    for k in levels:
-        lam = truncate(model, k, gz).lam
-        gl = gz @ lam
-        gg = float((gl * gl.T).sum())
-        xg = float(((q @ lam) * q).sum()) / f_va.n
-        losses.append(LossBreakdown(term_xx, gg, xg).total)
-    return losses
+    gz, p = _grams(f_va.values, model.constituents(f_va.grid.coordinates()))
+    return [
+        _gram_terms(gz, p, f_va.n * truncate(model, k, gz).lam, term_xx)[0].total
+        for k in levels
+    ]
 
 
 @dataclass(frozen=True)

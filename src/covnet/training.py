@@ -16,7 +16,10 @@ and the gradients of the total follow in closed form:
     dl/dXi = (4 / N^2) Xi (Gz S Gz - P^T P),
     dl/dZ  = (4 / (N^2 D)) (Z S Gz S - X^T P S),
 
-after which dl/dZ is pulled back through the constituent networks.
+after which dl/dZ is pulled back through the constituent networks.  The
+two terms are computed in one place, `_gram_terms`, which scores a frozen
+model with coefficient matrix Lambda at S = N Lambda: the freeze's trace
+row, `loss`, and every cross-validation score go through it.
 
 Several candidate architectures can train on the same fields in lockstep
 (`_fit_lockstep`, which cross-validation runs once per fold): same seed,
@@ -123,18 +126,29 @@ def _spans(sizes) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _gram_terms(gz: np.ndarray, p: np.ndarray, xi: np.ndarray, term_xx: float):
-    """One candidate's breakdown from its Gram Gz and data product P at coefficients Xi.
+def _grams(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram Gz = Z^T Z / D and data product P = X Z / D of fields X and constituents Z."""
+    n_points = z.shape[0]
+    gz = z.T @ z
+    gz /= n_points
+    p = x @ z
+    p /= n_points
+    return gz, p
 
-    Returns the breakdown and (S, S Gz, P^T P), which the gradients reuse.
+
+def _gram_terms(gz: np.ndarray, p: np.ndarray, s: np.ndarray, term_xx: float):
+    """One candidate's breakdown from its Gram Gz and data product P at S.
+
+    A training step passes S = Xi^T Xi of its coefficients, and a frozen
+    model S = N Lambda.  Returns the breakdown and (S Gz, P^T P), which the
+    gradients reuse.
     """
     n = p.shape[0]
-    s = xi.T @ xi
     sgz = s @ gz
     term_gg = float((sgz * sgz.T).sum()) / n**2
     ptp = p.T @ p
     term_xg = float((s * ptp).sum()) / n**2
-    return LossBreakdown(term_xx, term_gg, term_xg), (s, sgz, ptp)
+    return LossBreakdown(term_xx, term_gg, term_xg), (sgz, ptp)
 
 
 def _core(
@@ -144,23 +158,21 @@ def _core(
     archs: list[Architecture],
     xis: list[np.ndarray],
     term_xx: float,
-    want_grads: bool,
 ):
-    """Loss terms, and optionally gradients, of candidates trained in lockstep.
+    """Loss terms and gradients of candidates trained in lockstep.
 
     Candidate c has parameters params[c], architecture archs[c] and
     coefficients xis[c], (n, R_c).  The two N x D x R data products, X Z and
     (P S)^T X, are each formed once for all candidates' constituents side by
     side; the Gram algebra is each candidate's own, on its column block.
     Each Z is the (D, R) view of a contiguous, feature-major Z^T (see
-    `model`), from the one constituent walk; with want_grads the walk also
-    fills each candidate's activation cache, which the backward pass reads.
-    Returns the per-candidate breakdowns and, with want_grads, the
-    per-candidate parameter and coefficient gradients.
+    `model`), from the one constituent walk, which also fills each
+    candidate's activation cache for the backward pass.  Returns the
+    per-candidate breakdowns, parameter gradients and coefficient gradients.
     """
     n, n_points = x.shape
     blocks = _spans(arch.r for arch in archs)
-    caches = [[] if want_grads else None for _ in archs]
+    caches = [[] for _ in archs]
     zs = [_walk(p, a, points, cache) for p, a, cache in zip(params, archs, caches)]
     # each Z is the (D, R) view of a contiguous Z^T; the Z^T blocks stack along rows
     zt_all = zs[0].T if len(zs) == 1 else np.concatenate([z.T for z in zs])
@@ -171,11 +183,10 @@ def _core(
     for xi, block, z in zip(xis, blocks, zs):
         gz = z.T @ z
         gz /= n_points
-        breakdown, terms = _gram_terms(gz, p_all[:, block], xi, term_xx)
+        s = xi.T @ xi
+        breakdown, terms = _gram_terms(gz, p_all[:, block], s, term_xx)
         breakdowns.append(breakdown)
-        algebra.append((gz, *terms))
-    if not want_grads:
-        return breakdowns, None, None
+        algebra.append((gz, s, *terms))
 
     # dZ^T = (S Gz S)^T Z^T - (P S)^T X is formed feature-major, (R, D) like
     # the constituent engine's activations, so that the backward pass reads
@@ -204,12 +215,10 @@ def loss(
     arch: Architecture,
     xi: np.ndarray,
 ) -> LossBreakdown:
-    """Three-term Gram loss; expects pre-centered fields."""
+    """Three-term Gram loss, `_gram_terms` at S = Xi^T Xi; expects pre-centered fields."""
     xi = np.asarray(xi, dtype=float)
-    [breakdown], _, _ = _core(
-        f.values, f.grid.coordinates(), [params], [arch], [xi],
-        data_self_term(f), want_grads=False,
-    )
+    gz, p = _grams(f.values, _walk(params, arch, f.grid.coordinates()))
+    breakdown, _ = _gram_terms(gz, p, xi.T @ xi, data_self_term(f))
     return breakdown
 
 
@@ -221,9 +230,7 @@ def gradients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of the loss w.r.t. all parameters and Xi; expects pre-centered fields."""
     xi = np.asarray(xi, dtype=float)
-    _, [dparams], [dxi] = _core(
-        f.values, f.grid.coordinates(), [params], [arch], [xi], 0.0, want_grads=True
-    )
+    _, [dparams], [dxi] = _core(f.values, f.grid.coordinates(), [params], [arch], [xi], 0.0)
     return dparams, dxi
 
 
@@ -352,7 +359,7 @@ def _fit_lockstep(
         for idx, sub_xx in batches:
             breakdowns, dparams, dxis = _core(
                 x[idx], points, [c.params for c in live], archs_live,
-                [c.xi[idx] for c in live], sub_xx, want_grads=True,
+                [c.xi[idx] for c in live], sub_xx,
             )
             t += 1
             for c, row, b, dp, dxi in zip(live, rows, breakdowns, dparams, dxis):
@@ -367,9 +374,8 @@ def _fit_lockstep(
 
         going_on = []
         for c, row in zip(live, rows):
-            # a one-batch epoch's row is its breakdown as it is
             terms = [(b.total, b.term_xx, b.term_gg, b.term_xg) for b in row]
-            mean = terms[0] if len(terms) == 1 else tuple(float(np.mean(k)) for k in zip(*terms))
+            mean = tuple(float(np.mean(k)) for k in zip(*terms))
             c.trace.append(mean)
             total, initial = mean[0], c.trace[0][0]
             if not np.isfinite(total) or (initial > 0 and total > DIVERGENCE_FACTOR * initial):
@@ -398,24 +404,20 @@ def _freeze(x, points, params, arch, term_xx, trace_rows):
     ridge mu = _FREEZE_RIDGE tr(Gz) keeps Xi* continuous in the
     constituents when Gz is near singular: Xi* = P (Gz + mu I)^-1 on the
     full centered data, also after minibatch steps.  Lambda = Xi*^T Xi* / N
-    is PSD by construction, and the trace's last row scores it, from the
-    one walk of the constituents.  Constituents that vanish on the whole
-    grid (tr(Gz) = 0) freeze Xi* = 0.
+    is PSD by construction, and the trace's last row is `_gram_terms` at
+    S = N Lambda, the computation `crossval.cv_loss` makes of the model on
+    the centered fields, from the one walk of the constituents.
+    Constituents that vanish on the whole grid (tr(Gz) = 0) freeze Xi* = 0.
     """
-    n_points = x.shape[1]
-    z = _walk(params, arch, points)
-    gz = z.T @ z
-    gz /= n_points
-    p = x @ z
-    p /= n_points
+    gz, p = _grams(x, _walk(params, arch, points))
     ridge = _FREEZE_RIDGE * np.trace(gz)
     if ridge == 0:  # every constituent is 0 at every grid point
         xi = np.zeros_like(p)
     else:
         xi = np.linalg.solve(gz + ridge * np.eye(arch.r), p.T).T
-    breakdown, _ = _gram_terms(gz, p, xi, term_xx)
+    model = FittedCovariance(arch, params, xi.T @ xi / xi.shape[0])
+    breakdown, _ = _gram_terms(gz, p, x.shape[0] * model.lam, term_xx)
     trace_rows.append(
         (breakdown.total, breakdown.term_xx, breakdown.term_gg, breakdown.term_xg)
     )
-    model = FittedCovariance(arch, params, xi.T @ xi / xi.shape[0])
     return model, np.array(trace_rows)

@@ -838,6 +838,21 @@ def test_simulate_noisy_draw_beyond_memory_exits_2(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_cv_records_its_default_levels_and_depths(tmp_path):
+    fields = gaussian_fields(tmp_path, 12)
+    cfg = f"fields = {fields}\nV = 2\nepochs = 1\n"
+    code, out = run(tmp_path, "cv", cfg)
+    assert code == 0
+    resolved = out / "resolved_cv.cfg"
+    lines = resolved.read_text().splitlines()
+    assert "archs = shallow,deep,deepshared" in lines
+    assert "R_list = 5,10,20,40" in lines and "L_list = 2,3,4" in lines
+    again = tmp_path / "again"
+    assert main(["cv", "--config", str(resolved), "--out", str(again)]) == 0
+    for name in ("cv_report.csv", "cv_summary.csv", "resolved_cv.cfg"):
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+
 # a tiny chain: a noisy draw, a deep fit, all four estimators, the eigenfunctions
 # at eigen's post-solve n_funcs default, cv and export
 CHAIN = {

@@ -201,7 +201,7 @@ def test_core_dz_matches_the_x_transpose_orientation(case, monkeypatch):
         return backward(params, arch, cache, dz)
 
     monkeypatch.setattr(training, "backward_constituents", capture)
-    _, [dparams], _ = _core(x, points, [params], [arch], [xi], 0.0, want_grads=True)
+    _, [dparams], _ = _core(x, points, [params], [arch], [xi], 0.0)
     [got] = seen
     want = x_transpose_dz(x, points, params, arch, xi)
     assert got.shape == want.shape
