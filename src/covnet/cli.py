@@ -49,7 +49,6 @@ from .errors import (
     ModelFormatError,
     NumericError,
     ResourceLimitError,
-    _check_memory,
 )
 from .fields import _MAX_AXES, make_grid, read_fields, write_fields
 from .model import DEEP, DEEPSHARED, SHALLOW, VARIANTS, Architecture, load_model, save_model
@@ -287,23 +286,11 @@ def run_simulate(cfg: Config, out_dir: str) -> None:
     print(f"wrote {path} (N={n}, D={grid.n_points})")
 
 
-def _architecture(variant: str, r: int, d: int, depth: int) -> Architecture:
-    """Architecture with `depth` hidden layers of width r.
-
-    Its parameters number at least depth * r * (r + 1), which is checked
-    against memory before the widths tuple is built; an r below 1, which
-    Architecture refuses, counts as 1 here.
-    """
-    width = max(r, 1)
-    _check_memory(depth * width * (width + 1), f"L = {depth} hidden layers of width R = {r}")
-    return Architecture(variant, r, d, (r,) * depth)
-
-
 def _arch_from(cfg: Config, d: int) -> Architecture:
     variant = cfg.str_("arch", required=True)
     r = cfg.int_("R", required=True)
     depth = cfg.int_("L", required=True) if variant in (DEEP, DEEPSHARED) else 0
-    return _architecture(variant, r, d, depth)
+    return Architecture(variant, r, d, depth)
 
 
 def _train_config(cfg: Config) -> TrainConfig:
@@ -440,7 +427,7 @@ def run_cv(cfg: Config, out_dir: str) -> None:
     if f.n - math.ceil(f.n / v) < 2:
         raise ConfigError(f"V = {v} leaves a training fold of fewer than 2 of {f.n} fields")
     archs = [
-        _architecture(variant, max(levels), f.grid.d, depth)
+        Architecture(variant, max(levels), f.grid.d, depth)
         for variant in variants
         for depth in ([0] if variant == SHALLOW else l_list)
     ]

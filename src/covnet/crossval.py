@@ -90,7 +90,7 @@ class CvReport:
     def candidate_label(self, i: int) -> str:
         arch, level = self.candidates[i]
         label = f"{arch.variant} R={arch.r}"
-        if arch.widths:
+        if arch.depth:
             label += f" L={arch.depth}"
         return f"{label} at level {level}"
 

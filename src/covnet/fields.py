@@ -22,8 +22,6 @@ from .errors import FieldFormatError, _check_memory
 
 FIELD_MAGIC = b"CVNF"
 FIELD_VERSION = 1
-# largest header read, in bytes, that read_fields asks the file for at once
-_READ_CHUNK = 1 << 16
 # Grid.coordinates meshes the axes into one d-dimensional array, and numpy
 # before 2.0 allows at most 32 array dimensions
 _MAX_AXES = 32
@@ -147,14 +145,14 @@ def cross_gram(f: FieldMatrix) -> np.ndarray:
 
 
 def _read_exact(fh, offset: int, n: int, what: str) -> bytes:
-    """The next n bytes of fh, whose position is `offset`.
+    """The next n bytes of fh, whose position is `offset`: one header field.
 
-    Reads at most _READ_CHUNK bytes at a time, so a header that declares a
-    huge length costs no more memory than the bytes the stream holds.
+    Header fields are a few bytes (the grid sizes at most 4 * _MAX_AXES),
+    and a pipe may deliver them in more than one read.
     """
     buf = bytearray()
     while len(buf) < n:
-        chunk = fh.read(min(n - len(buf), _READ_CHUNK))
+        chunk = fh.read(n - len(buf))
         if not chunk:
             raise FieldFormatError(f"truncated file while reading {what}", offset + len(buf))
         buf += chunk

@@ -14,6 +14,9 @@ constituents g_r.  Three constituent families are supported:
 * deepshared  -- one shared multilayer trunk; constituents differ only in
                  their final scalar layer.
 
+The deep variants have L >= 1 hidden layers, each R wide, so an
+architecture is fixed by its family, R, the input dimension d and L.
+
 All three share one engine on one flat parameter vector whose layout comes
 from the architecture alone (see `_layer_shapes`): every layer, the output
 layer included, is grouped along a leading axis of G stacks.  Shallow is
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,36 +81,36 @@ _INIT_STEEPNESS = (2.0, 20.0)
 _INIT_FIELD_VARIANCE = 0.1
 
 
+def _is_count(value) -> bool:
+    """An integer, and not a bool (True would count as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Architecture:
-    """Constituent family, count R, input dimension, and hidden widths."""
+    """Constituent family, count R, input dimension d, and depth L.
+
+    Each of the L hidden layers is R wide; shallow has none (L = 0), the
+    deep variants at least one.
+    """
 
     variant: str
     r: int
     d: int
-    widths: tuple[int, ...] = ()
+    depth: int = 0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        for name, value in (("R", self.r), ("d", self.d), ("L", self.depth)):
+            if not _is_count(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.r < 1 or self.d < 1:
             raise ValueError(f"R and d must be >= 1, got R = {self.r}, d = {self.d}")
-        object.__setattr__(self, "widths", tuple(int(p) for p in self.widths))
-        if self.variant == SHALLOW:
-            if self.widths:
-                raise ValueError("shallow networks have no hidden widths")
-        else:
-            if len(self.widths) < 1 or any(p < 1 for p in self.widths):
-                raise ValueError("deep variants need positive hidden widths")
-            if len(self.widths) < 2:
-                warnings.warn(
-                    "depth below 2 defeats the point of a deep constituent",
-                    stacklevel=3,
-                )
-
-    @property
-    def depth(self) -> int:
-        return len(self.widths)
+        if self.variant == SHALLOW and self.depth:
+            raise ValueError("shallow networks have no hidden layers")
+        if self.variant != SHALLOW and self.depth < 1:
+            raise ValueError("deep variants need at least one hidden layer")
 
     @property
     def groups(self) -> int:
@@ -123,12 +126,11 @@ class Architecture:
 
     @staticmethod
     def deep(r: int, d: int, depth: int) -> "Architecture":
-        """Deep architecture with `depth` hidden layers of width R."""
-        return Architecture(DEEP, r, d, (r,) * depth)
+        return Architecture(DEEP, r, d, depth)
 
     @staticmethod
     def deepshared(r: int, d: int, depth: int) -> "Architecture":
-        return Architecture(DEEPSHARED, r, d, (r,) * depth)
+        return Architecture(DEEPSHARED, r, d, depth)
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,12 +138,13 @@ def _layer_shapes(arch: Architecture) -> tuple[tuple[tuple[int, ...], tuple[int,
     """(W, b) shapes of every layer in vector order: hidden layers, then output.
 
     Layer l holds W (G, p_l, p_{l-1}) and b (G, p_l), with G = R independent
-    nets for deep and G = 1 shared trunk otherwise; the output layer's width
-    is the R / G constituents each stack feeds.  Shallow has no hidden layers.
+    nets for deep and G = 1 shared trunk otherwise; p_0 = d, every hidden
+    width is R, and the output layer's width is the R / G constituents each
+    stack feeds.  Shallow has no hidden layers.
     Memoized per architecture: every training step asks for it twice.
     """
     g = arch.groups
-    dims = [arch.d, *arch.widths, arch.r // g]
+    dims = [arch.d, *[arch.r] * arch.depth, arch.r // g]
     return tuple(
         ((g, dims[l + 1], dims[l]), (g, dims[l + 1])) for l in range(arch.depth + 1)
     )
@@ -368,8 +371,16 @@ def eval_constituents(params: np.ndarray, arch: Architecture, points: np.ndarray
 
 
 def count_parameters(arch: Architecture, include_lambda: bool = True) -> int:
-    """Free-parameter count of the architecture (optionally plus Lambda)."""
-    n = sum(math.prod(w) + math.prod(b) for w, b in _layer_shapes(arch))
+    """Free-parameter count of the architecture (optionally plus Lambda).
+
+    In closed form, so that a depth beyond memory is counted without building
+    its layers: per stack, an input layer, L - 1 hidden layers, R / G outputs.
+    """
+    r, g, depth = arch.r, arch.groups, arch.depth
+    if depth == 0:
+        n = r * (arch.d + 1)
+    else:
+        n = g * (r * (arch.d + 1) + (depth - 1) * r * (r + 1) + r // g * (r + 1))
     if include_lambda:
         n += arch.r * (arch.r + 1) // 2
     return n
@@ -443,8 +454,8 @@ def save_model(path, model: FittedCovariance) -> None:
     """
     arch = model.arch
     lines = [MODEL_HEADER, f"arch {arch.variant}", f"R {arch.r}", f"d {arch.d}"]
-    if arch.widths:
-        lines.append("widths " + " ".join(str(p) for p in arch.widths))
+    if arch.depth:
+        lines.append("widths" + f" {arch.r}" * arch.depth)
     for name, array in _named_arrays(model.params, arch):
         shape = " ".join(str(s) for s in array.shape) or "scalar"
         lines.append(f"layer {name} {shape}")
@@ -518,17 +529,16 @@ def load_model(path) -> FittedCovariance:
         fields_[key] = line[1]
     variant = fields_["arch"]
     r, d = ints([fields_["R"], fields_["d"]], "R and d")
-    widths: tuple[int, ...] = ()
+    depth = 0
     if variant != SHALLOW:
         line = take("widths").split()
         if not line or line[0] != "widths":
             raise ModelFormatError("expected 'widths ...' line for deep variants")
-        widths = ints(line[1:], "widths")
+        if any(p != r for p in ints(line[1:], "widths")):
+            raise ModelFormatError(f"every hidden width must be R = {r}")
+        depth = len(line) - 1
     try:
-        # a deep net of depth 1 was warned about when it was built, not when read
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "depth below 2", UserWarning)
-            arch = Architecture(variant, r, d, widths)
+        arch = Architecture(variant, r, d, depth)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
     # checked before anything is allocated: a header cannot ask for more

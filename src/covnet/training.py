@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +42,7 @@ from .fields import FieldMatrix, cross_gram
 from .model import (
     Architecture,
     FittedCovariance,
+    _is_count,
     _walk,
     backward_constituents,
     count_parameters,
@@ -73,11 +73,6 @@ class LossBreakdown:
     @property
     def total(self) -> float:
         return self.term_xx + self.term_gg - 2.0 * self.term_xg
-
-
-def _is_count(value) -> bool:
-    """An integer, and not a bool (True would count as 1)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,46 @@ def test_model_with_a_mean_block_exits_3(tmp_path, capsys, command, cfg):
     assert code == 3
     assert "joint mean fitting was removed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def deep_model_file(path, r, d, widths):
+    """A deep model file whose nets' hidden layers have `widths`; weights 0.1, Lambda I."""
+    dims = [d, *widths]
+    lines = ["covnet-model v1", "arch deep", f"R {r}", f"d {d}"]
+    lines.append("widths " + " ".join(map(str, widths)))
+    for g in range(r):
+        for l in range(1, len(dims)):
+            lines += [f"layer net{g}.W{l} {dims[l]} {dims[l - 1]}", "0.1 " * dims[l] * dims[l - 1]]
+            lines += [f"layer net{g}.b{l} {dims[l]}", "0.1 " * dims[l]]
+        lines += [f"layer net{g}.wout {dims[-1]}", "0.1 " * dims[-1]]
+        lines += [f"layer net{g}.bout scalar", "0.1"]
+    lines += [f"lambda {r}", *("0 " * i + "1" for i in range(r)), "end"]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("widths", [(4, 4), (3, 4)])
+def test_deep_model_file_with_widths_other_than_r_exits_3(tmp_path, capsys, widths):
+    # its layers match its widths line, but every hidden layer is R wide
+    path = deep_model_file(tmp_path / "m.cvn", 3, 2, widths)
+    with pytest.raises(ModelFormatError, match="every hidden width must be R = 3"):
+        load_model(path)
+    code, out = run(tmp_path, "eigen", f"model = {path}\nM = 100\n")
+    assert code == 3
+    assert "every hidden width must be R = 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_of_a_one_layer_deep_net_writes_nothing_to_stderr(tmp_path, capsys):
+    cfg = FIT.format(fields=gaussian_fields(tmp_path, 6)).replace("shallow", "deep\nL = 1")
+    # a warning would reach a console user's stderr; here it is recorded
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, "fit", cfg)
+    assert code == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+    assert "widths 2" in (out / "model.cvn").read_text().splitlines()
 
 
 def constant_model(tmp_path):
@@ -632,11 +673,11 @@ VALID = {
         # counts beyond an index, refused before a list or tuple of that length is built
         ("simulate", SIMULATE.replace("d = 2", f"d = {10**20}"), f"d must be <= 32, got {10**20}"),
         ("fit", FIT.replace("arch = shallow", f"arch = deep\nL = {10**20}"),
-         f"L = {10**20} hidden layers of width R = 2 do not fit in memory"),
+         f"R = 2 constituents with {10**20} hidden layers do not fit in memory"),
         ("cv", f"fields = {{fields}}\narchs = deep\nR_list = 2\nL_list = {10**20}\n",
-         f"L = {10**20} hidden layers of width R = 2 do not fit in memory"),
+         f"R = 2 constituents with {10**20} hidden layers do not fit in memory"),
         ("fit", FIT.replace("arch = shallow", f"arch = deep\nL = {10**20}").replace("R = 2", "R = 0"),
-         f"L = {10**20} hidden layers of width R = 0 do not fit in memory"),
+         "R and d must be >= 1, got R = 0, d = 2"),
         # keys that would be ignored
         ("simulate", SIMULATE + "nu = -3\n", "simulate does not use config key(s): nu"),
         (

@@ -8,6 +8,7 @@ from conftest import second_moment
 from covnet.errors import ModelFormatError
 from covnet.fields import FieldMatrix, make_grid
 from covnet.model import (
+    _layer_shapes,
     _negated_layers,
     _param_views,
     _sigmoid_of_negated,
@@ -43,9 +44,30 @@ def test_architecture_validation():
     with pytest.raises(ValueError):
         Architecture("shallow", 0, 2)
     with pytest.raises(ValueError):
-        Architecture("deep", 2, 2)  # missing widths
-    with pytest.warns(UserWarning):
-        Architecture.deep(2, 2, depth=1)
+        Architecture("deep", 2, 2)  # missing depth
+    with pytest.raises(ValueError):
+        Architecture("shallow", 2, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("shallow", 2.5, 2),
+        ("shallow", 2, 2.0),
+        ("shallow", True, 2),
+        ("deep", 3, 2, 2.0),
+        ("deepshared", 3, 2, True),
+        ("deep", 3, np.float64(2.0), 2),
+    ],
+)
+def test_architecture_refuses_sizes_that_are_not_integers(args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Architecture(*args)
+
+
+def test_architecture_takes_numpy_integers():
+    arch = Architecture.deep(np.int64(3), np.int32(2), np.int64(2))
+    assert count_parameters(arch) == count_parameters(Architecture.deep(3, 2, 2))
 
 
 def test_init_deterministic():
@@ -139,8 +161,7 @@ def whole_grid_constituents(params, arch, pts):
 def test_walk_with_and_without_cache_equal_one_pass_bit_for_bit(variant, d):
     # point blocks start at multiples of 4096; a 1-row remainder joins the
     # block before it
-    widths = () if variant == "shallow" else (20, 20, 20)
-    arch = Architecture(variant, 20, d, widths)
+    arch = Architecture(variant, 20, d, 0 if variant == "shallow" else 3)
     params, _ = init_params(arch, 2, seed=d)
     pts = make_rng(30 + d).random((12289, d))
     for m, n_blocks in ((1, 1), (2, 1), (3, 1), (4095, 1), (4096, 1), (4097, 1),
@@ -212,7 +233,7 @@ def test_forward_leaves_points_unmodified(variant):
 
 
 def test_deepshared_zero_params_match_scalar_recursion():
-    arch = Architecture("deepshared", 2, 2, (4, 4, 4))
+    arch = Architecture.deepshared(4, 2, 3)
     params = np.zeros(count_parameters(arch, include_lambda=False))
     z = eval_constituents(params, arch, np.array([[0.3, 0.8]]))
     # zero weights erase each previous layer, so every layer emits sigma(0)
@@ -221,7 +242,7 @@ def test_deepshared_zero_params_match_scalar_recursion():
 
 def test_deepshared_nonzero_matches_scalar_recursion():
     # width-1 trunk wired with scalar weights reproduces a scalar recursion
-    arch = Architecture("deepshared", 1, 1, (1, 1))
+    arch = Architecture.deepshared(1, 1, 2)
     w1, b1, w2, b2, wo, bo = 0.7, -0.2, 1.3, 0.4, -0.9, 0.1
     params = np.array([w1, b1, w2, b2, wo, bo])  # layer by layer, W before b
     u = 0.6
@@ -232,7 +253,7 @@ def test_deepshared_nonzero_matches_scalar_recursion():
 
 def test_deep_matches_composed_shallow_structure():
     # a deep net evaluated layer by layer with plain numpy as the oracle
-    arch = Architecture("deep", 2, 2, (3, 3))
+    arch = Architecture.deep(3, 2, 2)
     params, _ = init_params(arch, 3, seed=5)
     pts = gaussian(make_rng(6), (4, 2))
     z = eval_constituents(params, arch, pts)
@@ -261,9 +282,9 @@ def numpy_constituents(params, arch, pts):
 
 @pytest.mark.parametrize("variant", ["shallow", "deep", "deepshared"])
 def test_constituents_match_numpy_oracle_at_nonzero_biases(variant):
-    # every bias drawn from N(0, 1), none of them zero
-    widths = () if variant == "shallow" else (5, 4, 3)
-    arch = Architecture(variant, 4, 3, widths)
+    # every bias drawn from N(0, 1), none of them zero; d != R keeps the
+    # input layer non-square, as R / G != R does deep's output layer
+    arch = Architecture(variant, 4, 3, 0 if variant == "shallow" else 3)
     params = gaussian(make_rng(40), count_parameters(arch, include_lambda=False))
     assert all(np.all(b != 0) for _, b in _param_views(params, arch))
     pts = make_rng(41).random((300, 3))
@@ -300,9 +321,9 @@ def numpy_backward(params, arch, pts, dz):
 def test_backward_matches_numpy_oracle_at_nonzero_biases(variant, r):
     # the weight gradients skip the ones row of the homogeneous activations;
     # taking that row as a weight column fails this tolerance, while the
-    # central-difference gradient check resolves only about 1e-5
-    widths = () if variant == "shallow" else (5, 4, 3)
-    arch = Architecture(variant, r, 3, widths)
+    # central-difference gradient check resolves only about 1e-5; d != R
+    # keeps the input layer non-square, as R / G != R does deep's output layer
+    arch = Architecture(variant, r, 3, 0 if variant == "shallow" else 3)
     params = gaussian(make_rng(42), count_parameters(arch, include_lambda=False))
     assert all(np.all(b != 0) for _, b in _param_views(params, arch))
     # 8193 points walk as two blocks, the second adding to the first's gradients
@@ -443,32 +464,37 @@ def test_kernel_nonnegative_definite_on_samples():
             assert quad >= -1e-10 * (alpha @ alpha)
 
 
-def closed_form_count(arch):
-    """Network parameter count from the per-variant formulas."""
-    dims = [arch.d, *arch.widths]
-    if arch.variant == "shallow":
-        return arch.r * (arch.d + 1)
-    if arch.variant == "deep":
-        full = [*dims, 1]
-        return arch.r * sum((full[l] + 1) * full[l + 1] for l in range(len(full) - 1))
-    trunk = sum((dims[l] + 1) * dims[l + 1] for l in range(len(dims) - 1))
-    return trunk + arch.r * (dims[-1] + 1)
-
-
-def test_parameter_census_matches_formulas():
+def test_parameter_census_matches_the_parameter_vector():
     cases = [
         Architecture.shallow(4, 3),
+        Architecture.deep(3, 2, 1),
         Architecture.deep(3, 2, 2),
-        Architecture("deep", 2, 3, (4, 4, 4)),
+        Architecture.deep(2, 3, 3),
+        Architecture.deepshared(5, 2, 1),
         Architecture.deepshared(5, 2, 2),
-        Architecture("deepshared", 3, 3, (2, 2, 2, 2)),
+        Architecture.deepshared(3, 3, 4),
     ]
     for arch in cases:
         params, _ = init_params(arch, 3, seed=0)
         lam_terms = arch.r * (arch.r + 1) // 2
         assert params.size + lam_terms == count_parameters(arch)
         assert params.size == count_parameters(arch, include_lambda=False)
-        assert params.size == closed_form_count(arch)
+
+
+@pytest.mark.parametrize("variant", ["shallow", "deep", "deepshared"])
+def test_closed_form_count_equals_the_layer_shapes(variant):
+    for r in (1, 2, 3, 7, 20):
+        for d in (1, 2, 3):
+            for depth in (0,) if variant == "shallow" else (1, 2, 3, 5):
+                arch = Architecture(variant, r, d, depth)
+                want = sum(math.prod(w) + math.prod(b) for w, b in _layer_shapes(arch))
+                assert count_parameters(arch, include_lambda=False) == want, arch
+
+
+def test_count_parameters_of_a_huge_depth_builds_no_layers():
+    # (10^20 - 1) R (R + 1) hidden parameters per net: no tuple of layers could hold them
+    arch = Architecture.deep(2, 2, 10**20)
+    assert count_parameters(arch, include_lambda=False) == 2 * (2 * 3 + (10**20 - 1) * 6 + 3)
 
 
 ARCH_CASES = (
@@ -522,13 +548,17 @@ def test_fitted_covariance_rejects_non_psd():
         FittedCovariance(arch, params, np.array([[1.0, 0.0], [0.0, -0.1]]))
 
 
-@pytest.mark.parametrize("variant", ["shallow", "deep", "deepshared"])
-def test_save_load_roundtrip_bit_exact(variant, tmp_path):
-    arch = {
-        "shallow": Architecture.shallow(3, 2),
-        "deep": Architecture.deep(2, 2, 2),
-        "deepshared": Architecture.deepshared(3, 2, 2),
-    }[variant]
+@pytest.mark.parametrize(
+    "arch",
+    [
+        Architecture.shallow(3, 2),
+        Architecture.deep(2, 2, 2),
+        Architecture.deepshared(3, 2, 2),
+        Architecture.deep(2, 2, 1),
+    ],
+    ids=["shallow", "deep", "deepshared", "deep_one_layer"],
+)
+def test_save_load_roundtrip_bit_exact(arch, tmp_path):
     params, xi = init_params(arch, 6, seed=21)
     model = FittedCovariance(arch, params, second_moment(xi))
     path = tmp_path / "m.cvn"
@@ -541,23 +571,6 @@ def test_save_load_roundtrip_bit_exact(variant, tmp_path):
     u = rng.random((100, 2))
     v = rng.random((100, 2))
     np.testing.assert_array_equal(back.kernel_pairs(u, v), model.kernel_pairs(u, v))
-
-
-def test_one_width_deep_model_reloads_without_a_warning(tmp_path):
-    # building a deep net of depth 1 warns; reading its file back does not,
-    # and leaves the warning in place for the next one built
-    with pytest.warns(UserWarning, match="depth below 2"):
-        arch = Architecture.deep(2, 2, depth=1)
-    params, xi = init_params(arch, 6, seed=21)
-    path = tmp_path / "m.cvn"
-    save_model(path, FittedCovariance(arch, params, second_moment(xi)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        back = load_model(path)
-    assert back.arch == arch
-    assert np.array_equal(back.params, params)
-    with pytest.warns(UserWarning, match="depth below 2"):
-        Architecture.deep(2, 2, depth=1)
 
 
 def test_load_rejects_tampered_lambda(tmp_path):
